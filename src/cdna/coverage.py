@@ -16,12 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .model import UnsupportedRangeError, _compositions
 
-#: expected_coverage_partial refuses when C(ell, r) exceeds this; the triple sum
-#: is exponential in ell and Monte Carlo is the supported path beyond it.
+#: expected_coverage_partial refuses when C(ell, r) exceeds this.  The sum
+#: itself has only ell closed-form weights, so the cap no longer bounds its
+#: work; it keeps the accepted domain where it has always been, with the Monte
+#: Carlo simulator as the supported path beyond it.
 MAX_PARTIAL_SETS = 5000
 
 #: Additional cap on ell for expected_coverage_partial: beyond this the
@@ -29,8 +31,11 @@ MAX_PARTIAL_SETS = 5000
 MAX_PARTIAL_LENGTH = 40
 
 #: expected_coverage_exact refuses when its term count C(ell+omega-1, omega-1)
-#: exceeds this.  Beyond ~20k terms the rational arithmetic (denominators near
-#: omega^ell) takes tens of seconds; the float series is the supported path.
+#: exceeds this.  The result grows with the term count (599k bits at 4,186
+#: terms, 6.5M bits at 19,900), and the gcds of the balanced sum grow with it:
+#: on a 2-CPU x86-64 machine with Python 3.11, (90, 3) takes 0.4 s, (150, 3)
+#: 9 s, and (198, 3), just under the cap, 46 s.  The float series is the
+#: supported path beyond the cap.
 MAX_EXACT_TERMS = 20_000
 
 
@@ -87,11 +92,25 @@ def miss_probability(support_size: int, draws: int) -> float:
         raise ValueError(f"support size must be >= 1, got {w}")
     if m < 0:
         raise ValueError(f"draw count must be >= 0, got {m}")
+    coefs, bases = _series_row(w)
     total = 0.0
-    for i in range(1, w + 1):
-        total += comb(w, i) * (-1) ** (i + 1) * ((w - i) / w) ** m
+    for coef, base in zip(coefs, bases):
+        total += coef * base**m
     # Alternating cancellation can leave tiny out-of-range noise.
     return min(1.0, max(0.0, total))
+
+
+@lru_cache(maxsize=64, typed=True)
+def _series_row(w: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The coefficients C(w, i) (-1)^(i+1) and bases (w-i)/w of miss_probability, i = 1..w.
+
+    Converting each coefficient to float here rounds it exactly as the product
+    ``int * float`` does, so the series keeps its bits; a coefficient too large
+    for a float raises the same OverflowError.
+    """
+    coefs = tuple(float(comb(w, i) * (-1) ** (i + 1)) for i in range(1, w + 1))
+    bases = tuple((w - i) / w for i in range(1, w + 1))
+    return coefs, bases
 
 
 def expected_coverage(ell: int, omega: int, tol: float = 1e-12) -> float:
@@ -131,7 +150,7 @@ def expected_coverage(ell: int, omega: int, tol: float = 1e-12) -> float:
             return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def expected_coverage_exact(ell: int, omega: int) -> Fraction:
     """Exact rational value of the coverage-depth series.
 
@@ -140,6 +159,9 @@ def expected_coverage_exact(ell: int, omega: int) -> Fraction:
     finitely many geometric sequences whose tail sums are rational.  The
     expansion has C(ell+omega-1, omega-1) terms; requests beyond
     ``MAX_EXACT_TERMS`` are refused (use the float series instead).
+
+    The terms are summed as unreduced integer pairs in a balanced tree, and the
+    result is reduced once at the root.
     """
     if ell < 1 or omega < 1:
         raise ValueError("need ell >= 1 and omega >= 1")
@@ -150,22 +172,62 @@ def expected_coverage_exact(ell: int, omega: int) -> Fraction:
         raise UnsupportedRangeError(
             f"exact expansion needs {n_terms} terms (cap {MAX_EXACT_TERMS}); use expected_coverage"
         )
-    signed = [(-1) ** i * comb(omega, i) for i in range(omega)]
-    ratios = [Fraction(omega - i, omega) for i in range(omega)]
     # E = 1 + sum_{m>=1} (1 - (1-gamma_m)^ell); the all-zero multi-index term
     # (coefficient 1, ratio 1) cancels the leading 1 of each summand.
-    total = Fraction(1)
+    num, den = _balanced_sum(_exact_terms(ell, omega))
+    return Fraction(num + den, den)
+
+
+def _exact_terms(ell: int, omega: int) -> Iterator[tuple[int, int]]:
+    """The expansion's terms other than the all-zero one, as pairs (numerator, denominator).
+
+    The multi-index k = (k_0, ..., k_{omega-1}) contributes
+    -coef * lam / (1 - lam) with the multinomial coefficient
+    coef = ell! / prod k_i! * prod ((-1)^i C(omega, i))^k_i and the ratio
+    lam = prod ((omega-i)/omega)^k_i = N / omega^s, where
+    N = prod_{i>=1} (omega-i)^k_i and s = ell - k_0.  So the term is
+    -coef * N / (omega^s - N), with a positive denominator since s >= 1.
+    """
+    factorial = [math.factorial(i) for i in range(ell + 1)]
+    signed = [(-1) ** i * comb(omega, i) for i in range(omega)]
     for k in _compositions(ell, omega):
-        if k[0] == ell:
+        s = ell - k[0]
+        if s == 0:
             continue
-        coef = Fraction(math.factorial(ell))
-        lam = Fraction(1)
-        for k_i, a_i, l_i in zip(k, signed, ratios):
-            coef /= math.factorial(k_i)
-            coef *= a_i**k_i
-            lam *= l_i**k_i
-        total -= coef * lam / (1 - lam)
-    return total
+        coef = factorial[ell] // math.prod(factorial[k_i] for k_i in k)
+        n = 1
+        for i in range(1, omega):
+            coef *= signed[i] ** k[i]
+            n *= (omega - i) ** k[i]
+        yield -coef * n, omega**s - n
+
+
+def _balanced_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of the fractions num/den of a nonempty stream, as an unreduced pair.
+
+    Pairs merge like a binary counter: only sums of equally many terms are
+    added, over the lcm of their denominators, so the operands of each
+    addition have similar size and at most log2(terms) partial sums are live.
+    """
+    stack: list[tuple[int, int, int]] = []  # (level, num, den); 2^level terms each
+    for num, den in pairs:
+        level = 0
+        while stack and stack[-1][0] == level:
+            _, num_2, den_2 = stack.pop()
+            num, den = _add_fractions(num_2, den_2, num, den)
+            level += 1
+        stack.append((level, num, den))
+    _, num, den = stack.pop()
+    while stack:  # the tail: partial sums of different sizes, smallest first
+        _, num_2, den_2 = stack.pop()
+        num, den = _add_fractions(num_2, den_2, num, den)
+    return num, den
+
+
+def _add_fractions(num_1: int, den_1: int, num_2: int, den_2: int) -> tuple[int, int]:
+    """num_1/den_1 + num_2/den_2 over lcm(den_1, den_2), unreduced."""
+    g = math.gcd(den_1, den_2)
+    return num_1 * (den_2 // g) + num_2 * (den_1 // g), den_1 // g * den_2
 
 
 def expected_coverage_closed_pairs(ell: int) -> float:
@@ -245,22 +307,30 @@ def covering_family_count(m: int, r: int, j: int) -> int:
     return sum((-1) ** i * comb(m, i) * comb(comb(m - i, r), j) for i in range(m + 1))
 
 
+def _order_statistic_weight(m: int, r: int) -> int:
+    """Signed covering-family sum of m indices for threshold r: (-1)^(m-r) C(m-1, r-1), 0 below r."""
+    return (-1) ** (m - r) * comb(m - 1, r - 1) if m >= r else 0
+
+
 def expected_coverage_partial(ell: int, omega: int, r: int, tol: float = 1e-12) -> float:
     """Expected reads until at least ``r`` of the ``ell`` indices are recovered.
 
-    Evaluates the alternating triple sum
+    The r-th smallest of the ``ell`` index recovery times is a signed sum of
+    maxima over index sets (the max-min inclusion-exclusion identity for order
+    statistics), and the maximum over m indices has mean E(m, omega):
 
-        sum_{j=1..C(ell,r)} sum_{m=1..ell} (-1)^(j+1) C(ell, m)
-            * covering_family_count(m, r, j) * E(m, omega)
+        sum_{m=r..ell} (-1)^(m-r) C(m-1, r-1) C(ell, m) E(m, omega)
 
-    (inclusion-exclusion over j-element families of r-index targets, grouped by
-    the size m of their union).  The inner alternating-j sums are carried in
-    exact integers, and whenever the rational expansion of E(m, omega) is
-    feasible the whole sum is evaluated exactly, which sidesteps the float
-    cancellation the huge binomial coefficients would otherwise cause.  When
-    the expansion is infeasible (large omega) a float fallback is used, but
-    only if its worst-case cancellation stays below max(tol, 1e-9); pass a
-    looser ``tol`` to accept the correspondingly looser guarantee.
+    The weight (-1)^(m-r) C(m-1, r-1) is the closed form of the signed
+    covering-family sum sum_{j>=1} (-1)^(j+1) covering_family_count(m, r, j)
+    of inclusion-exclusion over j-element families of r-index targets: the
+    j-sum collapses to sum_{i=0..m-r} (-1)^i C(m, i).  The integer weights
+    alternate and grow like C(ell, m), so whenever the rational expansion of
+    E(m, omega) is feasible the whole sum is evaluated exactly, which sidesteps
+    the float cancellation.  When the expansion is infeasible (large omega) a
+    float fallback is used, but only if its worst-case cancellation stays below
+    max(tol, 1e-9); pass a looser ``tol`` to accept the correspondingly looser
+    guarantee.
 
     Refused when C(ell, r) > ``MAX_PARTIAL_SETS``, when ell >
     ``MAX_PARTIAL_LENGTH``, or when no path can meet the tolerance; the Monte
@@ -281,14 +351,7 @@ def expected_coverage_partial(ell: int, omega: int, r: int, tol: float = 1e-12) 
             f"ell = {ell} exceeds the cap {MAX_PARTIAL_LENGTH} for the exact partial-recovery sum; "
             "estimate with the simulator instead"
         )
-    # Per-m integer weight: sum over j of the signed covering-family counts.
-    # Families of j > C(m, r) distinct r-subsets of an m-set do not exist.
-    weights = []
-    for m in range(1, ell + 1):
-        s_m = 0
-        for j in range(1, min(n_families, comb(m, r)) + 1):
-            s_m += (-1) ** (j + 1) * covering_family_count(m, r, j)
-        weights.append(comb(ell, m) * s_m)
+    weights = [comb(ell, m) * _order_statistic_weight(m, r) for m in range(1, ell + 1)]
 
     if omega == 1 or comb(ell + omega - 1, omega - 1) <= MAX_EXACT_TERMS:
         total = Fraction(0)

@@ -3,13 +3,16 @@
 The oracles here deliberately avoid the library's own derivations: coverage
 expectations come from a covered-count Markov chain, covering-family counts
 from brute-force subset enumeration, and random codes are built as exact
-rational grid points so comparisons need no tolerances.
+rational grid points so comparisons need no tolerances.  Where the library
+evaluates a formula by a faster route, the formula as written lives here as the
+reference it must match exactly.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -68,6 +71,39 @@ def brute_miss_probability(w: int, m: int) -> Fraction:
         if len(seen) < w:
             missed += 1
     return Fraction(missed, w**m)
+
+
+def reference_expected_coverage_exact(ell: int, omega: int) -> Fraction:
+    """The multinomial expansion of the coverage series, added one term at a time.
+
+    Each multi-index k of the expansion of (1 - gamma_m)^ell contributes
+    -coef * lam / (1 - lam) to E = 1 + sum_{m>=1} (1 - (1-gamma_m)^ell); the
+    all-zero multi-index (ratio 1) cancels the leading 1 and is skipped.
+    """
+    if omega == 1:
+        return Fraction(1)
+    signed = [(-1) ** i * comb(omega, i) for i in range(omega)]
+    ratios = [Fraction(omega - i, omega) for i in range(omega)]
+    total = Fraction(1)
+    for k in product(range(ell + 1), repeat=omega):
+        if sum(k) != ell or k[0] == ell:
+            continue
+        coef = Fraction(math.factorial(ell))
+        lam = Fraction(1)
+        for k_i, a_i, l_i in zip(k, signed, ratios):
+            coef /= math.factorial(k_i)
+            coef *= a_i**k_i
+            lam *= l_i**k_i
+        total -= coef * lam / (1 - lam)
+    return total
+
+
+def literal_miss_probability(w: int, m: int) -> float:
+    """The inclusion-exclusion series of miss_probability, evaluated term by term as written."""
+    total = 0.0
+    for i in range(1, w + 1):
+        total += comb(w, i) * (-1) ** (i + 1) * ((w - i) / w) ** m
+    return min(1.0, max(0.0, total))
 
 
 def random_exact_symbol(rng: np.random.Generator, q: int, denom: int) -> CompositeSymbol:

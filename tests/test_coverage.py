@@ -19,7 +19,14 @@ from cdna import (
     miss_probability,
     random_access_expectation,
 )
-from conftest import brute_covering_count, brute_miss_probability, dp_expected_coverage
+from cdna.coverage import _order_statistic_weight, _series_row
+from conftest import (
+    brute_covering_count,
+    brute_miss_probability,
+    dp_expected_coverage,
+    literal_miss_probability,
+    reference_expected_coverage_exact,
+)
 
 
 class TestMissProbability:
@@ -49,6 +56,17 @@ class TestMissProbability:
         for w in range(1, 7):
             for m in range(0, 200, 17):
                 assert 0.0 <= miss_probability(w, m) <= 1.0
+
+    def test_bit_identical_to_literal_series(self):
+        for w in range(1, 41):
+            for m in range(0, 201):
+                got, want = miss_probability(w, m), literal_miss_probability(w, m)
+                assert got.hex() == want.hex(), (w, m)
+
+    def test_coefficient_overflow_still_raises(self):
+        # comb(1100, i) is too large for a float, as in the literal series
+        with pytest.raises(OverflowError):
+            miss_probability(1100, 0)
 
 
 class TestExpectedCoverage:
@@ -83,6 +101,25 @@ class TestExpectedCoverage:
             assert expected_coverage(ell, omega) == pytest.approx(
                 float(expected_coverage_exact(ell, omega)), abs=1e-9
             )
+
+    def test_exact_matches_term_by_term_reference(self):
+        # Term counts C(ell+omega-1, omega-1) - 1 that are not powers of two
+        # leave partial sums of different sizes for the final tail merges.
+        max_ell = {1: 5, 2: 40, 3: 24, 4: 12, 5: 8, 6: 6}
+        term_counts = set()
+        for omega, top in max_ell.items():
+            for ell in range(1, top + 1):
+                term_counts.add(comb(ell + omega - 1, omega - 1) - 1)
+                got = expected_coverage_exact.__wrapped__(ell, omega)
+                assert isinstance(got, Fraction)
+                assert got == reference_expected_coverage_exact(ell, omega), (ell, omega)
+        assert any(n & (n - 1) for n in term_counts)
+        assert {1, 2, 4, 8, 16, 32} <= term_counts
+
+    def test_caches_are_bounded(self):
+        # one exact value near the term cap holds millions of bits
+        assert 64 <= expected_coverage_exact.cache_info().maxsize < math.inf
+        assert _series_row.cache_info().maxsize < math.inf
 
     def test_exact_refuses_oversized_expansion(self):
         with pytest.raises(UnsupportedRangeError, match="expected_coverage"):
@@ -220,6 +257,16 @@ class TestCoveringFamilyCount:
                         r,
                         j,
                     )
+
+    def test_signed_family_sum_is_the_partial_weight(self):
+        # The partial-recovery weight of m indices is the alternating j-sum of
+        # covering families; families of j > C(m, r) distinct r-subsets do not exist.
+        for r in range(1, 13):
+            for m in range(1, 13):
+                family_sum = sum(
+                    (-1) ** (j + 1) * covering_family_count(m, r, j) for j in range(1, comb(m, r) + 1)
+                )
+                assert _order_statistic_weight(m, r) == family_sum, (m, r)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
