@@ -57,7 +57,6 @@ from .model import (
     ObservedDistribution,
     SubsetSequence,
     SubsetSymbol,
-    TransmissionLog,
     UnsupportedRangeError,
     base_symbol,
     enumerate_observed,
@@ -69,10 +68,6 @@ from .simulate import (
     SimReport,
     TrialTruncatedError,
     run_simulation,
-    simulate_partial,
-    simulate_random_access,
-    simulate_recovery,
-    transmit,
     trial_rng,
 )
 
@@ -93,7 +88,6 @@ __all__ = [
     "SubsetSequence",
     "SubsetSymbol",
     "TIE_TOLERANCE",
-    "TransmissionLog",
     "TrialTruncatedError",
     "UnsupportedRangeError",
     "base_symbol",
@@ -124,11 +118,7 @@ __all__ = [
     "random_access_expectation",
     "run_simulation",
     "self_decoding_probability",
-    "simulate_partial",
-    "simulate_random_access",
-    "simulate_recovery",
     "symmetric_reflect",
-    "transmit",
     "trial_rng",
     "uniform_symbol",
 ]

@@ -20,6 +20,7 @@ import click
 
 from .binary import binary4_alpha, construct_binary4, optimize_binary4_grid
 from .codes import (
+    DEFAULT_MAX_ENUM,
     CompositeCode,
     construct_base_plus_uniform,
     construct_distinct_support,
@@ -42,13 +43,11 @@ from .simulate import SimConfig, run_simulation
 EXIT_UNSUPPORTED_RANGE = 3
 EXIT_STRICT_TRUNCATION = 4
 
-_DEFAULT_MAX_ENUM = 2_000_000
-
 
 def _max_enum() -> int:
     raw = os.environ.get("CDNA_MAX_ENUM")
     if raw is None:
-        return _DEFAULT_MAX_ENUM
+        return DEFAULT_MAX_ENUM
     try:
         value = int(raw)
     except ValueError:
@@ -377,6 +376,9 @@ def sim(mode, ell, omega, r, k, trials, seed, max_transmissions, strict, fmt) ->
             max_transmissions=max_transmissions,
             mode=mode,
         )
+    except UnsupportedRangeError as exc:
+        _unsupported(exc)
+        return
     except ValueError as exc:
         raise click.UsageError(str(exc))
     report = run_simulation(config)

@@ -209,9 +209,6 @@ class Decoder:
             raise ValueError(f"unknown decoder kind {self.kind!r}")
         object.__setattr__(self, "_table", dict(self.overrides))
 
-    def override_map(self) -> dict:
-        return dict(self.overrides)
-
     def __call__(self, theta: ObservedDistribution) -> CompositeSymbol:
         hit = self._table.get(theta.counts)
         if hit is not None:

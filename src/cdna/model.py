@@ -249,54 +249,6 @@ class ObservedDistribution:
         return CompositeSymbol(k / self.n for k in self.counts)
 
 
-@dataclass(frozen=True)
-class TransmissionLog:
-    """A record of single transmissions: one length-ell symbol vector per read.
-
-    ``labels`` tags each read with the 1-based index of the sequence it came
-    from in a multi-sequence (random access) setup.
-    """
-
-    reads: tuple[tuple[int, ...], ...]
-    labels: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self) -> None:
-        if not self.reads:
-            raise ValueError("log must contain at least one read")
-        ell = len(self.reads[0])
-        for read in self.reads:
-            if len(read) != ell:
-                raise ValueError("all reads must have the same length")
-            for s in read:
-                if not isinstance(s, int) or s < 1:
-                    raise ValueError(f"symbols are 1-based positive integers, got {s!r}")
-        if self.labels is not None and len(self.labels) != len(self.reads):
-            raise ValueError("labels must align with reads")
-
-    @property
-    def ell(self) -> int:
-        return len(self.reads[0])
-
-    def observed_sets(self, label: Optional[int] = None) -> tuple[frozenset, ...]:
-        """Per-index set of symbols seen so far (restricted to one label if given)."""
-        reads = self.reads
-        if label is not None:
-            if self.labels is None:
-                raise ValueError("log carries no labels")
-            reads = tuple(r for r, l in zip(self.reads, self.labels) if l == label)
-        out = []
-        for i in range(self.ell):
-            out.append(frozenset(r[i] for r in reads))
-        return tuple(out)
-
-    def recovers(self, seq: SubsetSequence, label: Optional[int] = None) -> bool:
-        """True when every index has shown its full support."""
-        if seq.ell != self.ell:
-            raise ValueError("sequence length does not match log")
-        observed = self.observed_sets(label)
-        return all(obs == frozenset(sym.support) for obs, sym in zip(observed, seq.entries))
-
-
 def uniform_symbol(q: int, exact: bool = False) -> CompositeSymbol:
     """The uniform composite symbol (1/q, ..., 1/q)."""
     if not isinstance(q, int) or q < 1:

@@ -1,8 +1,15 @@
 """Seeded Monte Carlo simulation of the transmission process.
 
 This module is the empirical oracle for the closed-form coverage results: it
-simulates actual uniform draws from each index's support, tracks observed sets,
-and reports when recovery happens.  Nothing here reuses the analytic formulas.
+draws actual uniform symbols from each index's support, tracks observed sets
+as bitmasks, and counts reads until the stopping rule holds.  Nothing here
+reuses the analytic formulas.
+
+All three coverage settings are one process: read until ``r`` of ``ell``
+indices are covered, where each read belongs to the target sequence with
+probability ``1/k``.  Full recovery is ``r = ell, k = 1``, partial recovery is
+``k = 1`` and random access is ``r = ell``; one loop, :func:`_reads_until`,
+runs all of them.
 
 Determinism contract: trial ``t`` of a run with master seed ``s`` consumes a
 private stream from a counter-based generator (Philox) keyed by ``(s, t)``.
@@ -13,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .coverage import CoverageParams
-from .model import SubsetSequence, TransmissionLog
+from .model import UnsupportedRangeError
 
 DEFAULT_MAX_TRANSMISSIONS = 10**6
 
@@ -63,129 +70,44 @@ class _TrialStreams:
         return self._rng
 
 
-def _check_sequence(seq: SubsetSequence) -> None:
-    if seq.omega > 64:
-        raise ValueError("observed-set bitmasks support omega <= 64")
-
-
-def _draw_block(rng: np.random.Generator, rows: int, ell: int, omega: int) -> np.ndarray:
-    """Cumulative observed-set masks for ``rows`` fresh reads (one row per read)."""
-    draws = rng.integers(0, omega, size=(rows, ell), dtype=np.uint64)
-    return np.bitwise_or.accumulate(np.left_shift(_UONE, draws), axis=0)
-
-
-def simulate_recovery(
-    seq: SubsetSequence,
-    rng: np.random.Generator,
-    max_transmissions: int = DEFAULT_MAX_TRANSMISSIONS,
+def _reads_until(
+    rng: np.random.Generator, ell: int, omega: int, r: int, k: int, cap: int
 ) -> int:
-    """Number of single transmissions until every index has shown its full support.
+    """Number of reads until ``r`` of ``ell`` indices have shown all ``omega`` symbols.
 
-    Each transmission draws one symbol per index, uniformly from that index's
-    support.  Raises :class:`TrialTruncatedError` when the cap is reached.
+    Each read belongs to the target sequence with probability ``1/k``; only
+    target reads draw one symbol per index, uniformly from its support.  Reads
+    are drawn in doubling blocks of cumulative observed-set bitmasks.  Raises
+    :class:`TrialTruncatedError` when ``cap`` reads pass without stopping.
     """
-    _check_sequence(seq)
-    ell, omega = seq.ell, seq.omega
     full = np.uint64((1 << omega) - 1)
     masks = np.zeros(ell, dtype=np.uint64)
     taken = 0
     block = _FIRST_BLOCK
-    while taken < max_transmissions:
-        rows = min(block, max_transmissions - taken)
-        acc = _draw_block(rng, rows, ell, omega)
-        np.bitwise_or(acc, masks, out=acc)
-        done = np.flatnonzero((acc == full).all(axis=1))
-        if done.size:
-            return taken + int(done[0]) + 1
-        masks = acc[-1]
-        taken += rows
-        block = min(block * 2, _MAX_BLOCK)
-    raise TrialTruncatedError(max_transmissions)
-
-
-def simulate_partial(
-    seq: SubsetSequence,
-    r: int,
-    rng: np.random.Generator,
-    max_transmissions: int = DEFAULT_MAX_TRANSMISSIONS,
-) -> int:
-    """First transmission count at which at least ``r`` indices are fully recovered."""
-    _check_sequence(seq)
-    ell, omega = seq.ell, seq.omega
-    if not 1 <= r <= ell:
-        raise ValueError(f"r must satisfy 1 <= r <= ell, got r={r}, ell={ell}")
-    full = np.uint64((1 << omega) - 1)
-    masks = np.zeros(ell, dtype=np.uint64)
-    finish = np.zeros(ell, dtype=np.int64)  # 0 while unrecovered
-    taken = 0
-    block = _FIRST_BLOCK
-    while taken < max_transmissions:
-        rows = min(block, max_transmissions - taken)
-        acc = _draw_block(rng, rows, ell, omega)
-        np.bitwise_or(acc, masks, out=acc)
-        covered = acc == full
-        newly = (finish == 0) & covered[-1]
-        if newly.any():
-            first_row = covered[:, newly].argmax(axis=0)
-            finish[newly] = taken + first_row + 1
-            done = finish[finish > 0]
-            if done.size >= r:
-                return int(np.partition(done, r - 1)[r - 1])
-        masks = acc[-1]
-        taken += rows
-        block = min(block * 2, _MAX_BLOCK)
-    raise TrialTruncatedError(max_transmissions)
-
-
-def simulate_random_access(
-    seqs: Sequence[SubsetSequence],
-    target: int,
-    rng: np.random.Generator,
-    max_transmissions: int = DEFAULT_MAX_TRANSMISSIONS,
-) -> int:
-    """Transmissions until the target sequence (1-based) of a labeled pool is recovered.
-
-    Every step picks one of the ``len(seqs)`` sequences uniformly at random and
-    transmits it with its label; only reads labeled with the target advance its
-    observed sets.
-    """
-    k = len(seqs)
-    if k < 1:
-        raise ValueError("need at least one sequence")
-    if not 1 <= target <= k:
-        raise ValueError(f"target must satisfy 1 <= target <= {k}, got {target}")
-    seq = seqs[target - 1]
-    _check_sequence(seq)
-    ell, omega = seq.ell, seq.omega
-    full = np.uint64((1 << omega) - 1)
-    masks = np.zeros(ell, dtype=np.uint64)
-    taken = 0
-    block = _FIRST_BLOCK
-    while taken < max_transmissions:
-        rows = min(block, max_transmissions - taken)
-        labels = rng.integers(0, k, size=rows)
-        hits = np.flatnonzero(labels == target - 1)
+    while taken < cap:
+        rows = min(block, cap - taken)
+        if k == 1:
+            # rng.integers(0, 1) draws nothing from the stream, so skipping the
+            # labels at k == 1 leaves every trial's stream unchanged.
+            hits = np.arange(rows)
+        else:
+            hits = np.flatnonzero(rng.integers(0, k, size=rows) == 0)
         if hits.size:
-            acc = _draw_block(rng, int(hits.size), ell, omega)
+            # nested so that no block of draws or shifted bits outlives its use
+            acc = np.bitwise_or.accumulate(
+                np.left_shift(_UONE, rng.integers(0, omega, size=(hits.size, ell), dtype=np.uint64)),
+                axis=0,
+            )
             np.bitwise_or(acc, masks, out=acc)
-            done = np.flatnonzero((acc == full).all(axis=1))
+            covered = acc == full
+            # ``all`` is much cheaper than a row count on wide blocks
+            done = np.flatnonzero(covered.all(axis=1) if r == ell else covered.sum(axis=1) >= r)
             if done.size:
                 return taken + int(hits[done[0]]) + 1
             masks = acc[-1]
         taken += rows
         block = min(block * 2, _MAX_BLOCK)
-    raise TrialTruncatedError(max_transmissions)
-
-
-def transmit(seq: SubsetSequence, n: int, rng: np.random.Generator) -> TransmissionLog:
-    """Record ``n`` single transmissions of ``seq`` as actual alphabet symbols."""
-    if n < 1:
-        raise ValueError("need n >= 1 transmissions")
-    supports = [sym.support for sym in seq.entries]
-    reads = tuple(
-        tuple(sup[int(rng.integers(0, len(sup)))] for sup in supports) for _ in range(n)
-    )
-    return TransmissionLog(reads)
+    raise TrialTruncatedError(cap)
 
 
 @dataclass(frozen=True)
@@ -209,6 +131,11 @@ class SimConfig:
             raise ValueError("partial mode needs params.r")
         if self.mode == "ra" and self.params.k is None:
             raise ValueError("ra mode needs params.k")
+        if self.params.omega > 64:
+            raise UnsupportedRangeError(
+                f"the simulator tracks observed sets as 64-bit masks and supports omega <= 64, "
+                f"got omega={self.params.omega}; use expected_coverage for larger supports"
+            )
 
 
 @dataclass(frozen=True)
@@ -238,29 +165,30 @@ class SimReport:
 def run_simulation(config: SimConfig) -> SimReport:
     """Run the configured estimator over independent, individually seeded trials.
 
-    The random-access mode uses ``params.k`` copies of the canonical sequence
-    and targets the first one; by symmetry the target choice is immaterial.
+    Every trial counts reads of the canonical sequence (support ``{1..omega}``
+    at each of ``ell`` indices) until the mode's stopping rule holds:
+
+    * ``recovery``: every index has shown its full support;
+    * ``partial``: at least ``params.r`` indices have;
+    * ``ra``: every index of the target has, where each read belongs to the
+      target with probability ``1/params.k`` and only target reads advance it.
+
+    A trial that reaches ``max_transmissions`` counts as that cap and as
+    truncated.
     """
     params = config.params
-    seq = SubsetSequence.uniform(params.ell, params.omega)
+    r = params.r if config.mode == "partial" else params.ell
+    k = params.k if config.mode == "ra" else 1
+    cap = config.max_transmissions
     streams = _TrialStreams(config.seed)
     counts = np.empty(config.trials, dtype=np.float64)
     truncated = 0
     for t in range(config.trials):
-        rng = streams.trial(t)
         try:
-            if config.mode == "recovery":
-                value = simulate_recovery(seq, rng, config.max_transmissions)
-            elif config.mode == "partial":
-                value = simulate_partial(seq, params.r, rng, config.max_transmissions)
-            else:
-                value = simulate_random_access(
-                    (seq,) * params.k, 1, rng, config.max_transmissions
-                )
+            counts[t] = _reads_until(streams.trial(t), params.ell, params.omega, r, k, cap)
         except TrialTruncatedError:
-            value = config.max_transmissions
+            counts[t] = cap
             truncated += 1
-        counts[t] = value
     mean = float(counts.mean())
     std_error = None
     ci95 = None

@@ -123,6 +123,12 @@ class TestSimCommand:
         )
         assert result.exit_code == 0
 
+    def test_omega_beyond_bitmask_width_exit_code(self):
+        result = run_cli("sim", "--ell", "1", "--omega", "65", "--trials", "1", "--seed", "0")
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+
 
 class TestCodeEvalCommand:
     def test_counterexample(self):

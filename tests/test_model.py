@@ -10,7 +10,6 @@ from cdna import (
     ObservedDistribution,
     SubsetSequence,
     SubsetSymbol,
-    TransmissionLog,
     base_symbol,
     enumerate_observed,
     observed_grid_size,
@@ -176,27 +175,6 @@ class TestEnumerateObserved:
 
         with pytest.raises(UnsupportedRangeError):
             enumerate_observed(100, 4, max_size=1000)
-
-
-class TestTransmissionLog:
-    def test_observed_sets_and_recovery(self):
-        seq = SubsetSequence((SubsetSymbol((1, 2), 2), SubsetSymbol((1, 2), 2)))
-        log = TransmissionLog(((1, 2), (2, 2)))
-        assert log.observed_sets() == (frozenset({1, 2}), frozenset({2}))
-        assert not log.recovers(seq)
-        log2 = TransmissionLog(((1, 2), (2, 1)))
-        assert log2.recovers(seq)
-
-    def test_labels(self):
-        log = TransmissionLog(((1,), (2,), (1,)), labels=(1, 2, 1))
-        assert log.observed_sets(label=1) == (frozenset({1}),)
-        assert log.observed_sets(label=2) == (frozenset({2}),)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            TransmissionLog(((1, 2), (1,)))
-        with pytest.raises(ValueError):
-            TransmissionLog(((1, 2),), labels=(1, 2))
 
 
 class TestBaseAlphabet:

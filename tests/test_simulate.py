@@ -6,18 +6,17 @@ import pytest
 from cdna import (
     CoverageParams,
     SimConfig,
-    SubsetSequence,
+    SimReport,
     TrialTruncatedError,
+    UnsupportedRangeError,
     expected_coverage,
     expected_coverage_partial,
     run_simulation,
-    simulate_partial,
-    simulate_random_access,
-    simulate_recovery,
-    transmit,
     trial_rng,
 )
-from cdna.simulate import _TrialStreams
+from cdna.simulate import DEFAULT_MAX_TRANSMISSIONS, _reads_until, _TrialStreams
+
+CAP = DEFAULT_MAX_TRANSMISSIONS
 
 
 def _agrees(report, truth, sigmas=4.0):
@@ -43,16 +42,52 @@ class TestTrialStreams:
         assert not np.array_equal(a, b)
 
 
+#: run_simulation reports pinned per seed, as the separate recovery, partial
+#: and random-access kernels produced them: (ell, omega, r, k, mode, trials,
+#: seed, cap) -> (mean, std_error, ci95, truncated_trials).  Any change in how
+#: a trial consumes its stream changes these.
+GOLDEN_REPORTS = [
+    ((4, 3, None, None, "recovery", 200, 7, 10**6),
+     (8.46, 0.21996345059575226, (8.02887955891717, 8.891120441082832), 0)),
+    ((5, 1, None, None, "recovery", 50, 3, 10**6), (1.0, 0.0, (1.0, 1.0), 0)),
+    ((2, 64, None, None, "recovery", 40, 11, 10**6),
+     (359.75, 12.120482240554198, (335.99429133325646, 383.50570866674354), 0)),
+    ((1, 2, None, None, "recovery", 200, 3, 2), (2.0, 0.0, (2.0, 2.0), 106)),
+    ((5, 3, 2, None, "partial", 200, 8, 10**6),
+     (4.06, 0.06286301610621185, (3.936790752472263, 4.183209247527736), 0)),
+    ((3, 2, 3, None, "partial", 200, 9, 10**6),
+     (4.125, 0.10725855203630442, (3.914777100974928, 4.335222899025072), 0)),
+    ((3, 64, 1, None, "partial", 30, 10, 10**6),
+     (242.5, 8.466261642950597, (225.90643209612392, 259.0935679038761), 0)),
+    ((4, 4, 3, None, "partial", 100, 12, 10),
+     (8.07, 0.15259042690758282, (7.770928258875546, 8.369071741124454), 16)),
+    ((2, 2, None, 1, "ra", 200, 13, 10**6),
+     (3.805, 0.11335396156736242, (3.5828303178230323, 4.027169682176968), 0)),
+    ((2, 3, None, 5, "ra", 200, 21, 10**6),
+     (32.44, 1.2569133445782548, (29.976495112938835, 34.90350488706116), 0)),
+    ((1, 1, None, 5, "ra", 50, 22, 10**6),
+     (5.88, 0.6531806013341055, (4.5997895459849385, 7.160210454015061), 0)),
+    ((3, 3, None, 5, "ra", 100, 23, 40),
+     (32.67, 0.8957875604937555, (30.914288643633245, 34.425711356366755), 39)),
+]
+
+
+@pytest.mark.parametrize("case, expected", GOLDEN_REPORTS)
+def test_reports_are_pinned_per_seed(case, expected):
+    ell, omega, r, k, mode, trials, seed, cap = case
+    mean, std_error, ci95, truncated = expected
+    config = SimConfig(CoverageParams(ell, omega, r=r, k=k), trials, seed, cap, mode)
+    assert run_simulation(config) == SimReport(mean, std_error, ci95, trials, truncated, seed)
+
+
 class TestSimulateRecovery:
     def test_single_support_always_one(self):
-        seq = SubsetSequence.uniform(5, 1)
         for t in range(50):
-            assert simulate_recovery(seq, trial_rng(3, t)) == 1
+            assert _reads_until(trial_rng(3, t), 5, 1, 5, 1, CAP) == 1
 
     def test_count_at_least_support_size(self):
-        seq = SubsetSequence.uniform(1, 4)
         for t in range(100):
-            assert simulate_recovery(seq, trial_rng(5, t)) >= 4
+            assert _reads_until(trial_rng(5, t), 1, 4, 1, 1, CAP) >= 4
 
     def test_mean_matches_formula(self):
         for ell, omega in ((1, 2), (2, 2), (4, 3)):
@@ -61,11 +96,10 @@ class TestSimulateRecovery:
             assert _agrees(report, expected_coverage(ell, omega)), (ell, omega)
 
     def test_truncation_raises(self):
-        seq = SubsetSequence.uniform(1, 2)
         hit = 0
         for t in range(50):
             try:
-                simulate_recovery(seq, trial_rng(11, t), max_transmissions=2)
+                _reads_until(trial_rng(11, t), 1, 2, 1, 1, cap=2)
             except TrialTruncatedError:
                 hit += 1
         assert hit > 0  # P[not covered after 2 reads] = 1/2
@@ -74,11 +108,13 @@ class TestSimulateRecovery:
 class TestSimulatePartial:
     def test_full_threshold_equals_recovery_samplewise(self):
         # with identical streams and r = ell the two stopping rules coincide
-        seq = SubsetSequence.uniform(3, 2)
+        partial = SimConfig(CoverageParams(3, 2, r=3), trials=200, seed=7, mode="partial")
+        recovery = SimConfig(CoverageParams(3, 2), trials=200, seed=7)
+        assert run_simulation(partial) == run_simulation(recovery)
+        # on one stream, needing more indices never stops earlier
         for t in range(200):
-            a = simulate_partial(seq, 3, trial_rng(7, t))
-            b = simulate_recovery(seq, trial_rng(7, t))
-            assert a == b
+            counts = [_reads_until(trial_rng(7, t), 3, 2, r, 1, CAP) for r in (1, 2, 3)]
+            assert counts == sorted(counts)
 
     def test_mean_matches_formula(self):
         config = SimConfig(CoverageParams(2, 2, r=1), trials=20000, seed=8, mode="partial")
@@ -91,15 +127,13 @@ class TestSimulatePartial:
         assert _agrees(report, 3.0)
 
     def test_bad_threshold(self):
-        seq = SubsetSequence.uniform(2, 2)
         with pytest.raises(ValueError):
-            simulate_partial(seq, 3, trial_rng(0, 0))
+            SimConfig(CoverageParams(2, 2, r=3), trials=1, seed=0, mode="partial")
 
 
 class TestSimulateRandomAccess:
     def test_single_sequence_matches_recovery_mean(self):
-        seq = SubsetSequence.uniform(2, 2)
-        ra = np.array([simulate_random_access((seq,), 1, trial_rng(13, t)) for t in range(20000)])
+        ra = np.array([_reads_until(trial_rng(13, t), 2, 2, 2, 1, CAP) for t in range(20000)])
         truth = expected_coverage(2, 2)
         se = ra.std(ddof=1) / math.sqrt(len(ra))
         assert abs(ra.mean() - truth) <= 4 * se
@@ -115,11 +149,6 @@ class TestSimulateRandomAccess:
         ratio_se = 3 * (ra.std_error / base.mean + base.std_error * ra.mean / base.mean**2)
         assert abs(ra.mean / base.mean - 3) <= 3 * ratio_se + 3 * 1e-9
 
-    def test_target_validation(self):
-        seq = SubsetSequence.uniform(1, 2)
-        with pytest.raises(ValueError):
-            simulate_random_access((seq,), 2, trial_rng(0, 0))
-
 
 class TestRunSimulation:
     def test_deterministic(self):
@@ -134,7 +163,7 @@ class TestRunSimulation:
     def test_single_trial_has_no_error_estimate(self):
         report = run_simulation(SimConfig(CoverageParams(1, 2), trials=1, seed=0))
         assert report.std_error is None and report.ci95 is None
-        assert report.mean == float(simulate_recovery(SubsetSequence.uniform(1, 2), trial_rng(0, 0)))
+        assert report.mean == float(_reads_until(trial_rng(0, 0), 1, 2, 1, 1, CAP))
 
     def test_small_sample_has_no_ci(self):
         report = run_simulation(SimConfig(CoverageParams(1, 2), trials=10, seed=0))
@@ -168,16 +197,8 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             SimConfig(CoverageParams(1, 2), trials=10, seed=0, mode="bogus")
 
+    def test_bitmask_width_caps_omega(self):
+        SimConfig(CoverageParams(1, 64), trials=1, seed=0)
+        with pytest.raises(UnsupportedRangeError, match="expected_coverage"):
+            SimConfig(CoverageParams(1, 65), trials=1, seed=0)
 
-class TestTransmit:
-    def test_reads_stay_in_support(self):
-        seq = SubsetSequence.uniform(4, 2, q=5)
-        log = transmit(seq, 64, trial_rng(31, 0))
-        for read in log.reads:
-            for sym, s in zip(seq.entries, read):
-                assert s in sym.support
-
-    def test_eventual_recovery(self):
-        seq = SubsetSequence.uniform(3, 2)
-        log = transmit(seq, 200, trial_rng(31, 1))
-        assert log.recovers(seq)
