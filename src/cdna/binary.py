@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count, takewhile, tee
 from math import comb
 from typing import Union
 
-from .codes import DEFAULT_MAX_ENUM, CompositeCode, evaluate_code
+from .codes import DEFAULT_MAX_ENUM, CompositeCode, _float_success
 from .model import UnsupportedRangeError, observed_grid_size
 
 Number = Union[int, float, Fraction]
@@ -99,26 +100,29 @@ def optimize_binary4_grid(
     maximum-likelihood decoding for every grid point x in (0, 0.5) and returns
     the first maximizer together with its objective value.  This is the
     independent check for :func:`construct_binary4`; it makes no use of the
-    closed forms.
+    closed forms.  The candidate codes go through the float path of
+    :func:`~cdna.codes.evaluate_code`, several at a time, so each objective
+    value equals ``evaluate_code(code, n).f_min`` bit for bit.
     """
     if not 0.0 < grid_step <= 1e-3:
         raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if observed_grid_size(n, 2) > max_enum:
+    size = observed_grid_size(n, 2)
+    if size > max_enum:
         raise UnsupportedRangeError(f"grid of n={n} exceeds the enumeration cap {max_enum}")
+    xs, grid = tee(takewhile(lambda x: x < 0.5, (i * grid_step for i in count(1))))
+    # The symbols of CompositeCode.binary([0.0, x, 1.0 - x, 1.0]) in its sorted
+    # order, the order of the values for 0 < x < 0.5.  Their probabilities are
+    # (v, 1 - v) as given: v + (1 - v) rounds to exactly 1 for every float v
+    # in [0, 1], so CompositeSymbol never renormalizes.
+    candidates = ([(v, 1 - v) for v in (0.0, x, 1.0 - x, 1.0)] for x in grid)
     best_x = None
     best_f = None
-    i = 1
-    while True:
-        x = i * grid_step
-        if x >= 0.5:
-            break
-        code = CompositeCode.binary([0.0, x, 1.0 - x, 1.0])
-        f_min = evaluate_code(code, n, max_enum=max_enum).f_min
+    for x, success in zip(xs, _float_success(candidates, n, size)):
+        f_min = min(success)
         if best_f is None or f_min > best_f:
             best_x, best_f = x, f_min
-        i += 1
     return best_x, best_f
 
 

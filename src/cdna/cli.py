@@ -38,7 +38,7 @@ from .coverage import (
     random_access_expectation,
 )
 from .model import CompositeSymbol, UnsupportedRangeError, enumerate_observed
-from .simulate import SimConfig, run_simulation
+from .simulate import DEFAULT_MAX_TRANSMISSIONS, SimConfig, run_simulation
 
 EXIT_UNSUPPORTED_RANGE = 3
 EXIT_STRICT_TRUNCATION = 4
@@ -355,7 +355,7 @@ def ra(ell, omega, k, fmt) -> None:
 @click.option("--k", "k", type=int, default=None, help="Pool size for --mode ra.")
 @click.option("--trials", type=int, required=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--max-transmissions", type=int, default=10**6, show_default=True)
+@click.option("--max-transmissions", type=int, default=DEFAULT_MAX_TRANSMISSIONS, show_default=True)
 @click.option("--strict", is_flag=True, help="Exit 4 when any trial was truncated.")
 @format_option
 def sim(mode, ell, omega, r, k, trials, seed, max_transmissions, strict, fmt) -> None:

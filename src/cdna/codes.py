@@ -7,22 +7,39 @@ distribution and summing multinomial masses over decoding regions.
 
 Codes built from exact rationals evaluate in exact rational arithmetic end to
 end; float codes evaluate in floats with a fixed tie tolerance.
+
+:func:`mld_decode`, :func:`prob_observed` and :func:`decoding_region` work one
+observation at a time.  :func:`evaluate_code` gives the same numbers, bit for
+bit, from an array evaluator: it decodes whole blocks of the grid in numpy
+(never more than ``_BLOCK_ELEMENTS`` scores per block, unless one row of a
+code's scores is longer) and weighs each point as :func:`prob_observed` does.
+Exact codes are decoded from float scores within a certified margin and
+confirmed in integers; see ``_exact_success``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .model import (
     CompositeSymbol,
     ObservedDistribution,
+    _checked_grid_size,
+    _compositions,
     base_symbol,
     enumerate_observed,
     multinomial_coefficient,
     uniform_symbol,
 )
+
+# numpy is imported where it is used: imported here, ahead of the rest of the
+# package, it leaves the process about 1 MB larger (cdna.simulate imports it
+# after the other modules either way).
+if TYPE_CHECKING:
+    import numpy as np
 
 #: evaluate_code and decoding_region refuse grids larger than this.
 DEFAULT_MAX_ENUM = 2_000_000
@@ -122,21 +139,39 @@ def prob_observed(symbol: CompositeSymbol, theta: ObservedDistribution):
     symbol = _as_symbol(symbol)
     _check_same_q(symbol.q, theta)
     if symbol.is_exact:
-        p = Fraction(multinomial_coefficient(theta.counts))
-        for c, k in zip(symbol.probs, theta.counts):
-            if k:
-                p *= Fraction(c) ** k
-        return p
-    log_coef = math.lgamma(theta.n + 1) - sum(math.lgamma(k + 1) for k in theta.counts)
-    if log_coef < _LOG_COEF_FLOAT_LIMIT:
-        p = float(multinomial_coefficient(theta.counts))
-        for c, k in zip(symbol.probs, theta.counts):
-            if k:
-                p *= float(c) ** k
-        return p
-    # Huge coefficient: evaluate in log space rather than exact integers.
+        return _exact_mass(symbol.probs, theta.counts)
+    log_coef = _log_coefficient(theta.counts, theta.n)
+    coef = float(multinomial_coefficient(theta.counts)) if log_coef < _LOG_COEF_FLOAT_LIMIT else None
+    return _float_mass(symbol.probs, theta.counts, coef, log_coef)
+
+
+def _exact_mass(probs: Sequence, counts: Sequence[int]) -> Fraction:
+    p = Fraction(multinomial_coefficient(counts))
+    for c, k in zip(probs, counts):
+        if k:
+            p *= Fraction(c) ** k
+    return p
+
+
+def _log_coefficient(counts: Sequence[int], n: int) -> float:
+    return math.lgamma(n + 1) - sum(math.lgamma(k + 1) for k in counts)
+
+
+def _float_mass(probs: Sequence, counts: Sequence[int], coef: Optional[float], log_coef: float) -> float:
+    """``coef * prod p_i**k_i`` in floats, or in log space when ``coef`` is None."""
+    if coef is None:
+        return _log_space_mass(probs, counts, log_coef)
+    p = coef
+    for c, k in zip(probs, counts):
+        if k:
+            p *= float(c) ** k
+    return p
+
+
+def _log_space_mass(probs: Sequence, counts: Sequence[int], log_coef: float) -> float:
+    """Multinomial mass in log space, for coefficients too large for a float."""
     log_p = log_coef
-    for c, k in zip(symbol.probs, theta.counts):
+    for c, k in zip(probs, counts):
         if k:
             c = float(c)
             if c == 0.0:
@@ -297,22 +332,264 @@ def evaluate_code(
 ) -> CodeEvaluation:
     """Per-symbol decoding success probabilities, their minimum, and their mean.
 
-    Sums ``prob_observed`` over each symbol's decoding region by enumerating
-    every observed distribution of ``n`` reads once.  Exact codes yield exact
-    rationals; float codes yield floats.
+    Decodes every observed distribution of ``n`` reads once and adds its
+    multinomial mass under the decoded symbol to that symbol's success, in
+    grid order.  Decoding runs in numpy over blocks of at most
+    ``_BLOCK_ELEMENTS`` scores (one row of scores when the code has more
+    symbols than that), so memory does not grow with the grid; the grid itself
+    is generated one block at a time, and no per-observation object is built.
+    The results equal, bit for bit, those of calling the decoder and
+    :func:`prob_observed` on each observation in turn.
+
+    * Exact codes take the exact path and yield exact rationals.  Float
+      log-likelihoods only preselect the symbols within a certified margin of
+      the best (see ``_exact_success``); integer likelihoods decide among
+      several, with ties going to the first symbol.
+    * Other codes take the float path: per-read log-likelihoods within
+      ``TIE_TOLERANCE`` of the best tie and go to the first symbol.  The mass
+      is ``coef * p_1**k_1 * ...`` in floats, in log space where the
+      multinomial coefficient exceeds ``_COEF_FLOAT_LIMIT``, and exact (then
+      rounded) for the exact symbols of a mixed code.
     """
     if decoder is None:
         decoder = mld_decoder(code)
     if decoder.code != code:
         raise ValueError("decoder belongs to a different code")
-    zero = Fraction(0) if code.is_exact else 0.0
-    success = {s: zero for s in code.symbols}
-    for theta in enumerate_observed(n, code.q, max_size=max_enum):
-        decoded = decoder(theta)
-        success[decoded] += prob_observed(decoded, theta)
+    # the one refusal, ahead of any other work (n < 1 or q < 1 included)
+    size = _checked_grid_size(n, code.q, max_enum)
+    overrides = _override_rows(code, n, decoder)
+    if code.is_exact:
+        values = _exact_success(code.symbols, n, size, overrides)
+    else:
+        exact = frozenset(j for j, s in enumerate(code.symbols) if s.is_exact)
+        [values] = _float_success([[s.probs for s in code.symbols]], n, size, overrides, exact)
+    success = dict(zip(code.symbols, values))
     f_min = min(success.values())
     f_avg = sum(success.values()) / code.m
     return CodeEvaluation(per_symbol_success=success, f_min=f_min, f_avg=f_avg, n=n)
+
+
+#: The evaluator decodes in numpy blocks of at most this many scores; only a
+#: code with more symbols than this widens a block to one row of scores.
+_BLOCK_ELEMENTS = 1024
+
+
+class _GridChunk(NamedTuple):
+    """Consecutive points of one observation grid, in lexicographic count order.
+
+    A NamedTuple rather than a frozen dataclass: it is built about 1 ms faster
+    when the module is imported.
+    """
+
+    start: int  # grid index of the first point
+    counts: list  # count tuples
+    coef: list  # float multinomial coefficients; None where log_coef reaches the float limit
+    log_coef: list  # log multinomial coefficients, as prob_observed computes them
+    fractions: "np.ndarray"  # (points, q) counts / n
+
+
+def _grid_chunk(n: int, start: int, counts: list) -> _GridChunk:
+    import numpy as np
+
+    log_coef = [_log_coefficient(k, n) for k in counts]
+    return _GridChunk(
+        start=start,
+        counts=counts,
+        coef=[
+            float(multinomial_coefficient(k)) if lc < _LOG_COEF_FLOAT_LIMIT else None
+            for k, lc in zip(counts, log_coef)
+        ],
+        log_coef=log_coef,
+        fractions=np.array([[k / n for k in row] for row in counts]),
+    )
+
+
+def _grid_chunks(n: int, q: int, size: int) -> Iterator[_GridChunk]:
+    """The ``size`` points of the grid of ``n`` reads over ``q`` letters, one block at a time."""
+    rows = max(1, _BLOCK_ELEMENTS // q)
+    points = _compositions(n, q)
+    for start in range(0, size, rows):
+        yield _grid_chunk(n, start, list(islice(points, rows)))
+
+
+def _grid_rank(counts: Sequence[int], n: int) -> int:
+    """Index of a count vector in the lexicographic enumeration of its grid."""
+    rank = 0
+    remaining = n
+    for i, k in enumerate(counts[:-1]):
+        rest = len(counts) - i - 1
+        rank += sum(math.comb(remaining - f + rest - 1, rest - 1) for f in range(k))
+        remaining -= k
+    return rank
+
+
+def _override_rows(code: CompositeCode, n: int, decoder: Decoder) -> dict[int, int]:
+    """The decoder's overrides as grid index -> index of the symbol decoded to.
+
+    Keys that are not points of the grid never match an observation and are
+    dropped.
+    """
+    index = {s: j for j, s in enumerate(code.symbols)}
+    rows = {}
+    for counts, symbol in decoder._table.items():
+        if symbol is None or len(counts) != code.q or sum(counts) != n:
+            continue
+        if any(k < 0 or k != int(k) for k in counts):
+            continue
+        rows[_grid_rank([int(k) for k in counts], n)] = index[symbol]
+    return rows
+
+
+#: Finite stand-in for log(0) in the vectorized scores, so that a letter with
+#: zero count adds ``0 * _LOG_ZERO = -0.0``, as the skipped term of the
+#: per-observation sum adds nothing.  A symbol that cannot produce an
+#: observation scores below ``_IMPOSSIBLE`` (at most ``_LOG_ZERO / n`` per
+#: read), and one that can scores above it (a per-read score is at least
+#: ``log(5e-324) > -745``; an exact-path score is at least 0).
+_LOG_ZERO = -1e200
+_IMPOSSIBLE = -1e6
+
+
+def _float_log(c) -> float:
+    c = float(c)
+    return _LOG_ZERO if c == 0.0 else math.log(c)
+
+
+def _float_success(
+    codes: Iterable[Sequence[Sequence]],
+    n: int,
+    size: int,
+    overrides: Optional[Mapping[int, int]] = None,
+    exact: frozenset = frozenset(),
+) -> Iterator[list[float]]:
+    """Float-path success of each of ``codes`` over the ``size`` points of one grid.
+
+    ``codes`` yields each code's symbol probabilities in code order; all codes
+    share ``m`` and ``q``.  ``overrides`` (grid index -> symbol index) and
+    ``exact`` (indices of the exact symbols of a mixed code) apply to every
+    code.  When the grid has fewer points than a block has rows, a block
+    decodes several codes at once, and the grid is generated again for each
+    such group of codes.
+
+    Decoding is vectorized; its log table comes from ``math.log`` (numpy's
+    vectorized ``log`` rounds differently on some inputs), so every score is
+    the per-observation sum to the bit.  Masses are then computed and added
+    point by point, exactly as :func:`prob_observed` and the per-observation
+    loop do.
+    """
+    import numpy as np
+
+    codes = iter(codes)
+    group = [next(codes)]
+    m, q = len(group[0]), len(group[0][0])
+    rows_per_block = max(1, _BLOCK_ELEMENTS // m)
+    step = max(1, _BLOCK_ELEMENTS // (min(size, rows_per_block) * m))
+    group += islice(codes, step - 1)
+    while group:
+        logs = np.array([_float_log(c) for code in group for p in code for c in p]).reshape(len(group), m, q)
+        success = [[0.0] * m for _ in group]
+        for chunk in _grid_chunks(n, q, size):
+            for a in range(0, len(chunk.counts), rows_per_block):
+                fractions = chunk.fractions[a : a + rows_per_block]
+                scores = np.zeros((len(group), len(fractions), m))
+                for i in range(q):
+                    scores += fractions[None, :, i, None] * logs[:, None, :, i]
+                best = scores.max(axis=2, keepdims=True)
+                tied = (scores >= best - TIE_TOLERANCE).tolist()
+                tops = best[:, :, 0].tolist()
+                for probs, totals, code_tied, code_tops in zip(group, success, tied, tops):
+                    for r, row, top in zip(range(a, a + len(fractions)), code_tied, code_tops):
+                        # no symbol can produce the observation: all tie at -inf
+                        j = 0 if top < _IMPOSSIBLE else row.index(True)
+                        if overrides:
+                            j = overrides.get(chunk.start + r, j)
+                        counts = chunk.counts[r]
+                        if j in exact:
+                            totals[j] += float(_exact_mass(probs[j], counts))
+                        else:
+                            totals[j] += _float_mass(probs[j], counts, chunk.coef[r], chunk.log_coef[r])
+        yield from success
+        group = list(islice(codes, step))
+
+
+#: The exact path keeps as candidates the symbols whose float score is within
+#: ``(q + 8) * _MARGIN_UNIT`` times the row's score scale of the best score.
+_MARGIN_UNIT = 2.0**-48
+
+
+def _exact_success(
+    symbols: Sequence[CompositeSymbol], n: int, size: int, overrides: Mapping[int, int]
+) -> list[Fraction]:
+    """Exact-path success of an exact code over the ``size`` points of its grid.
+
+    With ``D`` the lcm of all denominators, symbol ``j`` gives observation
+    ``k`` the likelihood ``N_j / D**n`` with the integer ``N_j = prod_i
+    b_ji**k_i``, ``b_ji = p_ji * D``, and the float score ``sum_i (k_i / n) *
+    math.log(b_ji)`` approximates ``log(N_j) / n``.  ``math.log`` of a
+    positive integer is within ``2**-50`` of the true value, relatively (a
+    rounding to float or a frexp split, then a log within one ulp); the
+    quotient ``k_i / n``, each product and each of the at most ``q - 1``
+    additions add at most ``2**-53`` each, relatively.  So a score is within
+    ``(q + 8) * 2**-52 * s`` of ``log(N_j) / n``, where the row's scale is
+    ``s = sum_i (k_i / n) * max(0, max_j log b_ji)``.  Candidates are the
+    symbols within ``(q + 8) * 2**-48 * s`` of the best score: eight times
+    the two-sided error, which also covers the rounding of the margin itself,
+    so no true maximizer is left out.  A row with one candidate is decided;
+    among several, the integers ``N_j`` decide, and the first strict maximum
+    wins, as in :func:`mld_decode`.  Masses are the exact Fractions of
+    :func:`prob_observed`.
+    """
+    import numpy as np
+
+    m, q = len(symbols), symbols[0].q
+    lcm = math.lcm(*(c.denominator for s in symbols for c in s.probs))
+    logs = [_scaled_log(c, lcm) for s in symbols for c in s.probs]
+    scale = [max(0.0, *logs[i::q]) for i in range(q)]
+    logs = np.array(logs).reshape(m, q)
+    slack = (q + 8) * _MARGIN_UNIT / n
+    success = [Fraction(0)] * m
+    rows_per_block = max(1, _BLOCK_ELEMENTS // m)
+    for chunk in _grid_chunks(n, q, size):
+        for a in range(0, len(chunk.counts), rows_per_block):
+            fractions = chunk.fractions[a : a + rows_per_block]
+            points = chunk.counts[a : a + rows_per_block]
+            scores = np.zeros((len(points), m))
+            for i in range(q):
+                scores += fractions[:, i, None] * logs[None, :, i]
+            best = scores.max(axis=1).tolist()
+            floor = [top - slack * sum(k * v for k, v in zip(point, scale)) for top, point in zip(best, points)]
+            candidates = (scores >= np.array(floor)[:, None]).tolist()
+            for r, point, row, top in zip(range(a, a + len(points)), points, candidates, best):
+                if top < _IMPOSSIBLE:
+                    j = 0  # every likelihood is 0; the first symbol wins the tie
+                elif row.count(True) > 1:
+                    j = _first_max_likelihood(symbols, lcm, point, [c for c in range(m) if row[c]])
+                else:
+                    j = row.index(True)
+                if overrides:
+                    j = overrides.get(chunk.start + r, j)
+                success[j] += _exact_mass(symbols[j].probs, point)
+    return success
+
+
+def _scaled_log(c: Fraction, lcm: int) -> float:
+    """``math.log(c * lcm)``, or ``_LOG_ZERO`` for a zero probability."""
+    return math.log(c.numerator * (lcm // c.denominator)) if c else _LOG_ZERO
+
+
+def _first_max_likelihood(
+    symbols: Sequence[CompositeSymbol], lcm: int, counts: Sequence[int], candidates: list
+) -> int:
+    """The first candidate with the largest integer likelihood ``prod_i (p_ji * lcm)**k_i``."""
+    best = None
+    for j in candidates:
+        value = 1
+        for c, k in zip(symbols[j].probs, counts):
+            if k:
+                value *= (c.numerator * (lcm // c.denominator)) ** k
+        if best is None or value > best:
+            best, choice = value, j
+    return choice
 
 
 def construct_distinct_support(q: int, m: int, partition: Sequence[Iterable[int]]) -> CompositeCode:

@@ -290,9 +290,15 @@ def enumerate_observed(n: int, q: int, max_size: Optional[int] = None) -> list[O
     The result has exactly C(n+q-1, q-1) elements.  ``max_size`` (when given)
     rejects enumerations larger than the caller is prepared to handle.
     """
+    _checked_grid_size(n, q, max_size)
+    return [ObservedDistribution(counts, n) for counts in _compositions(n, q)]
+
+
+def _checked_grid_size(n: int, q: int, max_size: Optional[int] = None) -> int:
+    """``observed_grid_size(n, q)``, refused with UnsupportedRangeError above ``max_size``."""
     size = observed_grid_size(n, q)
     if max_size is not None and size > max_size:
         raise UnsupportedRangeError(
             f"|grid(n={n}, q={q})| = {size} exceeds the cap {max_size}; lower n or q"
         )
-    return [ObservedDistribution(counts, n) for counts in _compositions(n, q)]
+    return size

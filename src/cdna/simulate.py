@@ -131,6 +131,10 @@ class SimConfig:
             raise ValueError("partial mode needs params.r")
         if self.mode == "ra" and self.params.k is None:
             raise ValueError("ra mode needs params.k")
+        if self.mode != "partial" and self.params.r is not None:
+            raise ValueError(f"params.r applies to partial mode only, got r={self.params.r} in mode {self.mode!r}")
+        if self.mode != "ra" and self.params.k is not None:
+            raise ValueError(f"params.k applies to ra mode only, got k={self.params.k} in mode {self.mode!r}")
         if self.params.omega > 64:
             raise UnsupportedRangeError(
                 f"the simulator tracks observed sets as 64-bit masks and supports omega <= 64, "

@@ -17,7 +17,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from cdna import CompositeCode, CompositeSymbol
+from cdna import CompositeCode, CompositeSymbol, enumerate_observed, mld_decoder, prob_observed
+from cdna.codes import DEFAULT_MAX_ENUM, CodeEvaluation
 
 
 def dp_expected_coverage(ell: int, omega: int, tol: float = 1e-13) -> float:
@@ -104,6 +105,22 @@ def literal_miss_probability(w: int, m: int) -> float:
     for i in range(1, w + 1):
         total += comb(w, i) * (-1) ** (i + 1) * ((w - i) / w) ** m
     return min(1.0, max(0.0, total))
+
+
+def reference_evaluate_code(code, n, decoder=None, max_enum=DEFAULT_MAX_ENUM):
+    """evaluate_code as a loop over observations: decode each one, add its mass in grid order."""
+    if decoder is None:
+        decoder = mld_decoder(code)
+    if decoder.code != code:
+        raise ValueError("decoder belongs to a different code")
+    zero = Fraction(0) if code.is_exact else 0.0
+    success = {s: zero for s in code.symbols}
+    for theta in enumerate_observed(n, code.q, max_size=max_enum):
+        decoded = decoder(theta)
+        success[decoded] += prob_observed(decoded, theta)
+    f_min = min(success.values())
+    f_avg = sum(success.values()) / code.m
+    return CodeEvaluation(per_symbol_success=success, f_min=f_min, f_avg=f_avg, n=n)
 
 
 def random_exact_symbol(rng: np.random.Generator, q: int, denom: int) -> CompositeSymbol:

@@ -97,6 +97,31 @@ class TestBinary4Grid:
             code = CompositeCode.binary([0.0, x_star, 1 - x_star, 1.0])
             assert f_star == evaluate_code(code, n).f_min
 
+    def test_same_result_as_evaluating_each_candidate(self):
+        # the search as a loop of evaluate_code calls, one per candidate code
+        for n, step in ((2, 1e-3), (3, 1e-3), (4, 7e-4), (7, 1e-3)):
+            best_x = best_f = None
+            i = 1
+            while i * step < 0.5:
+                x = i * step
+                f_min = evaluate_code(CompositeCode.binary([0.0, x, 1.0 - x, 1.0]), n).f_min
+                if best_f is None or f_min > best_f:
+                    best_x, best_f = x, f_min
+                i += 1
+            x_star, f_star = optimize_binary4_grid(n, step)
+            assert (x_star, f_star) == (best_x, best_f)
+            assert type(x_star) is float and type(f_star) is float
+
+    def test_candidate_symbols_are_not_renormalized(self):
+        # optimize_binary4_grid builds the probabilities (v, 1 - v) directly
+        for i in range(1, 5000):
+            x = i * 1e-4
+            code = CompositeCode.binary([0.0, x, 1.0 - x, 1.0])
+            assert [s.probs for s in code.symbols] == [(v, 1 - v) for v in (0.0, x, 1.0 - x, 1.0)]
+        rng = np.random.default_rng(7)
+        for v in rng.uniform(0.0, 1.0, size=20000).tolist():
+            assert v + (1 - v) == 1.0
+
     def test_even_case_arbitration(self):
         # the even-read closed form beta = C(n-1, n/2-1)^(2/(n-2)) is the one
         # the exhaustive oracle confirms

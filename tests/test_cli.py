@@ -7,7 +7,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from cdna import cli, construct_grid_code, enumerate_observed, evaluate_code, self_decoding_probability
 from cdna.cli import main
+from cdna.simulate import DEFAULT_MAX_TRANSMISSIONS
 
 
 def run_cli(*args, env=None):
@@ -93,6 +95,10 @@ class TestSimCommand:
         row = parse_csv(result.output)[0]
         assert abs(float(row["mean"]) - 3.0) <= 3 * float(row["std_error"])
         assert row["truncated_trials"] == "0"
+
+    def test_max_transmissions_default_is_the_library_default(self):
+        option = next(p for p in main.commands["sim"].params if p.name == "max_transmissions")
+        assert option.default == DEFAULT_MAX_TRANSMISSIONS
 
     def test_byte_identical_reruns(self):
         args = ("sim", "--mode", "ra", "--ell", "1", "--omega", "2", "--k", "2",
@@ -196,6 +202,35 @@ class TestDesignCommand:
         rows = parse_csv(run_cli("design", "--family", "omega", "--n", "2", "--q", "2").output)
         assert float(rows[0]["f_min"]) == pytest.approx(0.5, abs=1e-12)
         assert float(rows[0]["f_avg"]) == pytest.approx(5 / 6, abs=1e-12)
+
+    def test_omega_family_agrees_with_evaluate_code(self):
+        for q in (2, 3, 4):
+            for n in (1, 3, 5):
+                rows = json.loads(
+                    run_cli("design", "--family", "omega", "--q", str(q), "--n", str(n), "--format", "json").output
+                )
+                result = evaluate_code(construct_grid_code(n, q), n)
+                assert float(rows[0]["f_min"]) == pytest.approx(float(result.f_min), rel=1e-11)
+                assert float(rows[0]["f_avg"]) == pytest.approx(float(result.f_avg), rel=1e-11)
+
+    def test_omega_family_work_is_linear_in_the_grid(self, monkeypatch):
+        # every grid point decodes to itself, so the command needs one
+        # self-decoding mass per point; evaluate_code would score all 5151
+        # symbols at each of the 5151 points
+        calls = []
+
+        def counted(theta):
+            calls.append(theta.counts)
+            return self_decoding_probability(theta)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the omega family does not evaluate its grid code")
+
+        monkeypatch.setattr(cli, "self_decoding_probability", counted)
+        monkeypatch.setattr(cli, "evaluate_code", refused)
+        result = run_cli("design", "--family", "omega", "--q", "3", "--n", "100")
+        assert result.exit_code == 0, result.output
+        assert calls == [theta.counts for theta in enumerate_observed(100, 3)]
 
     def test_qplus1_family(self):
         rows = parse_csv(run_cli("design", "--family", "qplus1", "--q", "3", "--n", "2").output)

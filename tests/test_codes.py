@@ -24,7 +24,8 @@ from cdna import (
     self_decoding_probability,
     uniform_symbol,
 )
-from conftest import random_exact_code
+from cdna import codes
+from conftest import random_exact_code, random_float_binary_code, reference_evaluate_code
 import properties
 
 COUNTEREXAMPLE = CompositeCode.binary([0.4, 0.5, 0.6])
@@ -202,6 +203,150 @@ class TestEvaluateCode:
     def test_cap(self):
         with pytest.raises(UnsupportedRangeError):
             evaluate_code(COUNTEREXAMPLE, 10, max_enum=5)
+
+
+def assert_same_evaluation(code, n, decoder=None):
+    """evaluate_code equals the per-observation loop: same values, same types, same order."""
+    got = evaluate_code(code, n, decoder=decoder)
+    want = reference_evaluate_code(code, n, decoder=decoder)
+    assert list(got.per_symbol_success) == list(want.per_symbol_success)
+    for s in code.symbols:
+        a, b = got.per_symbol_success[s], want.per_symbol_success[s]
+        assert a == b and type(a) is type(b), (code, n, s, a, b)
+    assert got.f_min == want.f_min and type(got.f_min) is type(want.f_min)
+    assert got.f_avg == want.f_avg and type(got.f_avg) is type(want.f_avg)
+    assert got.n == want.n
+
+
+def random_table_decoder(rng, code, n, overrides):
+    grid = enumerate_observed(n, code.q)
+    rows = rng.choice(len(grid), size=min(overrides, len(grid)), replace=False)
+    return custom_decoder_from_table(code, n, {grid[r].counts: int(rng.integers(code.m)) for r in rows})
+
+
+class TestArrayEvaluator:
+    """evaluate_code against the per-observation loop it replaces (conftest)."""
+
+    def test_exact_codes(self, rng):
+        for _ in range(40):
+            q = int(rng.integers(2, 5))
+            code = random_exact_code(rng, int(rng.integers(1, 6)), q, denom=int(rng.choice([5, 12, 97])))
+            assert_same_evaluation(code, int(rng.integers(1, 10 if q < 4 else 7)))
+
+    def test_float_codes(self, rng):
+        for _ in range(40):
+            q = int(rng.integers(2, 5))
+            code = random_exact_code(rng, int(rng.integers(1, 6)), q, denom=int(rng.choice([5, 7, 12]))).as_float()
+            assert_same_evaluation(code, int(rng.integers(1, 10 if q < 4 else 7)))
+        for _ in range(20):
+            assert_same_evaluation(random_float_binary_code(rng, int(rng.integers(2, 7))), int(rng.integers(1, 40)))
+
+    def test_mixed_code(self):
+        code = CompositeCode([(Fraction(1, 3), Fraction(2, 3)), (0.5, 0.5), (Fraction(3, 4), Fraction(1, 4)), (0.9, 0.1)])
+        assert not code.is_exact
+        for n in (1, 2, 7, 12):
+            assert_same_evaluation(code, n)
+
+    def test_zero_probabilities(self):
+        # letter 3 is impossible for every symbol: those observations tie at -inf
+        exact = CompositeCode([(Fraction(1, 2), Fraction(1, 2), 0), (1, 0, 0), (0, 1, 0)])
+        for code in (exact, exact.as_float()):
+            for n in (1, 3, 6):
+                assert_same_evaluation(code, n)
+
+    def test_exact_ties(self):
+        # (5, 5) of ten reads is equally likely under 0.4 and 0.6; the first symbol wins
+        for values in ([0.4, 0.6], [0.4, 0.5, 0.6]):
+            for code in (CompositeCode.binary(values), CompositeCode.binary([Fraction(v).limit_denominator() for v in values])):
+                for n in (1, 2, 10):
+                    assert_same_evaluation(code, n)
+        thirds = CompositeCode.binary([Fraction(1, 3), Fraction(2, 3)])
+        permuted = CompositeCode(
+            [(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))]
+        )
+        for code in (thirds, thirds.as_float(), permuted, permuted.as_float()):
+            for n in (2, 4, 6):
+                assert_same_evaluation(code, n)
+
+    def test_exact_near_tie_is_settled_in_integers(self):
+        # At (1, 1, 0) symbol b is more likely by a relative 1e-19, but its
+        # float score is lower by one ulp: only the margin keeps it a candidate.
+        d = 2**62
+        x, y = 1231881918767775375, 1416112683760225921
+        a = CompositeSymbol((Fraction(x, d), Fraction(y, d), Fraction(d - x - y, d)))
+        b = CompositeSymbol((Fraction(x + 1, d), Fraction(y - 1, d), Fraction(d - x - y, d)))
+        assert (x + 1) * (y - 1) > x * y
+        assert 0.5 * math.log(x) + 0.5 * math.log(y) > 0.5 * math.log(x + 1) + 0.5 * math.log(y - 1)
+        code = CompositeCode([a, b])
+        assert mld_decode(code, ObservedDistribution((1, 1, 0))) == b
+        assert_same_evaluation(code, 2)
+
+    def test_table_decoders(self, rng):
+        table = custom_decoder_from_table(COUNTEREXAMPLE, 10, {(0, 10): 1, (5, 5): 2})
+        for n in (10, 5):  # at n = 5 no key is a grid point, so no override applies
+            assert_same_evaluation(COUNTEREXAMPLE, n, table)
+        for _ in range(15):
+            q = int(rng.integers(2, 4))
+            code = random_exact_code(rng, int(rng.integers(2, 5)), q)
+            n = int(rng.integers(1, 8))
+            for c in (code, code.as_float()):
+                assert_same_evaluation(c, n, random_table_decoder(rng, c, n, int(rng.integers(1, 5))))
+
+    def test_grid_codes(self):
+        assert_same_evaluation(construct_grid_code(6, 3), 6)
+        assert_same_evaluation(construct_grid_code(5, 4), 5)
+        assert_same_evaluation(construct_grid_code(12, 3).as_float(), 12)
+
+    def test_log_space_mass(self):
+        n = 1000
+        assert math.lgamma(n + 1) - 2 * math.lgamma(n // 2 + 1) >= codes._LOG_COEF_FLOAT_LIMIT
+        assert_same_evaluation(CompositeCode.binary([0.1, 0.45, 0.5, 0.9]), n)
+        assert_same_evaluation(CompositeCode.binary([0.0, 0.5, 1.0]), n)
+
+    def test_grid_larger_than_one_block(self, rng):
+        n, q = 60, 3
+        assert math.comb(n + q - 1, q - 1) * q > codes._BLOCK_ELEMENTS
+        exact = CompositeCode(
+            [(Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+             (0, Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3),) * 3]
+        )
+        for code in (exact, exact.as_float()):
+            assert_same_evaluation(code, n)
+            assert_same_evaluation(code, n, random_table_decoder(rng, code, n, 40))
+
+    def test_log_table_rounds_as_math_log(self):
+        # pairs whose decision at one read flips when numpy's vectorized log
+        # replaces math.log (one ulp apart on some builds, at the tie tolerance)
+        pairs = [
+            (0.6784656271565362, 0.6784656271572147),
+            (0.6261670476525074, 0.6261670476531336),
+            (0.7799088782791596, 0.7799088782799395),
+        ]
+        for pair in pairs:
+            assert_same_evaluation(CompositeCode.binary(pair), 1)
+
+    def test_cap_message(self):
+        code = construct_base_plus_uniform(4)
+        with pytest.raises(UnsupportedRangeError) as want:
+            enumerate_observed(30, 4, max_size=100)
+        for c in (code, code.as_float()):
+            with pytest.raises(UnsupportedRangeError) as got:
+                evaluate_code(c, 30, max_enum=100)
+            assert str(got.value) == str(want.value)
+
+    def test_no_reads_refused_first(self):
+        # the grid's own refusal comes before any other work, as in the loop
+        with pytest.raises(ValueError) as want:
+            enumerate_observed(0, 4)
+        for c in (construct_base_plus_uniform(4), construct_base_plus_uniform(4).as_float()):
+            with pytest.raises(ValueError) as got:
+                evaluate_code(c, 0)
+            assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def test_grid_rank(self):
+        for n, q in ((1, 1), (4, 2), (5, 3), (3, 4)):
+            for index, theta in enumerate(enumerate_observed(n, q)):
+                assert codes._grid_rank(theta.counts, n) == index
 
 
 class TestCustomDecoder:

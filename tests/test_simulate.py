@@ -197,6 +197,19 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             SimConfig(CoverageParams(1, 2), trials=10, seed=0, mode="bogus")
 
+    def test_parameters_of_other_modes_refused(self):
+        # a threshold or pool size the mode would ignore is a caller bug
+        with pytest.raises(ValueError, match="params.r applies to partial mode only"):
+            SimConfig(CoverageParams(3, 2, r=1), trials=200, seed=5)
+        with pytest.raises(ValueError, match="params.r"):
+            SimConfig(CoverageParams(3, 2, r=1, k=2), trials=10, seed=0, mode="ra")
+        with pytest.raises(ValueError, match="params.k applies to ra mode only"):
+            SimConfig(CoverageParams(3, 2, k=2), trials=10, seed=0)
+        with pytest.raises(ValueError, match="params.k"):
+            SimConfig(CoverageParams(3, 2, r=1, k=2), trials=10, seed=0, mode="partial")
+        SimConfig(CoverageParams(3, 2, r=1), trials=10, seed=0, mode="partial")
+        SimConfig(CoverageParams(3, 2, k=2), trials=10, seed=0, mode="ra")
+
     def test_bitmask_width_caps_omega(self):
         SimConfig(CoverageParams(1, 64), trials=1, seed=0)
         with pytest.raises(UnsupportedRangeError, match="expected_coverage"):
