@@ -47,16 +47,12 @@ from .coverage import (
     expected_coverage_closed_pairs,
     expected_coverage_exact,
     expected_coverage_partial,
-    geometric_max_bounds,
     miss_probability,
     random_access_expectation,
 )
 from .model import (
-    BaseAlphabet,
     CompositeSymbol,
     ObservedDistribution,
-    SubsetSequence,
-    SubsetSymbol,
     UnsupportedRangeError,
     base_symbol,
     enumerate_observed,
@@ -74,7 +70,6 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseAlphabet",
     "BoundPair",
     "CodeEvaluation",
     "CompositeCode",
@@ -85,8 +80,6 @@ __all__ = [
     "ObservedDistribution",
     "SimConfig",
     "SimReport",
-    "SubsetSequence",
-    "SubsetSymbol",
     "TIE_TOLERANCE",
     "TrialTruncatedError",
     "UnsupportedRangeError",
@@ -108,7 +101,6 @@ __all__ = [
     "expected_coverage_closed_pairs",
     "expected_coverage_exact",
     "expected_coverage_partial",
-    "geometric_max_bounds",
     "miss_probability",
     "mld_decode",
     "mld_decoder",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
@@ -22,6 +23,7 @@ from .binary import binary4_alpha, construct_binary4, optimize_binary4_grid
 from .codes import (
     DEFAULT_MAX_ENUM,
     CompositeCode,
+    _base_plus_uniform_success,
     construct_base_plus_uniform,
     construct_distinct_support,
     construct_grid_code,
@@ -174,6 +176,9 @@ def parse_code_spec(spec: str, max_enum: Optional[int] = None) -> CompositeCode:
       * general alphabet: ``q=Q; p11 p12 ... | p21 p22 ...``;
       * families: ``qplus1:q=2``, ``omega:n=2,q=2``, ``binary4:n=3``,
         ``distinct:q=4,parts=1+2|3+4``.
+
+    A malformed spec raises ``click.UsageError``; a family beyond the
+    enumeration cap raises ``UnsupportedRangeError``.
     """
     if max_enum is None:
         max_enum = _max_enum()
@@ -223,6 +228,8 @@ def parse_code_spec(spec: str, max_enum: Optional[int] = None) -> CompositeCode:
             )
         except KeyError as exc:
             raise click.UsageError(f"family {head!r} is missing parameter {exc.args[0]!r}")
+        except UnsupportedRangeError:
+            raise
         except ValueError as exc:
             raise click.UsageError(f"invalid family parameters: {exc}")
     # binary shorthand
@@ -243,9 +250,22 @@ def parse_code_spec(spec: str, max_enum: Optional[int] = None) -> CompositeCode:
         raise click.UsageError(f"invalid code: {exc}")
 
 
-def _unsupported(exc: UnsupportedRangeError) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(EXIT_UNSUPPORTED_RANGE)
+@contextmanager
+def _exit_codes():
+    """Map the library's refusals to exit codes, around a command's whole body.
+
+    ``UnsupportedRangeError`` (a feasibility cap) prints an ``error:`` line on
+    stderr and exits 3; any other ``ValueError`` is a usage error (exit 2).
+    Wrapping the whole body means no library call a command adds can let a
+    refusal escape as a traceback.
+    """
+    try:
+        yield
+    except UnsupportedRangeError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_UNSUPPORTED_RANGE)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 @click.group()
@@ -260,31 +280,27 @@ def main() -> None:
 @click.option("--bounds", is_flag=True, help="Include analytic lower/upper bounds (omega >= 2).")
 @click.option("--tol", type=float, default=1e-12, show_default=True, help="Series truncation tolerance.")
 @format_option
+@_exit_codes()
 def coverage(ell, ell_range, omega, bounds, tol, fmt) -> None:
     """Expected reads to recover a full sequence."""
     if (ell is None) == (ell_range is None):
         raise click.UsageError("provide exactly one of --ell or --range")
     ells = [ell] if ell is not None else _parse_range(ell_range)
     rows = []
-    try:
-        for l in ells:
-            row = {
-                "kind": "coverage",
-                "provenance": "formula",
-                "ell": l,
-                "omega": omega,
-                "tol": tol,
-                "expected": expected_coverage(l, omega, tol),
-            }
-            if bounds:
-                pair = coverage_bounds(l, omega)
-                row["lower"] = pair.lower
-                row["upper"] = pair.upper
-            rows.append(row)
-    except UnsupportedRangeError as exc:
-        _unsupported(exc)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    for l in ells:
+        row = {
+            "kind": "coverage",
+            "provenance": "formula",
+            "ell": l,
+            "omega": omega,
+            "tol": tol,
+            "expected": expected_coverage(l, omega, tol),
+        }
+        if bounds:
+            pair = coverage_bounds(l, omega)
+            row["lower"] = pair.lower
+            row["upper"] = pair.upper
+        rows.append(row)
     _emit(rows, fmt)
 
 
@@ -294,16 +310,11 @@ def coverage(ell, ell_range, omega, bounds, tol, fmt) -> None:
 @click.option("--r", "r", type=int, required=True, help="Recovery threshold (indices needed).")
 @click.option("--tol", type=float, default=1e-12, show_default=True)
 @format_option
+@_exit_codes()
 def partial(ell, omega, r, tol, fmt) -> None:
     """Expected reads to recover at least r of the ell indices."""
-    try:
-        value = expected_coverage_partial(ell, omega, r, tol)
-        reference = expected_coverage(r, omega, tol)
-    except UnsupportedRangeError as exc:
-        _unsupported(exc)
-        return
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    value = expected_coverage_partial(ell, omega, r, tol)
+    reference = expected_coverage(r, omega, tol)
     _emit(
         [
             {
@@ -326,12 +337,10 @@ def partial(ell, omega, r, tol, fmt) -> None:
 @click.option("--omega", type=int, required=True)
 @click.option("--k", "k", type=int, required=True, help="Number of labeled sequences.")
 @format_option
+@_exit_codes()
 def ra(ell, omega, k, fmt) -> None:
     """Expected reads to recover one target sequence among k."""
-    try:
-        value = random_access_expectation(ell, omega, k)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    value = random_access_expectation(ell, omega, k)
     _emit(
         [
             {
@@ -358,6 +367,7 @@ def ra(ell, omega, k, fmt) -> None:
 @click.option("--max-transmissions", type=int, default=DEFAULT_MAX_TRANSMISSIONS, show_default=True)
 @click.option("--strict", is_flag=True, help="Exit 4 when any trial was truncated.")
 @format_option
+@_exit_codes()
 def sim(mode, ell, omega, r, k, trials, seed, max_transmissions, strict, fmt) -> None:
     """Monte Carlo estimate of a coverage expectation (deterministic per seed)."""
     if mode == "partial" and r is None:
@@ -368,19 +378,13 @@ def sim(mode, ell, omega, r, k, trials, seed, max_transmissions, strict, fmt) ->
         raise click.UsageError("--r is only meaningful with --mode partial")
     if mode != "ra" and k is not None:
         raise click.UsageError("--k is only meaningful with --mode ra")
-    try:
-        config = SimConfig(
-            params=CoverageParams(ell=ell, omega=omega, r=r, k=k),
-            trials=trials,
-            seed=seed,
-            max_transmissions=max_transmissions,
-            mode=mode,
-        )
-    except UnsupportedRangeError as exc:
-        _unsupported(exc)
-        return
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    config = SimConfig(
+        params=CoverageParams(ell=ell, omega=omega, r=r, k=k),
+        trials=trials,
+        seed=seed,
+        max_transmissions=max_transmissions,
+        mode=mode,
+    )
     report = run_simulation(config)
     _emit(
         [
@@ -435,6 +439,7 @@ def _load_table_decoder(code: CompositeCode, n: int, path: str):
 @click.option("--n", type=int, required=True, help="Reads per symbol.")
 @click.option("--decoder", "decoder_spec", default="mld", show_default=True, help="mld or table:<file.json>.")
 @format_option
+@_exit_codes()
 def code_eval(code_spec, n, decoder_spec, fmt) -> None:
     """Per-symbol success probabilities, f_min, and f_avg of a code.
 
@@ -453,13 +458,7 @@ def code_eval(code_spec, n, decoder_spec, fmt) -> None:
         decoder = _load_table_decoder(code, n, decoder_spec[len("table:"):])
     else:
         raise click.UsageError(f"unknown decoder {decoder_spec!r}; use mld or table:<file>")
-    try:
-        result = evaluate_code(code, n, decoder=decoder, max_enum=max_enum)
-    except UnsupportedRangeError as exc:
-        _unsupported(exc)
-        return
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    result = evaluate_code(code, n, decoder=decoder, max_enum=max_enum)
     rendered = _render_code(code)
     rows = []
     for i, symbol in enumerate(code.symbols):
@@ -501,51 +500,45 @@ def code_eval(code_spec, n, decoder_spec, fmt) -> None:
 @click.option("--parts", default=None, help="Partition for --family distinct, e.g. 1+2|3+4.")
 @click.option("--verify-grid", "verify_grid", type=float, default=None, help="Grid step for the binary4 oracle check.")
 @format_option
+@_exit_codes()
 def design(family, q, n, parts, verify_grid, fmt) -> None:
     """Construct an optimal code family and report its figures of merit."""
     max_enum = _max_enum()
     if verify_grid is not None and family != "binary4":
         raise click.UsageError("--verify-grid applies to --family binary4 only")
-    try:
-        if family == "qplus1":
-            if q is None:
-                raise click.UsageError("--family qplus1 requires --q")
-            code = construct_base_plus_uniform(q)
-            f_min = None if n is None else 1 - Fraction(1, q ** (n - 1))
-            f_avg = None if n is None else 1 - Fraction(1, q ** (n - 1) * (q + 1))
-            alpha = None
-        elif family == "omega":
-            if q is None or n is None:
-                raise click.UsageError("--family omega requires --q and --n")
-            code = construct_grid_code(n, q, max_enum=max_enum)
-            betas = [
-                self_decoding_probability(theta)
-                for theta in enumerate_observed(n, q, max_size=max_enum)
-            ]
-            f_min = min(betas)
-            f_avg = sum(betas) / len(betas)
-            alpha = None
-        elif family == "distinct":
-            if q is None or parts is None:
-                raise click.UsageError("--family distinct requires --q and --parts")
-            groups = _parse_parts(parts)
-            code = construct_distinct_support(q, len(groups), groups)
-            f_min = 1
-            f_avg = 1
-            alpha = None
-        else:
-            if n is None:
-                raise click.UsageError("--family binary4 requires --n")
-            code = construct_binary4(n)
-            alpha = binary4_alpha(n)
-            result = evaluate_code(code, n, max_enum=max_enum)
-            f_min = result.f_min
-            f_avg = result.f_avg
-    except UnsupportedRangeError as exc:
-        _unsupported(exc)
-        return
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    if family == "qplus1":
+        if q is None:
+            raise click.UsageError("--family qplus1 requires --q")
+        code = construct_base_plus_uniform(q)
+        f_min, f_avg = (None, None) if n is None else _base_plus_uniform_success(q, n)
+        alpha = None
+    elif family == "omega":
+        if q is None or n is None:
+            raise click.UsageError("--family omega requires --q and --n")
+        code = construct_grid_code(n, q, max_enum=max_enum)
+        betas = [
+            self_decoding_probability(theta)
+            for theta in enumerate_observed(n, q, max_size=max_enum)
+        ]
+        f_min = min(betas)
+        f_avg = sum(betas) / len(betas)
+        alpha = None
+    elif family == "distinct":
+        if q is None or parts is None:
+            raise click.UsageError("--family distinct requires --q and --parts")
+        groups = _parse_parts(parts)
+        code = construct_distinct_support(q, len(groups), groups)
+        f_min = 1
+        f_avg = 1
+        alpha = None
+    else:
+        if n is None:
+            raise click.UsageError("--family binary4 requires --n")
+        code = construct_binary4(n)
+        alpha = binary4_alpha(n)
+        result = evaluate_code(code, n, max_enum=max_enum)
+        f_min = result.f_min
+        f_avg = result.f_avg
     base = {
         "kind": "design",
         "provenance": "formula",

@@ -230,18 +230,15 @@ def mld_decode(code: CompositeCode, theta: ObservedDistribution) -> CompositeSym
 class Decoder:
     """A total decoding map from observed distributions to code symbols.
 
-    ``kind`` is either ``"mld"`` (pure maximum likelihood) or ``"table"``
-    (explicit overrides on selected count vectors, maximum likelihood
-    elsewhere).
+    ``overrides`` pairs count vectors with the symbols they decode to;
+    every other observation decodes by maximum likelihood, so a decoder
+    without overrides is pure maximum likelihood.
     """
 
     code: CompositeCode
-    kind: str
     overrides: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("mld", "table"):
-            raise ValueError(f"unknown decoder kind {self.kind!r}")
         object.__setattr__(self, "_table", dict(self.overrides))
 
     def __call__(self, theta: ObservedDistribution) -> CompositeSymbol:
@@ -252,7 +249,7 @@ class Decoder:
 
 
 def mld_decoder(code: CompositeCode) -> Decoder:
-    return Decoder(code=code, kind="mld")
+    return Decoder(code=code)
 
 
 def custom_decoder_from_table(
@@ -288,7 +285,7 @@ def custom_decoder_from_table(
             if symbol not in code:
                 raise ValueError(f"override target {symbol} is not a codeword")
         normalized[counts] = symbol
-    return Decoder(code=code, kind="table", overrides=tuple(sorted(normalized.items())))
+    return Decoder(code=code, overrides=tuple(sorted(normalized.items())))
 
 
 def decoding_region(
@@ -625,16 +622,31 @@ def construct_base_plus_uniform(q: int) -> CompositeCode:
     """The q+1 symbol code: all base indicator symbols plus the uniform symbol.
 
     This is the optimal (q+1)-symbol code for both the minimum and the average
-    success probability; its exact figures of merit are
+    success probability; for q >= 2 its exact figures of merit at n reads are
 
         f_min = 1 - (1/q)^(n-1)        f_avg = 1 - 1/(q^(n-1) (q+1)).
 
     For q = 1 the uniform symbol coincides with the single base symbol and the
-    code collapses to one symbol (the closed forms above assume q >= 2).
+    code collapses to one symbol, which always decodes: f_min = f_avg = 1.
+    ``_base_plus_uniform_success`` gives both figures for every q.
     """
     symbols = {base_symbol(q, i) for i in range(1, q + 1)}
     symbols.add(uniform_symbol(q, exact=True))
     return CompositeCode(symbols)
+
+
+def _base_plus_uniform_success(q: int, n: int) -> tuple[Fraction, Fraction]:
+    """Exact ``(f_min, f_avg)`` of ``construct_base_plus_uniform(q)`` at ``n`` reads.
+
+    Equal to the ``f_min`` and ``f_avg`` of :func:`evaluate_code` on that code,
+    from the closed forms; refuses q < 1 and n < 1 with ``ValueError``.
+    """
+    if q < 1 or n < 1:
+        raise ValueError(f"need q >= 1 and n >= 1, got q={q}, n={n}")
+    if q == 1:
+        return Fraction(1), Fraction(1)
+    miss = Fraction(1, q ** (n - 1))
+    return 1 - miss, 1 - miss / (q + 1)
 
 
 def construct_grid_code(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> CompositeCode:

@@ -276,22 +276,6 @@ def coverage_bounds(ell: int, omega: int) -> BoundPair:
     return BoundPair(lower, upper)
 
 
-def geometric_max_bounds(n: int, p: float) -> BoundPair:
-    """Bounds on E[max of n iid geometric(p) variables] (support 1, 2, ...).
-
-    With lam = ln(1/(1-p)) and H_n the n-th harmonic number,
-
-        H_n / lam  <  E[max]  <  1 + H_n / lam.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    lam = math.log(1.0 / (1.0 - p))
-    harmonic = math.fsum(1.0 / i for i in range(1, n + 1))
-    return BoundPair(harmonic / lam, 1.0 + harmonic / lam)
-
-
 def covering_family_count(m: int, r: int, j: int) -> int:
     """Number of j-element sets of distinct r-subsets of an m-set covering the whole set.
 

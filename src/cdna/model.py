@@ -1,9 +1,11 @@
-"""Core types for the composite channel: alphabets, symbols, sequences, observations.
+"""Core types for the composite channel: composite symbols and observed distributions.
 
 A composite symbol is a probability distribution over a base alphabet
-``{1, ..., q}``.  Reading a composite position many times yields an empirical
-distribution on a grid with denominator ``n``; those grids are what decoders
-operate on.  Everything here is immutable and safe to share across threads.
+``{1, ..., q}``, given by its ``q`` entries.  Reading a composite position
+many times yields an empirical distribution on a grid with denominator ``n``;
+those grids are what decoders operate on.  Coverage questions need no symbol
+objects: :mod:`cdna.coverage` takes the support size ``omega`` as an integer.
+Everything here is immutable and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -36,28 +38,6 @@ def multinomial_coefficient(counts: Sequence[int]) -> int:
         total += k
         out *= math.comb(total, k)
     return out
-
-
-@dataclass(frozen=True)
-class BaseAlphabet:
-    """The base alphabet {1, ..., q}."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.q, int) or self.q < 1:
-            raise ValueError(f"invalid alphabet size q={self.q!r}; need an integer >= 1")
-
-    def symbols(self) -> range:
-        return range(1, self.q + 1)
-
-    def label(self, i: int) -> str:
-        """Display name of symbol i (nucleotide letters when q == 4)."""
-        if not 1 <= i <= self.q:
-            raise IndexError(f"symbol index {i} outside 1..{self.q}")
-        if self.q == 4:
-            return "ACGT"[i - 1]
-        return str(i)
 
 
 @dataclass(frozen=True, order=True)
@@ -122,86 +102,6 @@ class CompositeSymbol:
         return f"CompositeSymbol(({inner}))"
 
 
-@dataclass(frozen=True)
-class SubsetSymbol:
-    """A composite symbol identified with a subset of the alphabet.
-
-    The induced distribution is uniform over ``support``; the support size is
-    the symbol's combinatorial factor (``omega``).
-    """
-
-    support: tuple[int, ...]
-    q: int
-
-    def __init__(self, support: Iterable[int], q: int):
-        support = tuple(sorted(support))
-        if not isinstance(q, int) or q < 1:
-            raise ValueError(f"invalid alphabet size q={q!r}")
-        if len(support) < 1:
-            raise ValueError("support must be nonempty")
-        if len(set(support)) != len(support):
-            raise ValueError(f"support has repeated indices: {support}")
-        if support[0] < 1 or support[-1] > q:
-            raise ValueError(f"support {support} not inside 1..{q}")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def omega(self) -> int:
-        return len(self.support)
-
-    def to_composite(self, exact: bool = False) -> CompositeSymbol:
-        w = self.omega
-        members = set(self.support)
-        inside: Prob = Fraction(1, w) if exact else 1.0 / w
-        outside: Prob = Fraction(0) if exact else 0.0
-        return CompositeSymbol(inside if (i + 1) in members else outside for i in range(self.q))
-
-
-@dataclass(frozen=True)
-class SubsetSequence:
-    """A sequence of subset symbols sharing one alphabet and one support size."""
-
-    entries: tuple[SubsetSymbol, ...]
-
-    def __init__(self, entries: Iterable[SubsetSymbol]):
-        entries = tuple(entries)
-        if not entries:
-            raise ValueError("sequence must have at least one entry")
-        q = entries[0].q
-        omega = entries[0].omega
-        for e in entries:
-            if e.q != q:
-                raise ValueError("all entries must share one alphabet")
-            if e.omega != omega:
-                raise ValueError("all entries must share one support size (mixed sizes unsupported)")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def ell(self) -> int:
-        return len(self.entries)
-
-    @property
-    def omega(self) -> int:
-        return self.entries[0].omega
-
-    @property
-    def q(self) -> int:
-        return self.entries[0].q
-
-    @classmethod
-    def uniform(cls, ell: int, omega: int, q: Optional[int] = None) -> "SubsetSequence":
-        """Canonical sequence: every index carries the support {1, ..., omega}.
-
-        The alphabet size is irrelevant to coverage questions as long as
-        q >= omega, so it defaults to omega itself.
-        """
-        if q is None:
-            q = omega
-        sym = SubsetSymbol(range(1, omega + 1), q)
-        return cls((sym,) * ell)
-
-
 @dataclass(frozen=True, order=True)
 class ObservedDistribution:
     """Empirical distribution of n reads: per-symbol counts with denominator n.
@@ -233,10 +133,6 @@ class ObservedDistribution:
     @property
     def q(self) -> int:
         return len(self.counts)
-
-    @property
-    def distribution(self) -> tuple[float, ...]:
-        return tuple(k / self.n for k in self.counts)
 
     @property
     def support(self) -> tuple[int, ...]:

@@ -183,6 +183,13 @@ class TestCodeEvalCommand:
         )
         assert result.exit_code == 3
 
+    def test_family_spec_over_the_cap_exits_as_design_does(self):
+        env = {"CDNA_MAX_ENUM": "10"}
+        spec = run_cli("code-eval", "--code", "omega:n=20,q=3", "--n", "2", env=env)
+        design = run_cli("design", "--family", "omega", "--n", "20", "--q", "3", env=env)
+        assert spec.exit_code == design.exit_code == 3
+        assert spec.stderr == design.stderr == "error: |grid(n=20, q=3)| = 231 exceeds the cap 10; lower n or q\n"
+
 
 class TestDesignCommand:
     def test_binary4(self):
@@ -236,6 +243,22 @@ class TestDesignCommand:
         rows = parse_csv(run_cli("design", "--family", "qplus1", "--q", "3", "--n", "2").output)
         assert float(rows[0]["f_min"]) == pytest.approx(1 - 1 / 3, abs=1e-12)
         assert float(rows[0]["f_avg"]) == pytest.approx(11 / 12, abs=1e-12)
+
+    def test_qplus1_single_letter_always_decodes(self):
+        rows = parse_csv(run_cli("design", "--family", "qplus1", "--q", "1", "--n", "3").output)
+        assert (rows[0]["code"], rows[0]["f_min"], rows[0]["f_avg"]) == ("1", "1", "1")
+
+    def test_qplus1_without_reads_is_usage_error(self):
+        for n in ("0", "-1"):
+            result = run_cli("design", "--family", "qplus1", "--q", "2", "--n", n)
+            assert result.exit_code == 2
+            assert f"Error: need q >= 1 and n >= 1, got q=2, n={n}" in result.stderr
+
+    def test_bad_verify_grid_is_usage_error(self):
+        result = run_cli("design", "--family", "binary4", "--n", "3", "--verify-grid", "0.01")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Error: grid_step must lie in (0, 1e-3], got 0.01" in result.stderr
 
     def test_distinct_family(self):
         rows = parse_csv(

@@ -421,6 +421,21 @@ class TestConstructions:
     def test_base_plus_uniform_collapses_at_q1(self):
         assert construct_base_plus_uniform(1).m == 1
 
+    def test_base_plus_uniform_success_is_evaluate_code(self):
+        # the closed forms, and (1, 1) for the single symbol at q = 1
+        for q in range(1, 5):
+            code = construct_base_plus_uniform(q)
+            for n in range(1, 9):
+                result = evaluate_code(code, n)
+                figures = codes._base_plus_uniform_success(q, n)
+                assert figures == (result.f_min, result.f_avg), (q, n)
+                assert all(isinstance(v, Fraction) for v in figures)
+
+    def test_base_plus_uniform_success_refuses_no_reads(self):
+        for q, n in ((2, 0), (2, -1), (1, 0), (0, 3)):
+            with pytest.raises(ValueError):
+                codes._base_plus_uniform_success(q, n)
+
     def test_grid_code_two_reads(self):
         code = construct_grid_code(2, 2)
         assert code.values == (0, Fraction(1, 2), 1)

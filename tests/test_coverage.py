@@ -15,7 +15,6 @@ from cdna import (
     expected_coverage_closed_pairs,
     expected_coverage_exact,
     expected_coverage_partial,
-    geometric_max_bounds,
     miss_probability,
     random_access_expectation,
 )
@@ -210,30 +209,6 @@ class TestCoverageBounds:
     def test_rejects_small_omega(self):
         with pytest.raises(ValueError):
             coverage_bounds(4, 1)
-
-
-class TestGeometricMaxBounds:
-    def test_single_variable(self):
-        b = geometric_max_bounds(1, 0.5)
-        assert b.lower == pytest.approx(1 / math.log(2), abs=1e-12)
-        assert b.contains(2.0)  # mean of a fair geometric
-
-    def test_two_variables(self):
-        # E[max of two fair geometrics] = 2 + 2 - 4/3 = 8/3
-        b = geometric_max_bounds(2, 0.5)
-        assert b.lower == pytest.approx(1.5 / math.log(2), abs=1e-12)
-        assert b.contains(8 / 3)
-
-    def test_success_probability_near_one(self):
-        # lower bound H_n / ln(1/(1-p)) vanishes as p -> 1
-        decreasing = [geometric_max_bounds(1, p).lower for p in (0.5, 0.99, 1 - 1e-6, 1 - 1e-12)]
-        assert decreasing == sorted(decreasing, reverse=True)
-        assert decreasing[-1] < 0.04
-
-    def test_bad_probability(self):
-        for p in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                geometric_max_bounds(3, p)
 
 
 class TestCoveringFamilyCount:

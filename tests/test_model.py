@@ -1,15 +1,11 @@
 import math
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
 from cdna import (
-    BaseAlphabet,
     CompositeSymbol,
     ObservedDistribution,
-    SubsetSequence,
-    SubsetSymbol,
     base_symbol,
     enumerate_observed,
     observed_grid_size,
@@ -86,48 +82,10 @@ class TestCompositeSymbol:
         assert CompositeSymbol((Fraction(1, 2), Fraction(1, 2))) == CompositeSymbol((0.5, 0.5))
 
 
-class TestSubsetSymbol:
-    def test_support_roundtrip_exhaustive(self):
-        # conversion to a composite symbol and back is the identity on supports
-        for q in range(1, 6):
-            for w in range(1, q + 1):
-                for sup in combinations(range(1, q + 1), w):
-                    sym = SubsetSymbol(sup, q)
-                    assert sym.to_composite().support == sup
-                    assert sym.to_composite(exact=True).support == sup
-
-    def test_uniform_on_support(self):
-        comp = SubsetSymbol((1, 3), 4).to_composite(exact=True)
-        assert comp.probs == (Fraction(1, 2), 0, Fraction(1, 2), 0)
-
-    def test_rejects_bad_support(self):
-        with pytest.raises(ValueError):
-            SubsetSymbol((0, 1), 3)
-        with pytest.raises(ValueError):
-            SubsetSymbol((1, 1), 3)
-        with pytest.raises(ValueError):
-            SubsetSymbol((), 3)
-
-
-class TestSubsetSequence:
-    def test_uniform_constructor(self):
-        seq = SubsetSequence.uniform(3, 2)
-        assert seq.ell == 3 and seq.omega == 2 and seq.q == 2
-        assert all(e.support == (1, 2) for e in seq.entries)
-
-    def test_mixed_support_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            SubsetSequence((SubsetSymbol((1,), 3), SubsetSymbol((1, 2), 3)))
-
-    def test_mixed_alphabets_rejected(self):
-        with pytest.raises(ValueError):
-            SubsetSequence((SubsetSymbol((1, 2), 2), SubsetSymbol((1, 2), 3)))
-
-
 class TestObservedDistribution:
     def test_counts_and_n(self):
         theta = ObservedDistribution((3, 2), 5)
-        assert theta.q == 2 and theta.distribution == (0.6, 0.4)
+        assert theta.q == 2 and theta.as_symbol(exact=False).probs == (0.6, 0.4)
 
     def test_n_inferred(self):
         assert ObservedDistribution((1, 2)).n == 3
@@ -176,15 +134,3 @@ class TestEnumerateObserved:
         with pytest.raises(UnsupportedRangeError):
             enumerate_observed(100, 4, max_size=1000)
 
-
-class TestBaseAlphabet:
-    def test_labels_dna(self):
-        a = BaseAlphabet(4)
-        assert [a.label(i) for i in a.symbols()] == ["A", "C", "G", "T"]
-
-    def test_labels_numeric(self):
-        assert BaseAlphabet(3).label(2) == "2"
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            BaseAlphabet(0)

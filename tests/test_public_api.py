@@ -1,7 +1,9 @@
-"""The package exports what the demos and the README's library tour import.
+"""The package exports what the demos and the README's library tour import,
+and every export has a use outside the tests.
 
-A static check: it parses the sources instead of running the demos, so a
-deleted or renamed export fails here in milliseconds.
+Static checks: they parse the sources instead of running the demos, so a
+deleted or renamed export, or one that only its own tests use, fails here in
+milliseconds.
 """
 import ast
 import re
@@ -42,3 +44,66 @@ def test_examples_import_only_public_names():
 def test_all_entries_are_bound():
     assert len(set(cdna.__all__)) == len(cdna.__all__)
     assert [name for name in cdna.__all__ if not hasattr(cdna, name)] == []
+
+
+#: Exports with no use outside the tests, and why they stay public.
+TEST_ONLY_EXPORTS = {
+    # tests/properties.py uses it as the reflection map to check that binary
+    # decoding regions mirror under x -> 1 - x
+    "symmetric_reflect",
+}
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def _defined_names(node: ast.stmt) -> set[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {target.id for target in node.targets if isinstance(target, ast.Name)}
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return {node.target.id}
+    return set()
+
+
+def _uses() -> list[tuple[set[str], set[str]]]:
+    """(names defined, names used) for each top-level statement of the library
+    modules, and for each demo, benchmark file and README as a whole."""
+    uses = []
+    for path in sorted((ROOT / "src" / "cdna").glob("*.py")):
+        if path.name != "__init__.py":
+            body = ast.parse(path.read_text(encoding="utf-8")).body
+            uses += [(_defined_names(node), _identifiers(node)) for node in body]
+    for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benchmark").rglob("*.py")):
+        uses.append((set(), _identifiers(ast.parse(path.read_text(encoding="utf-8")))))
+    for path in [ROOT / "README.md", *sorted((ROOT / "benchmark").rglob("*.md"))]:
+        uses.append((set(), set(re.findall(r"\w+", path.read_text(encoding="utf-8")))))
+    return uses
+
+
+def test_every_export_is_used_outside_the_tests():
+    # A use inside the definition of an export that is itself unused does not
+    # count, so the search repeats until the unused set stops growing.
+    uses = _uses()
+    unused: set[str] = set()
+    while True:
+        found = {
+            name
+            for name in cdna.__all__
+            if not any(name in used and not defined & (unused | {name}) for defined, used in uses)
+        }
+        if found == unused:
+            break
+        unused = found
+    assert sorted(unused - TEST_ONLY_EXPORTS) == []
+    assert TEST_ONLY_EXPORTS <= unused, "an exempt export gained a use; drop its exemption"
