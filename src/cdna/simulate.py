@@ -9,7 +9,10 @@ All three coverage settings are one process: read until ``r`` of ``ell``
 indices are covered, where each read belongs to the target sequence with
 probability ``1/k``.  Full recovery is ``r = ell, k = 1``, partial recovery is
 ``k = 1`` and random access is ``r = ell``; one loop, :func:`_reads_until`,
-runs all of them.
+runs all of them.  At ``k = 1`` the driver first decides the first block of
+many trials at once from the same stream words (:func:`_settle_first_block`),
+since on short sequences one trial costs far more in numpy calls than in
+draws; the trials that block leaves undecided run the loop.
 
 Determinism contract: trial ``t`` of a run with master seed ``s`` consumes a
 private stream from a counter-based generator (Philox) keyed by ``(s, t)``.
@@ -33,6 +36,10 @@ _MASK64 = (1 << 64) - 1
 _FIRST_BLOCK = 32
 _MAX_BLOCK = 8192
 _UONE = np.uint64(1)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+#: draws the batched first block holds at once (bounds its memory)
+_BATCH_DRAWS = 1 << 14
 #: normal 97.5% quantile, for two-sided 95% confidence intervals
 _Z95 = 1.959963984540054
 
@@ -110,6 +117,44 @@ def _reads_until(
     raise TrialTruncatedError(cap)
 
 
+def _first_block_words(streams: _TrialStreams, trials: range, count: int) -> np.ndarray:
+    """The first ``count`` 32-bit words of each trial's stream, one row per trial.
+
+    Bounded draws split each 64-bit Philox output low half first, so row ``i``
+    holds the words :func:`_reads_until` would turn into symbols for trial
+    ``trials[i]``.
+    """
+    raw = np.empty((len(trials), -(-count // 2)), dtype=np.uint64)
+    for i, t in enumerate(trials):
+        raw[i] = streams.trial(t).bit_generator.random_raw(raw.shape[1])
+    return np.stack((raw & _LOW32, raw >> _SHIFT32), axis=-1).reshape(len(trials), -1)[:, :count]
+
+
+def _settle_first_block(words: np.ndarray, ell: int, omega: int, r: int) -> np.ndarray:
+    """Reads to stop for each trial whose first block decides it at ``k == 1``, else 0.
+
+    ``words`` holds each trial's first ``rows * ell`` stream words, as
+    :func:`_first_block_words` yields them.  Symbols follow numpy's bounded draw
+    (Lemire, "Fast random integer generation in an interval", 2019): the high
+    half of ``word * omega``.  A trial with a rejected word, whose draws numpy
+    would shift, or one that does not stop within ``rows`` reads is left at 0.
+    """
+    trials = words.shape[0]
+    rows = words.shape[1] // ell
+    product = words * np.uint64(omega)
+    acc = np.bitwise_or.accumulate(
+        np.left_shift(_UONE, (product >> _SHIFT32).reshape(trials, rows, ell)), axis=1
+    )
+    covered = acc == np.uint64((1 << omega) - 1)
+    done = covered.all(axis=2) if r == ell else covered.sum(axis=2) >= r
+    first = np.argmax(done, axis=1)
+    decided = done[np.arange(trials), first]
+    threshold = ((1 << 32) - omega) % omega
+    if threshold:
+        decided &= ~((product & _LOW32) < np.uint64(threshold)).any(axis=1)
+    return np.where(decided, first + 1, 0)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation request: estimator parameters, trial count, and seeding."""
@@ -185,9 +230,23 @@ def run_simulation(config: SimConfig) -> SimReport:
     k = params.k if config.mode == "ra" else 1
     cap = config.max_transmissions
     streams = _TrialStreams(config.seed)
-    counts = np.empty(config.trials, dtype=np.float64)
+    counts = np.zeros(config.trials, dtype=np.float64)
+    if k == 1:
+        # Decide the first block of many trials at once from the same stream
+        # words; trials it leaves at 0 run the scalar loop below.  Once a chunk
+        # decides fewer than half its trials, the rest skip the batch.
+        draws = min(_FIRST_BLOCK, cap) * params.ell
+        chunk = max(1, _BATCH_DRAWS // draws)
+        for start in range(0, config.trials, chunk):
+            trials = range(start, min(start + chunk, config.trials))
+            settled = _settle_first_block(
+                _first_block_words(streams, trials, draws), params.ell, params.omega, r
+            )
+            counts[start : start + len(trials)] = settled
+            if 2 * np.count_nonzero(settled) < len(trials):
+                break
     truncated = 0
-    for t in range(config.trials):
+    for t in np.flatnonzero(counts == 0).tolist():
         try:
             counts[t] = _reads_until(streams.trial(t), params.ell, params.omega, r, k, cap)
         except TrialTruncatedError:

@@ -14,7 +14,14 @@ from cdna import (
     run_simulation,
     trial_rng,
 )
-from cdna.simulate import DEFAULT_MAX_TRANSMISSIONS, _reads_until, _TrialStreams
+from cdna.simulate import (
+    _FIRST_BLOCK,
+    DEFAULT_MAX_TRANSMISSIONS,
+    _first_block_words,
+    _reads_until,
+    _settle_first_block,
+    _TrialStreams,
+)
 
 CAP = DEFAULT_MAX_TRANSMISSIONS
 
@@ -40,6 +47,76 @@ class TestTrialStreams:
         a = trial_rng(1, 0).integers(0, 1000, size=32)
         b = trial_rng(2, 0).integers(0, 1000, size=32)
         assert not np.array_equal(a, b)
+
+
+class TestBatchedFirstBlock:
+    def test_words_are_the_bounded_draws(self):
+        streams = _TrialStreams(31)
+        for count in (1, 7, 32, 97):
+            words = _first_block_words(streams, range(5), count)
+            assert words.shape == (5, count)
+            for omega in (1, 2, 3, 5, 64):
+                symbols = (words * np.uint64(omega)) >> np.uint64(32)
+                for t in range(5):
+                    drawn = trial_rng(31, t).integers(0, omega, size=count, dtype=np.uint64)
+                    assert np.array_equal(symbols[t], drawn), (count, omega, t)
+
+    @pytest.mark.parametrize("ell, omega, r", [(1, 2, 1), (3, 3, 3), (5, 4, 2), (8, 4, 8), (2, 7, 2)])
+    def test_settled_trials_match_the_scalar_loop(self, ell, omega, r):
+        streams = _TrialStreams(17)
+        settled = _settle_first_block(
+            _first_block_words(streams, range(300), _FIRST_BLOCK * ell), ell, omega, r
+        )
+        for t, count in enumerate(settled.tolist()):
+            scalar = _reads_until(trial_rng(17, t), ell, omega, r, 1, CAP)
+            assert count == scalar if count else scalar > _FIRST_BLOCK, (t, count, scalar)
+
+    def test_rejected_word_leaves_trial_to_the_scalar_loop(self):
+        # at omega = 3 numpy's bounded draw rejects exactly the word 0
+        words = np.full((2, _FIRST_BLOCK), 0x60000000, dtype=np.uint64)
+        words[:, :3] = [0x10000000, 0x60000000, 0xB0000000]
+        assert _settle_first_block(words, 1, 3, 1).tolist() == [3, 3]
+        words[1, 20] = 0
+        assert _settle_first_block(words, 1, 3, 1).tolist() == [3, 0]
+
+
+def _scalar_report(config):
+    """What run_simulation reports when every trial runs :func:`_reads_until`."""
+    params = config.params
+    r = params.r if config.mode == "partial" else params.ell
+    k = params.k if config.mode == "ra" else 1
+    counts = np.empty(config.trials)
+    truncated = 0
+    for t in range(config.trials):
+        try:
+            counts[t] = _reads_until(
+                trial_rng(config.seed, t), params.ell, params.omega, r, k, config.max_transmissions
+            )
+        except TrialTruncatedError:
+            counts[t] = config.max_transmissions
+            truncated += 1
+    mean = float(counts.mean())
+    std_error = float(counts.std(ddof=1) / math.sqrt(config.trials))
+    ci95 = (mean - 1.959963984540054 * std_error, mean + 1.959963984540054 * std_error)
+    return SimReport(mean, std_error, ci95, config.trials, truncated, config.seed)
+
+
+@pytest.mark.parametrize("cap", [1, 3, 31, 32, 33, CAP])
+@pytest.mark.parametrize(
+    "params, mode",
+    [
+        (CoverageParams(1, 2), "recovery"),
+        (CoverageParams(3, 3), "recovery"),
+        (CoverageParams(4, 1), "recovery"),
+        (CoverageParams(2, 16), "recovery"),
+        (CoverageParams(5, 3, r=2), "partial"),
+        (CoverageParams(7, 4, r=7), "partial"),
+        (CoverageParams(2, 3, k=3), "ra"),
+    ],
+)
+def test_reports_equal_the_scalar_driver(params, mode, cap):
+    config = SimConfig(params, trials=200, seed=cap + params.ell, max_transmissions=cap, mode=mode)
+    assert run_simulation(config) == _scalar_report(config)
 
 
 #: run_simulation reports pinned per seed, as the separate recovery, partial
