@@ -9,10 +9,11 @@ All three coverage settings are one process: read until ``r`` of ``ell``
 indices are covered, where each read belongs to the target sequence with
 probability ``1/k``.  Full recovery is ``r = ell, k = 1``, partial recovery is
 ``k = 1`` and random access is ``r = ell``; one loop, :func:`_reads_until`,
-runs all of them.  At ``k = 1`` the driver first decides the first block of
-many trials at once from the same stream words (:func:`_settle_first_block`),
-since on short sequences one trial costs far more in numpy calls than in
-draws; the trials that block leaves undecided run the loop.
+runs all of them.  At ``k = 1`` the driver first draws the first block of
+many trials with the loop's own call and settles them at once
+(:func:`_settle_first_block`), since on short sequences one trial costs far
+more in numpy calls than in draws; the trials that block leaves undecided run
+the loop.
 
 Determinism contract: trial ``t`` of a run with master seed ``s`` consumes a
 private stream from a counter-based generator (Philox) keyed by ``(s, t)``.
@@ -36,9 +37,8 @@ _MASK64 = (1 << 64) - 1
 _FIRST_BLOCK = 32
 _MAX_BLOCK = 8192
 _UONE = np.uint64(1)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-#: draws the batched first block holds at once (bounds its memory)
+#: draws per chunk of the batched first block.  This caps the trials in a
+#: chunk, not its memory: a trial whose first block is larger fills a chunk alone.
 _BATCH_DRAWS = 1 << 14
 #: normal 97.5% quantile, for two-sided 95% confidence intervals
 _Z95 = 1.959963984540054
@@ -117,42 +117,16 @@ def _reads_until(
     raise TrialTruncatedError(cap)
 
 
-def _first_block_words(streams: _TrialStreams, trials: range, count: int) -> np.ndarray:
-    """The first ``count`` 32-bit words of each trial's stream, one row per trial.
-
-    Bounded draws split each 64-bit Philox output low half first, so row ``i``
-    holds the words :func:`_reads_until` would turn into symbols for trial
-    ``trials[i]``.
-    """
-    raw = np.empty((len(trials), -(-count // 2)), dtype=np.uint64)
-    for i, t in enumerate(trials):
-        raw[i] = streams.trial(t).bit_generator.random_raw(raw.shape[1])
-    return np.stack((raw & _LOW32, raw >> _SHIFT32), axis=-1).reshape(len(trials), -1)[:, :count]
-
-
-def _settle_first_block(words: np.ndarray, ell: int, omega: int, r: int) -> np.ndarray:
+def _settle_first_block(symbols: np.ndarray, omega: int, r: int) -> np.ndarray:
     """Reads to stop for each trial whose first block decides it at ``k == 1``, else 0.
 
-    ``words`` holds each trial's first ``rows * ell`` stream words, as
-    :func:`_first_block_words` yields them.  Symbols follow numpy's bounded draw
-    (Lemire, "Fast random integer generation in an interval", 2019): the high
-    half of ``word * omega``.  A trial with a rejected word, whose draws numpy
-    would shift, or one that does not stop within ``rows`` reads is left at 0.
+    ``symbols[i]`` holds the ``rows × ell`` symbols of trial ``i``'s first block,
+    drawn by the same ``integers`` call as in :func:`_reads_until`.
     """
-    trials = words.shape[0]
-    rows = words.shape[1] // ell
-    product = words * np.uint64(omega)
-    acc = np.bitwise_or.accumulate(
-        np.left_shift(_UONE, (product >> _SHIFT32).reshape(trials, rows, ell)), axis=1
-    )
+    acc = np.bitwise_or.accumulate(np.left_shift(_UONE, symbols), axis=1)
     covered = acc == np.uint64((1 << omega) - 1)
-    done = covered.all(axis=2) if r == ell else covered.sum(axis=2) >= r
-    first = np.argmax(done, axis=1)
-    decided = done[np.arange(trials), first]
-    threshold = ((1 << 32) - omega) % omega
-    if threshold:
-        decided &= ~((product & _LOW32) < np.uint64(threshold)).any(axis=1)
-    return np.where(decided, first + 1, 0)
+    done = covered.all(axis=2) if r == symbols.shape[2] else covered.sum(axis=2) >= r
+    return np.where(done.any(axis=1), done.argmax(axis=1) + 1, 0)
 
 
 @dataclass(frozen=True)
@@ -232,18 +206,19 @@ def run_simulation(config: SimConfig) -> SimReport:
     streams = _TrialStreams(config.seed)
     counts = np.zeros(config.trials, dtype=np.float64)
     if k == 1:
-        # Decide the first block of many trials at once from the same stream
-        # words; trials it leaves at 0 run the scalar loop below.  Once a chunk
-        # decides fewer than half its trials, the rest skip the batch.
-        draws = min(_FIRST_BLOCK, cap) * params.ell
-        chunk = max(1, _BATCH_DRAWS // draws)
+        # Draw the first block of many trials as _reads_until would and settle
+        # them at once; trials left at 0 run the loop below.  Once a chunk
+        # settles fewer than half its trials, the rest skip the batch.
+        rows = min(_FIRST_BLOCK, cap)
+        chunk = max(1, _BATCH_DRAWS // (rows * params.ell))
         for start in range(0, config.trials, chunk):
-            trials = range(start, min(start + chunk, config.trials))
-            settled = _settle_first_block(
-                _first_block_words(streams, trials, draws), params.ell, params.omega, r
-            )
-            counts[start : start + len(trials)] = settled
-            if 2 * np.count_nonzero(settled) < len(trials):
+            stop = min(start + chunk, config.trials)
+            symbols = np.empty((stop - start, rows, params.ell), dtype=np.uint64)
+            for i, t in enumerate(range(start, stop)):
+                symbols[i] = streams.trial(t).integers(0, params.omega, size=(rows, params.ell), dtype=np.uint64)
+            settled = _settle_first_block(symbols, params.omega, r)
+            counts[start:stop] = settled
+            if 2 * np.count_nonzero(settled) < stop - start:
                 break
     truncated = 0
     for t in np.flatnonzero(counts == 0).tolist():

@@ -17,7 +17,6 @@ from cdna import (
 from cdna.simulate import (
     _FIRST_BLOCK,
     DEFAULT_MAX_TRANSMISSIONS,
-    _first_block_words,
     _reads_until,
     _settle_first_block,
     _TrialStreams,
@@ -50,34 +49,18 @@ class TestTrialStreams:
 
 
 class TestBatchedFirstBlock:
-    def test_words_are_the_bounded_draws(self):
-        streams = _TrialStreams(31)
-        for count in (1, 7, 32, 97):
-            words = _first_block_words(streams, range(5), count)
-            assert words.shape == (5, count)
-            for omega in (1, 2, 3, 5, 64):
-                symbols = (words * np.uint64(omega)) >> np.uint64(32)
-                for t in range(5):
-                    drawn = trial_rng(31, t).integers(0, omega, size=count, dtype=np.uint64)
-                    assert np.array_equal(symbols[t], drawn), (count, omega, t)
-
     @pytest.mark.parametrize("ell, omega, r", [(1, 2, 1), (3, 3, 3), (5, 4, 2), (8, 4, 8), (2, 7, 2)])
     def test_settled_trials_match_the_scalar_loop(self, ell, omega, r):
-        streams = _TrialStreams(17)
-        settled = _settle_first_block(
-            _first_block_words(streams, range(300), _FIRST_BLOCK * ell), ell, omega, r
+        symbols = np.stack(
+            [
+                trial_rng(17, t).integers(0, omega, size=(_FIRST_BLOCK, ell), dtype=np.uint64)
+                for t in range(300)
+            ]
         )
+        settled = _settle_first_block(symbols, omega, r)
         for t, count in enumerate(settled.tolist()):
             scalar = _reads_until(trial_rng(17, t), ell, omega, r, 1, CAP)
             assert count == scalar if count else scalar > _FIRST_BLOCK, (t, count, scalar)
-
-    def test_rejected_word_leaves_trial_to_the_scalar_loop(self):
-        # at omega = 3 numpy's bounded draw rejects exactly the word 0
-        words = np.full((2, _FIRST_BLOCK), 0x60000000, dtype=np.uint64)
-        words[:, :3] = [0x10000000, 0x60000000, 0xB0000000]
-        assert _settle_first_block(words, 1, 3, 1).tolist() == [3, 3]
-        words[1, 20] = 0
-        assert _settle_first_block(words, 1, 3, 1).tolist() == [3, 0]
 
 
 def _scalar_report(config):
