@@ -117,15 +117,20 @@ def _reads_until(
     raise TrialTruncatedError(cap)
 
 
-def _settle_first_block(symbols: np.ndarray, omega: int, r: int) -> np.ndarray:
-    """Reads to stop for each trial whose first block decides it at ``k == 1``, else 0.
+def _settle_first_block(
+    streams: _TrialStreams, trials: range, rows: int, ell: int, omega: int, r: int
+) -> np.ndarray:
+    """Reads to stop for each trial its first ``rows`` reads decide at ``k == 1``, else 0.
 
-    ``symbols[i]`` holds the ``rows × ell`` symbols of trial ``i``'s first block,
-    drawn by the same ``integers`` call as in :func:`_reads_until`.
+    Each trial's first block is drawn by the same ``integers`` call as in
+    :func:`_reads_until`, so a settled count equals the loop's.
     """
+    symbols = np.empty((len(trials), rows, ell), dtype=np.uint64)
+    for i, t in enumerate(trials):
+        symbols[i] = streams.trial(t).integers(0, omega, size=(rows, ell), dtype=np.uint64)
     acc = np.bitwise_or.accumulate(np.left_shift(_UONE, symbols), axis=1)
     covered = acc == np.uint64((1 << omega) - 1)
-    done = covered.all(axis=2) if r == symbols.shape[2] else covered.sum(axis=2) >= r
+    done = covered.all(axis=2) if r == ell else covered.sum(axis=2) >= r
     return np.where(done.any(axis=1), done.argmax(axis=1) + 1, 0)
 
 
@@ -207,18 +212,16 @@ def run_simulation(config: SimConfig) -> SimReport:
     counts = np.zeros(config.trials, dtype=np.float64)
     if k == 1:
         # Draw the first block of many trials as _reads_until would and settle
-        # them at once; trials left at 0 run the loop below.  Once a chunk
-        # settles fewer than half its trials, the rest skip the batch.
+        # them at once; trials left at 0 run the loop below.  A batched trial
+        # costs about half a scalar one, so once a chunk settles fewer than
+        # half its trials the batch no longer pays and the rest skip it.
         rows = min(_FIRST_BLOCK, cap)
         chunk = max(1, _BATCH_DRAWS // (rows * params.ell))
         for start in range(0, config.trials, chunk):
-            stop = min(start + chunk, config.trials)
-            symbols = np.empty((stop - start, rows, params.ell), dtype=np.uint64)
-            for i, t in enumerate(range(start, stop)):
-                symbols[i] = streams.trial(t).integers(0, params.omega, size=(rows, params.ell), dtype=np.uint64)
-            settled = _settle_first_block(symbols, params.omega, r)
-            counts[start:stop] = settled
-            if 2 * np.count_nonzero(settled) < stop - start:
+            trials = range(start, min(start + chunk, config.trials))
+            settled = _settle_first_block(streams, trials, rows, params.ell, params.omega, r)
+            counts[start : trials.stop] = settled
+            if 2 * np.count_nonzero(settled) < len(trials):
                 break
     truncated = 0
     for t in np.flatnonzero(counts == 0).tolist():

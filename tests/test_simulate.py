@@ -51,13 +51,7 @@ class TestTrialStreams:
 class TestBatchedFirstBlock:
     @pytest.mark.parametrize("ell, omega, r", [(1, 2, 1), (3, 3, 3), (5, 4, 2), (8, 4, 8), (2, 7, 2)])
     def test_settled_trials_match_the_scalar_loop(self, ell, omega, r):
-        symbols = np.stack(
-            [
-                trial_rng(17, t).integers(0, omega, size=(_FIRST_BLOCK, ell), dtype=np.uint64)
-                for t in range(300)
-            ]
-        )
-        settled = _settle_first_block(symbols, omega, r)
+        settled = _settle_first_block(_TrialStreams(17), range(300), _FIRST_BLOCK, ell, omega, r)
         for t, count in enumerate(settled.tolist()):
             scalar = _reads_until(trial_rng(17, t), ell, omega, r, 1, CAP)
             assert count == scalar if count else scalar > _FIRST_BLOCK, (t, count, scalar)
