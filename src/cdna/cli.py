@@ -419,13 +419,15 @@ def _load_table_decoder(code: CompositeCode, n: int, path: str):
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read table decoder {path!r}: {exc}")
+    if not isinstance(raw, dict):
+        raise click.UsageError(f"table decoder {path!r} must hold a JSON object of count vectors")
     overrides = {}
     for key, value in raw.items():
         try:
             counts = tuple(int(tok) for tok in key.split(","))
         except ValueError:
             raise click.UsageError(f"bad count-vector key {key!r} in {path!r}")
-        if not isinstance(value, int):
+        if not isinstance(value, int) or isinstance(value, bool):
             raise click.UsageError(f"table value for {key!r} must be a codeword index")
         overrides[counts] = value
     try:

@@ -15,6 +15,11 @@ many trials with the loop's own call and settles them at once
 more in numpy calls than in draws; the trials that block leaves undecided run
 the loop.
 
+Memory per trial is O(max(``_CHUNK_DRAWS``, ``ell``)) elements whatever the
+block sizes: symbols are drawn at most ``_CHUNK_DRAWS`` at a time (one read
+of ``ell`` symbols when that is more), and the loop keeps observed sets only
+for indices not yet fully covered.
+
 Determinism contract: trial ``t`` of a run with master seed ``s`` consumes a
 private stream from a counter-based generator (Philox) keyed by ``(s, t)``.
 Results therefore do not depend on execution order, and a parallel driver that
@@ -37,9 +42,9 @@ _MASK64 = (1 << 64) - 1
 _FIRST_BLOCK = 32
 _MAX_BLOCK = 8192
 _UONE = np.uint64(1)
-#: draws per chunk of the batched first block.  This caps the trials in a
-#: chunk, not its memory: a trial whose first block is larger fills a chunk alone.
-_BATCH_DRAWS = 1 << 14
+#: symbol draws per chunk, in the loop and in the batched first block.  Every
+#: draw array holds at most this many, or one read of ``ell`` when that is more.
+_CHUNK_DRAWS = 1 << 14
 #: normal 97.5% quantile, for two-sided 95% confidence intervals
 _Z95 = 1.959963984540054
 
@@ -84,11 +89,19 @@ def _reads_until(
 
     Each read belongs to the target sequence with probability ``1/k``; only
     target reads draw one symbol per index, uniformly from its support.  Reads
-    are drawn in doubling blocks of cumulative observed-set bitmasks.  Raises
-    :class:`TrialTruncatedError` when ``cap`` reads pass without stopping.
+    come in doubling blocks, which fix where the label draws sit in the stream
+    at ``k > 1``.  A block's symbols are one sequential stream, drawn at most
+    ``_CHUNK_DRAWS`` at a time (one read when ``ell`` is larger), so the count
+    does not depend on the chunking and memory stays O(max(``_CHUNK_DRAWS``,
+    ``ell``)).  After each chunk, the fully covered indices drop out: the loop
+    keeps observed-set bitmasks for the open indices only and lowers ``r`` by
+    the number just finished.  Raises :class:`TrialTruncatedError` when
+    ``cap`` reads pass without stopping.
     """
     full = np.uint64((1 << omega) - 1)
     masks = np.zeros(ell, dtype=np.uint64)
+    cols = np.arange(ell)
+    step = max(1, _CHUNK_DRAWS // ell)
     taken = 0
     block = _FIRST_BLOCK
     while taken < cap:
@@ -99,19 +112,25 @@ def _reads_until(
             hits = np.arange(rows)
         else:
             hits = np.flatnonzero(rng.integers(0, k, size=rows) == 0)
-        if hits.size:
-            # nested so that no block of draws or shifted bits outlives its use
-            acc = np.bitwise_or.accumulate(
-                np.left_shift(_UONE, rng.integers(0, omega, size=(hits.size, ell), dtype=np.uint64)),
-                axis=0,
-            )
+        for lo in range(0, hits.size, step):
+            symbols = rng.integers(0, omega, size=(min(step, hits.size - lo), ell), dtype=np.uint64)
+            if cols.size < ell:
+                symbols = symbols[:, cols]
+            acc = np.bitwise_or.accumulate(np.left_shift(_UONE, symbols, out=symbols), axis=0)
             np.bitwise_or(acc, masks, out=acc)
             covered = acc == full
-            # ``all`` is much cheaper than a row count on wide blocks
-            done = np.flatnonzero(covered.all(axis=1) if r == ell else covered.sum(axis=1) >= r)
-            if done.size:
-                return taken + int(hits[done[0]]) + 1
+            # covered only grows down the rows, so the last row tells whether
+            # any read in the chunk stops and how many indices it finished
+            finished = np.count_nonzero(covered[-1])
+            if finished >= r:
+                done = (covered.sum(axis=1) >= r).argmax()
+                return taken + int(hits[lo + done]) + 1
             masks = acc[-1]
+            if finished:
+                still_open = ~covered[-1]
+                masks = masks[still_open]
+                cols = cols[still_open]
+                r -= finished
         taken += rows
         block = min(block * 2, _MAX_BLOCK)
     raise TrialTruncatedError(cap)
@@ -210,13 +229,14 @@ def run_simulation(config: SimConfig) -> SimReport:
     cap = config.max_transmissions
     streams = _TrialStreams(config.seed)
     counts = np.zeros(config.trials, dtype=np.float64)
-    if k == 1:
+    rows = min(_FIRST_BLOCK, cap)
+    if k == 1 and rows * params.ell <= _CHUNK_DRAWS:
         # Draw the first block of many trials as _reads_until would and settle
         # them at once; trials left at 0 run the loop below.  A batched trial
         # costs about half a scalar one, so once a chunk settles fewer than
         # half its trials the batch no longer pays and the rest skip it.
-        rows = min(_FIRST_BLOCK, cap)
-        chunk = max(1, _BATCH_DRAWS // (rows * params.ell))
+        # Trials whose first block exceeds a chunk go straight to the loop.
+        chunk = _CHUNK_DRAWS // (rows * params.ell)
         for start in range(0, config.trials, chunk):
             trials = range(start, min(start + chunk, config.trials))
             settled = _settle_first_block(streams, trials, rows, params.ell, params.omega, r)

@@ -19,6 +19,7 @@ import pytest
 
 from cdna import CompositeCode, CompositeSymbol, enumerate_observed, mld_decoder, prob_observed
 from cdna.codes import DEFAULT_MAX_ENUM, CodeEvaluation
+from cdna.simulate import _FIRST_BLOCK, _MAX_BLOCK, TrialTruncatedError
 
 
 def dp_expected_coverage(ell: int, omega: int, tol: float = 1e-13) -> float:
@@ -121,6 +122,29 @@ def reference_evaluate_code(code, n, decoder=None, max_enum=DEFAULT_MAX_ENUM):
     f_min = min(success.values())
     f_avg = sum(success.values()) / code.m
     return CodeEvaluation(per_symbol_success=success, f_min=f_min, f_avg=f_avg, n=n)
+
+
+def reference_reads_until(rng, ell: int, omega: int, r: int, k: int, cap: int) -> int:
+    """The simulator's read loop as whole doubling blocks: every block's symbols
+    are drawn at once, and every index is tracked until the trial stops."""
+    full = np.uint64((1 << omega) - 1)
+    masks = np.zeros(ell, dtype=np.uint64)
+    taken = 0
+    block = _FIRST_BLOCK
+    while taken < cap:
+        rows = min(block, cap - taken)
+        hits = np.arange(rows) if k == 1 else np.flatnonzero(rng.integers(0, k, size=rows) == 0)
+        if hits.size:
+            symbols = rng.integers(0, omega, size=(hits.size, ell), dtype=np.uint64)
+            acc = np.bitwise_or.accumulate(np.left_shift(np.uint64(1), symbols), axis=0)
+            np.bitwise_or(acc, masks, out=acc)
+            done = np.flatnonzero((acc == full).sum(axis=1) >= r)
+            if done.size:
+                return taken + int(hits[done[0]]) + 1
+            masks = acc[-1]
+        taken += rows
+        block = min(block * 2, _MAX_BLOCK)
+    raise TrialTruncatedError(cap)
 
 
 def random_exact_symbol(rng: np.random.Generator, q: int, denom: int) -> CompositeSymbol:

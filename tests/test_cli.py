@@ -165,6 +165,22 @@ class TestCodeEvalCommand:
         )
         assert float(rows[-1]["f_min"]) == pytest.approx(0.247, abs=5e-4)
 
+    @pytest.mark.parametrize("content", ["[1]", '"0,2"', "3", "null"])
+    def test_table_that_is_not_an_object_is_usage_error(self, tmp_path, content):
+        table = tmp_path / "t.json"
+        table.write_text(content)
+        result = run_cli("code-eval", "--code", "0.4,0.6", "--n", "2", "--decoder", f"table:{table}")
+        assert result.exit_code == 2
+        assert "must hold a JSON object" in result.output
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_table_boolean_is_not_a_codeword_index(self, tmp_path, value):
+        table = tmp_path / "t.json"
+        table.write_text('{"0,2": %s}' % value)
+        result = run_cli("code-eval", "--code", "0.4,0.6", "--n", "2", "--decoder", f"table:{table}")
+        assert result.exit_code == 2
+        assert "must be a codeword index" in result.output
+
     def test_spec_from_file(self, tmp_path):
         spec_file = tmp_path / "code.txt"
         spec_file.write_text("0.4,0.5,0.6\n")
