@@ -8,35 +8,38 @@ support, independently across indices and reads.
 Three variants are covered: full recovery, recovery of at least ``r`` of the
 ``ell`` indices (as when an erasure code tolerates missing indices), and random
 access to one labeled sequence out of ``k``.
+
+All three read one kernel, the covered-count chain of a single index
+(:func:`_chain`); a question whose predicted work exceeds ``MAX_CHAIN_WORK``
+is refused with ``UnsupportedRangeError`` before any work.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate, islice
 from math import comb
 from typing import Iterable, Iterator, Optional
 
 from .model import UnsupportedRangeError, _compositions
 
-#: expected_coverage_partial refuses when C(ell, r) exceeds this.  The sum
-#: itself has only ell closed-form weights, so the cap no longer bounds its
-#: work; it keeps the accepted domain where it has always been, with the Monte
-#: Carlo simulator as the supported path beyond it.
-MAX_PARTIAL_SETS = 5000
-
-#: Additional cap on ell for expected_coverage_partial: beyond this the
-#: alternating sum loses float accuracy even when C(ell, r) is small.
-MAX_PARTIAL_LENGTH = 40
+#: Cap on a chain question's predicted work: reads, from the union bound u_m <=
+#: omega ((omega-1)/omega)^m, times states and binomial terms per read.  The cap
+#: takes up to about 1 s (2-CPU x86-64, Python 3.11); beyond it, use the simulator.
+MAX_CHAIN_WORK = 10_000_000
 
 #: expected_coverage_exact refuses when its term count C(ell+omega-1, omega-1)
 #: exceeds this.  The result grows with the term count (599k bits at 4,186
 #: terms, 6.5M bits at 19,900), and the gcds of the balanced sum grow with it:
 #: on a 2-CPU x86-64 machine with Python 3.11, (90, 3) takes 0.4 s, (150, 3)
-#: 9 s, and (198, 3), just under the cap, 46 s.  The float series is the
+#: 9 s, and (198, 3), just under the cap, 46 s.  expected_coverage is the
 #: supported path beyond the cap.
 MAX_EXACT_TERMS = 20_000
+
+#: log of the smallest normal float; the chain drops states below it.
+_LOG_NORMAL_MIN = math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -81,76 +84,102 @@ class BoundPair:
 def miss_probability(support_size: int, draws: int) -> float:
     """Probability that ``draws`` uniform picks from a ``support_size``-set miss some element.
 
-    Inclusion-exclusion over the set of missed elements:
-
-        sum_{i=1..w} C(w, i) (-1)^(i+1) ((w-i)/w)^m
-
-    with the convention 0^0 = 1, so zero draws miss with probability 1.
+    The chain's ``u_m`` after ``m`` reads, at O(w) per read.  Fewer than ``w``
+    draws always miss; once the union bound is below the normal floats, 0.0.
     """
     w, m = support_size, draws
     if w < 1:
         raise ValueError(f"support size must be >= 1, got {w}")
     if m < 0:
         raise ValueError(f"draw count must be >= 0, got {m}")
-    coefs, bases = _series_row(w)
-    total = 0.0
-    for coef, base in zip(coefs, bases):
-        total += coef * base**m
-    # Alternating cancellation can leave tiny out-of-range noise.
-    return min(1.0, max(0.0, total))
+    if m < w:
+        return 1.0
+    if w == 1 or m > _reads_until(w, _LOG_NORMAL_MIN):
+        return 0.0
+    _check_work(m, w)
+    return next(islice(_chain(w), m, None))[0]
 
 
-@lru_cache(maxsize=64, typed=True)
-def _series_row(w: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The coefficients C(w, i) (-1)^(i+1) and bases (w-i)/w of miss_probability, i = 1..w.
+def _chain(w: int) -> Iterator[tuple[float, float, list[float]]]:
+    """Covered-count chain of one index with support ``w`` >= 2 (Flajolet, Gardy and
+    Thimonier, 1992): a read moves c covered symbols to c+1 with probability (w-c)/w.
 
-    Converting each coefficient to float here rounds it exactly as the product
-    ``int * float`` does, so the series keeps its bits; a coefficient too large
-    for a float raises the same OverflowError.
+    Yields ``(u_m, f_m, states)`` for m = 0, 1, ...: ``states`` holds the top counts c < w,
+    ``u_m`` (uncovered) is their sum and ``f_m`` the full state, all sums of positive
+    products.  Bottom states below the smallest normal float leave the list (w * 2.3e-308
+    of mass at most): subnormals are ten times as slow, and times c/w > 1/2 never reach 0.
     """
-    coefs = tuple(float(comb(w, i) * (-1) ** (i + 1)) for i in range(1, w + 1))
-    bases = tuple((w - i) / w for i in range(1, w + 1))
-    return coefs, bases
+    stay = [c / w for c in range(w)]
+    enter = [0.0] + [(w - c) / w for c in range(w - 1)]  # enter[c]: from c-1 into c
+    states, full = [1.0] + [0.0] * (w - 1), 0.0
+    while True:
+        yield sum(states), full, states
+        full += states[-1] / w
+        n = len(states)
+        states = [p * s + q * t for p, s, q, t in zip(states, stay[-n:], [0.0] + states, enter[-n:])]
+        while len(states) > 1 and states[0] < sys.float_info.min:
+            del states[0]
+
+
+def _remaining(states: list[float], w: int) -> float:
+    """``R_m = sum_{j>=m} u_j`` exactly, from the states at m: count c is ``w H_{w-c}`` reads from full."""
+    harmonic = list(accumulate((1 / i for i in range(1, len(states) + 1)), initial=0.0))
+    return w * math.fsum(p * h for p, h in zip(states, reversed(harmonic)))
+
+
+def _reads_until(w: int, log_bound: float) -> int:
+    """Reads until the union bound ``w ((w-1)/w)^m`` on u_m is ``exp(log_bound)``; refused below normal floats."""
+    if log_bound < _LOG_NORMAL_MIN:
+        raise UnsupportedRangeError("the stop rule needs probabilities below the normal floats; raise tol or lower ell")
+    return max(0, math.ceil((math.log(w) - log_bound) / -math.log1p(-1 / w)))
+
+
+def _check_work(reads: int, per_read: int) -> None:
+    if (work := (reads + 1) * per_read) > MAX_CHAIN_WORK:
+        raise UnsupportedRangeError(f"{work:.3g} chain steps exceed the cap {MAX_CHAIN_WORK}; use the simulator")
+
+
+def _truncation_target(tol: float, omega: int) -> float:
+    """Truncation error a chain sum settles to: ``tol``, but at most ``omega * 2^-53``,
+    below the float resolution of every answer (each is at least omega reads)."""
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    return min(tol, omega * 2.0**-53)
 
 
 def expected_coverage(ell: int, omega: int, tol: float = 1e-12) -> float:
     """Expected reads to recover a length-``ell`` sequence of ``omega``-subset symbols.
 
-    Evaluates the tail-sum series ``sum_{m>=0} 1 - (1 - gamma_m)^ell`` where
-    ``gamma_m = miss_probability(omega, m)``.  Truncation is rigorous: the union
-    bound gamma_m <= omega ((omega-1)/omega)^m makes the tail beyond m at most
-    ``ell * omega^2 * ((omega-1)/omega)^m``, and summation stops only once that
-    bound drops below ``tol`` and m has passed the point m* where per-term
-    geometric decay is guaranteed.  The returned value is within ``tol`` of the
-    true series.
+    Sums ``1 - (1 - u_m)^ell`` over the chain, as ``-expm1(ell * log1p(-u_m))``
+    or via ``log f_m`` while ``u_m >= 1/2``.  The terms from m on sum to
+    ``ell * R_m`` within ``C(ell, 2) * u_m * R_m`` (Bonferroni); summation stops
+    once that is within ``min(tol, omega 2^-53)`` and adds ``ell * R_m``.  ``ell = 1`` is
+    ``omega * H_omega``, one O(omega) pass; otherwise each read costs O(omega),
+    over about ``omega * (log omega + log(ell^2 omega / tol) / 2)`` reads.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if omega < 1:
         raise ValueError(f"omega must be >= 1, got {omega}")
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-    if omega == 1:
-        # A single read covers a singleton support at every index.
-        return 1.0
-    ratio = (omega - 1) / omega
-    # Smallest m with ell * omega * ratio^m <= 1; terms decay geometrically after it.
-    m_star = max(0, math.ceil(math.log(omega * ell) / math.log(omega / (omega - 1))))
-    total = 0.0
-    m = 0
-    while True:
-        g = miss_probability(omega, m)
-        if g >= 1.0:
-            term = 1.0
-        else:
-            term = -math.expm1(ell * math.log1p(-g))
-        total += term
-        m += 1
-        if m > m_star and ell * omega * omega * ratio**m < tol:
-            return total
+    log_target = math.log(_truncation_target(tol, omega))
+    if ell == 1 or omega == 1:  # one index, or one read covers a singleton support at every index
+        _check_work(0, omega)
+        return omega * math.fsum(1 / i for i in range(1, omega + 1))
+    log_pairs = math.log(ell) + math.log(ell - 1) - math.log(2)
+    # stop rule under u_m <= U_m and R_m <= omega H_omega u_m <= omega (1 + log omega) U_m
+    log_scale = log_pairs + math.log(omega * (1 + math.log(omega)))
+    _check_work(_reads_until(omega, (log_target - log_scale) / 2), omega)
+    terms = []
+    for uncovered, full, states in _chain(omega):
+        # R_m >= omega * u_m, so the stop rule cannot hold before this does.
+        if log_pairs + 2 * math.log(uncovered) + math.log(omega) <= log_target:
+            rest = _remaining(states, omega)
+            if log_pairs + math.log(uncovered) + math.log(rest) <= log_target:
+                return math.fsum(terms) + ell * rest
+        log_cover = math.log1p(-uncovered) if uncovered < 0.5 else math.log(full) if full else -math.inf
+        terms.append(-math.expm1(ell * log_cover))
 
 
-@lru_cache(maxsize=64)
 def expected_coverage_exact(ell: int, omega: int) -> Fraction:
     """Exact rational value of the coverage-depth series.
 
@@ -158,7 +187,7 @@ def expected_coverage_exact(ell: int, omega: int) -> Fraction:
     terms ((omega-i)/omega)^m, so (1 - gamma_m)^ell expands multinomially into
     finitely many geometric sequences whose tail sums are rational.  The
     expansion has C(ell+omega-1, omega-1) terms; requests beyond
-    ``MAX_EXACT_TERMS`` are refused (use the float series instead).
+    ``MAX_EXACT_TERMS`` are refused (use expected_coverage instead).
 
     The terms are summed as unreduced integer pairs in a balanced tree, and the
     result is reduced once at the root.
@@ -291,74 +320,44 @@ def covering_family_count(m: int, r: int, j: int) -> int:
     return sum((-1) ** i * comb(m, i) * comb(comb(m - i, r), j) for i in range(m + 1))
 
 
-def _order_statistic_weight(m: int, r: int) -> int:
-    """Signed covering-family sum of m indices for threshold r: (-1)^(m-r) C(m-1, r-1), 0 below r."""
-    return (-1) ** (m - r) * comb(m - 1, r - 1) if m >= r else 0
-
-
 def expected_coverage_partial(ell: int, omega: int, r: int, tol: float = 1e-12) -> float:
     """Expected reads until at least ``r`` of the ``ell`` indices are recovered.
 
-    The r-th smallest of the ``ell`` index recovery times is a signed sum of
-    maxima over index sets (the max-min inclusion-exclusion identity for order
-    statistics), and the maximum over m indices has mean E(m, omega):
-
-        sum_{m=r..ell} (-1)^(m-r) C(m-1, r-1) C(ell, m) E(m, omega)
-
-    The weight (-1)^(m-r) C(m-1, r-1) is the closed form of the signed
-    covering-family sum sum_{j>=1} (-1)^(j+1) covering_family_count(m, r, j)
-    of inclusion-exclusion over j-element families of r-index targets: the
-    j-sum collapses to sum_{i=0..m-r} (-1)^i C(m, i).  The integer weights
-    alternate and grow like C(ell, m), so whenever the rational expansion of
-    E(m, omega) is feasible the whole sum is evaluated exactly, which sidesteps
-    the float cancellation.  When the expansion is infeasible (large omega) a
-    float fallback is used, but only if its worst-case cancellation stays below
-    max(tol, 1e-9); pass a looser ``tol`` to accept the correspondingly looser
-    guarantee.
-
-    Refused when C(ell, r) > ``MAX_PARTIAL_SETS``, when ell >
-    ``MAX_PARTIAL_LENGTH``, or when no path can meet the tolerance; the Monte
-    Carlo simulator is the supported path there.
+    Sums over the chain the probability ``P[Bin(ell, f_m) <= r-1]`` that fewer
+    than r indices are covered, as positive binomial terms in log space.  Then
+    some k = ell - r + 1 indices are uncovered, so by a union bound over
+    k-sets the terms from m on sum to at most ``C(ell, k) u_m^(k-1) R_m``; summation
+    stops once that is within ``min(tol, omega 2^-53)``.  Each read costs O(omega + r).
+    ``r = ell`` is full recovery, answered by :func:`expected_coverage`.
     """
     if ell < 1 or omega < 1:
         raise ValueError("need ell >= 1 and omega >= 1")
     if not 1 <= r <= ell:
         raise ValueError(f"r must satisfy 1 <= r <= ell, got r={r}, ell={ell}")
-    n_families = comb(ell, r)
-    if n_families > MAX_PARTIAL_SETS:
-        raise UnsupportedRangeError(
-            f"C(ell={ell}, r={r}) = {n_families} exceeds the cap {MAX_PARTIAL_SETS}; "
-            "estimate with the simulator instead"
-        )
-    if ell > MAX_PARTIAL_LENGTH:
-        raise UnsupportedRangeError(
-            f"ell = {ell} exceeds the cap {MAX_PARTIAL_LENGTH} for the exact partial-recovery sum; "
-            "estimate with the simulator instead"
-        )
-    weights = [comb(ell, m) * _order_statistic_weight(m, r) for m in range(1, ell + 1)]
-
-    if omega == 1 or comb(ell + omega - 1, omega - 1) <= MAX_EXACT_TERMS:
-        total = Fraction(0)
-        for m, weight in enumerate(weights, start=1):
-            if weight:
-                total += weight * expected_coverage_exact(m, omega)
-        return float(total)
-    # Rational expansion infeasible (large omega): fall back to the float
-    # series, refusing when the alternating weights would amplify float
-    # rounding beyond the requested tolerance.
-    scale = sum(abs(w) for w in weights) or 1
-    rounding = scale * coverage_bounds(ell, omega).upper * 1e-15
-    if rounding > max(tol, 1e-9):
-        raise UnsupportedRangeError(
-            f"float evaluation would carry ~{rounding:.1e} cancellation error at "
-            f"ell={ell}, omega={omega}; estimate with the simulator instead"
-        )
-    term_tol = min(tol, 1e-12) / scale
-    return math.fsum(
-        weight * expected_coverage(m, omega, term_tol)
-        for m, weight in enumerate(weights, start=1)
-        if weight
-    )
+    log_target = math.log(_truncation_target(tol, omega))
+    if r == ell or omega == 1:  # full recovery, or one read covers every index
+        return expected_coverage(ell, omega, tol)
+    if ell > sys.float_info.max:
+        raise UnsupportedRangeError("ell beyond the float range (1.8e308) is not supported")
+    k = ell - r + 1
+    # log C(ell, k) = log C(ell, r-1): by lgamma to predict the work, then as a sum of logs
+    log_sets = math.lgamma(ell + 1) - math.lgamma(k + 1) - math.lgamma(r)
+    log_scale = log_sets + math.log(omega * (1 + math.log(omega)))  # as in expected_coverage
+    _check_work(_reads_until(omega, (log_target - log_scale) / k), omega + r)
+    log_choose = list(accumulate((math.log((ell - j) / (j + 1)) for j in range(r - 1)), initial=0.0))
+    log_sets = log_choose[-1]
+    terms = []
+    for uncovered, full, states in _chain(omega):
+        if full == 0.0:  # under omega reads, or a chance below the float range
+            terms.append(1.0)
+            continue
+        log_u = math.log1p(-full) if full < 0.5 else math.log(uncovered)
+        log_f = math.log1p(-uncovered) if uncovered < 0.5 else math.log(full)
+        # R_m >= omega * u_m, so the stop rule cannot hold before this does.
+        if log_sets + k * log_u + math.log(omega) <= log_target:
+            if log_sets + (k - 1) * log_u + math.log(_remaining(states, omega)) <= log_target:
+                return math.fsum(terms)
+        terms.append(math.fsum(math.exp(c + j * log_f + (ell - j) * log_u) for j, c in enumerate(log_choose)))
 
 
 def random_access_expectation(ell: int, omega: int, k: int) -> float:

@@ -1,23 +1,33 @@
 """Shared independent oracles and generators for the test suite.
 
 The oracles here deliberately avoid the library's own derivations: coverage
-expectations come from a covered-count Markov chain, covering-family counts
-from brute-force subset enumeration, and random codes are built as exact
-rational grid points so comparisons need no tolerances.  Where the library
+expectations come from exact surjection counts, from the rational expansion
+of the series or from a float covered-count Markov chain, covering-family
+counts from brute-force subset enumeration, and random codes are built as
+exact rational grid points so comparisons need no tolerances.  Where the library
 evaluates a formula by a faster route, the formula as written lives here as the
 reference it must match exactly.
 """
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
 import numpy as np
 import pytest
 
-from cdna import CompositeCode, CompositeSymbol, enumerate_observed, mld_decoder, prob_observed
+from cdna import (
+    CompositeCode,
+    CompositeSymbol,
+    enumerate_observed,
+    expected_coverage_exact,
+    mld_decoder,
+    prob_observed,
+)
 from cdna.codes import DEFAULT_MAX_ENUM, CodeEvaluation
 from cdna.simulate import _FIRST_BLOCK, _MAX_BLOCK, TrialTruncatedError
 
@@ -100,12 +110,56 @@ def reference_expected_coverage_exact(ell: int, omega: int) -> Fraction:
     return total
 
 
-def literal_miss_probability(w: int, m: int) -> float:
-    """The inclusion-exclusion series of miss_probability, evaluated term by term as written."""
-    total = 0.0
-    for i in range(1, w + 1):
-        total += comb(w, i) * (-1) ** (i + 1) * ((w - i) / w) ** m
-    return min(1.0, max(0.0, total))
+#: exact_expected_coverage truncates the series for lengths up to this.
+MAX_EXACT_ELL = 2**21
+
+
+@lru_cache(maxsize=None)
+def surjection_cover_probabilities(omega: int) -> tuple[Decimal, ...]:
+    """``1 - u_m = omega! S(m, omega) / omega^m`` for m = 0, 1, ..., to 60 decimal places.
+
+    ``omega! S(m, omega)`` counts the surjections of m reads onto the omega
+    symbols, in exact integers from surj_m(k) = k (surj_{m-1}(k) + surj_{m-1}(k-1)).
+    The list runs until the union bound u_m <= omega ((omega-1)/omega)^m puts
+    the series tail ``MAX_EXACT_ELL * omega^2 ((omega-1)/omega)^m`` below 1e-20.
+    """
+    reads = math.ceil(math.log(MAX_EXACT_ELL * omega**2 * 1e20) / -math.log1p(-1 / omega))
+    surj = [1] + [0] * omega
+    power = 1  # omega^m
+    covers = []
+    with localcontext() as ctx:
+        ctx.prec = 70
+        for _ in range(reads):
+            covers.append(Decimal(surj[omega] * 10**60 // power).scaleb(-60))
+            surj = [0] + [k * (surj[k] + surj[k - 1]) for k in range(1, omega + 1)]
+            power *= omega
+    return tuple(covers)
+
+
+def exact_expected_coverage(ell: int, omega: int) -> Decimal:
+    """``sum_m 1 - (1 - u_m)^ell`` from exact cover probabilities, each term in 50-digit decimal."""
+    assert omega >= 2 and ell <= MAX_EXACT_ELL
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return sum((1 - c**ell for c in surjection_cover_probabilities(omega)), Decimal(0))
+
+
+def partial_weight(m: int, r: int) -> int:
+    """Weight of the maximum over m indices in the r-th smallest recovery time: (-1)^(m-r) C(m-1, r-1)."""
+    return (-1) ** (m - r) * comb(m - 1, r - 1) if m >= r else 0
+
+
+def exact_expected_coverage_partial(ell: int, omega: int, r: int) -> Fraction:
+    """The r-th smallest of ell iid index recovery times as a signed sum of maxima, exactly.
+
+    The max-min inclusion-exclusion identity for order statistics gives
+    ``sum_{m=r..ell} (-1)^(m-r) C(m-1, r-1) C(ell, m) E(m, omega)``; each
+    E(m, omega) is the rational expansion of the series.  No caps.
+    """
+    return sum(
+        (partial_weight(m, r) * comb(ell, m) * expected_coverage_exact(m, omega) for m in range(r, ell + 1)),
+        Fraction(0),
+    )
 
 
 def reference_evaluate_code(code, n, decoder=None, max_enum=DEFAULT_MAX_ENUM):

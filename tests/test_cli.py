@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -52,6 +53,21 @@ class TestCoverageCommand:
     def test_bounds_with_omega_one_is_usage_error(self):
         assert run_cli("coverage", "--ell", "1", "--omega", "1", "--bounds").exit_code == 2
 
+    def test_large_support_single_index(self):
+        # one index is the coupon collector: omega * H_omega
+        result = run_cli("coverage", "--ell", "1", "--omega", "2000")
+        assert result.exit_code == 0
+        assert float(parse_csv(result.output)[0]["expected"]) == pytest.approx(coupon_collector(2000), rel=1e-11)
+
+    def test_large_support_beyond_the_work_cap(self):
+        result = run_cli("coverage", "--ell", "2", "--omega", "2000")
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error:") and "simulator" in result.stderr
+
+
+def coupon_collector(omega):
+    return float(omega * sum(Fraction(1, i) for i in range(1, omega + 1)))
+
 
 class TestPartialCommand:
     def test_values(self):
@@ -67,8 +83,16 @@ class TestPartialCommand:
         assert run_cli("partial", "--ell", "3", "--omega", "2", "--r", "4").exit_code == 2
 
     def test_cap_exit_code(self):
-        result = run_cli("partial", "--ell", "20", "--omega", "2", "--r", "10")
+        # the chain's work cap: omega = 2000 needs about 10^8 state updates
+        result = run_cli("partial", "--ell", "3", "--omega", "2000", "--r", "2")
         assert result.exit_code == 3
+        assert result.stderr.startswith("error:") and "simulator" in result.stderr
+
+    def test_many_threshold_sets_answer(self):
+        # C(20, 10) = 184756 threshold sets; the chain sums binomial terms instead
+        result = run_cli("partial", "--ell", "20", "--omega", "2", "--r", "10")
+        assert result.exit_code == 0
+        assert float(parse_csv(result.output)[0]["expected"]) == pytest.approx(2.41585018952, rel=1e-11)
 
 
 class TestRaCommand:
@@ -84,6 +108,11 @@ class TestRaCommand:
         assert float(
             parse_csv(run_cli("ra", "--ell", "2", "--omega", "2", "--k", "1").output)[0]["expected"]
         ) == pytest.approx(11 / 3, abs=1e-9)
+
+    def test_large_support_single_index(self):
+        result = run_cli("ra", "--ell", "1", "--omega", "2000", "--k", "1")
+        assert result.exit_code == 0
+        assert float(parse_csv(result.output)[0]["expected"]) == pytest.approx(coupon_collector(2000), rel=1e-11)
 
 
 class TestSimCommand:

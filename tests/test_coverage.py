@@ -1,4 +1,6 @@
 import math
+import time
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -18,14 +20,20 @@ from cdna import (
     miss_probability,
     random_access_expectation,
 )
-from cdna.coverage import _order_statistic_weight, _series_row
 from conftest import (
     brute_covering_count,
     brute_miss_probability,
     dp_expected_coverage,
-    literal_miss_probability,
+    exact_expected_coverage,
+    exact_expected_coverage_partial,
+    partial_weight,
     reference_expected_coverage_exact,
+    surjection_cover_probabilities,
 )
+
+
+def rel_err(got: float, want) -> float:
+    return abs(Fraction(got) - Fraction(want)) / abs(Fraction(want))
 
 
 class TestMissProbability:
@@ -56,16 +64,27 @@ class TestMissProbability:
             for m in range(0, 200, 17):
                 assert 0.0 <= miss_probability(w, m) <= 1.0
 
-    def test_bit_identical_to_literal_series(self):
-        for w in range(1, 41):
-            for m in range(0, 201):
-                got, want = miss_probability(w, m), literal_miss_probability(w, m)
-                assert got.hex() == want.hex(), (w, m)
+    def test_matches_surjection_count(self):
+        # relative accuracy holds however small u_m gets: nothing is subtracted
+        for w in (2, 3, 5, 8, 17, 40):
+            covers = surjection_cover_probabilities(w)
+            for m in range(0, min(400, len(covers)), 7):
+                want = 1 - covers[m]
+                got = miss_probability(w, m)
+                assert abs(Decimal(got) - want) <= Decimal(1e-13) * want, (w, m)
 
-    def test_coefficient_overflow_still_raises(self):
-        # comb(1100, i) is too large for a float, as in the literal series
-        with pytest.raises(OverflowError):
-            miss_probability(1100, 0)
+    def test_past_underflow_is_zero(self):
+        assert miss_probability(2, 1100) == 0.0
+        assert miss_probability(40, 10**12) == 0.0
+        assert 0.0 < miss_probability(2, 1000) < 1e-300
+
+    def test_work_cap(self, monkeypatch):
+        import cdna.coverage as cov
+
+        monkeypatch.setattr(cov, "MAX_CHAIN_WORK", 1000)
+        assert miss_probability(10, 99) > 0.0  # 100 reads of 10 states
+        with pytest.raises(UnsupportedRangeError, match="simulator"):
+            miss_probability(10, 100)
 
 
 class TestExpectedCoverage:
@@ -109,16 +128,64 @@ class TestExpectedCoverage:
         for omega, top in max_ell.items():
             for ell in range(1, top + 1):
                 term_counts.add(comb(ell + omega - 1, omega - 1) - 1)
-                got = expected_coverage_exact.__wrapped__(ell, omega)
+                got = expected_coverage_exact(ell, omega)
                 assert isinstance(got, Fraction)
                 assert got == reference_expected_coverage_exact(ell, omega), (ell, omega)
         assert any(n & (n - 1) for n in term_counts)
         assert {1, 2, 4, 8, 16, 32} <= term_counts
 
-    def test_caches_are_bounded(self):
-        # one exact value near the term cap holds millions of bits
-        assert 64 <= expected_coverage_exact.cache_info().maxsize < math.inf
-        assert _series_row.cache_info().maxsize < math.inf
+    def test_within_float_resolution_of_exact(self):
+        # the truncation settles below omega * 2^-53, under the answer's resolution
+        for omega, top in ((2, 40), (3, 24), (4, 12)):
+            for ell in range(1, top + 1):
+                assert rel_err(expected_coverage(ell, omega), expected_coverage_exact(ell, omega)) < 1e-15
+
+    def test_vs_surjection_oracle_wide(self):
+        for omega in (40, 48, 64):
+            for ell in (1, 2, 7, 64, 1000, 2**15, 2**20):
+                want = exact_expected_coverage(ell, omega)
+                assert rel_err(expected_coverage(ell, omega), want) < 1e-12, (ell, omega)
+
+    def test_single_index_is_coupon_collector(self):
+        for omega in (1100, 5000):
+            start = time.perf_counter()
+            got = expected_coverage(1, omega)
+            assert time.perf_counter() - start < 0.5
+            assert rel_err(got, omega * sum(Fraction(1, i) for i in range(1, omega + 1))) < 1e-14
+
+    def test_work_cap_refuses_before_any_work(self, monkeypatch):
+        import cdna.coverage as cov
+
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedRangeError, match="simulator"):
+            expected_coverage(2, 10**7)  # 10^7 states per read
+        assert time.perf_counter() - start < 0.1
+        monkeypatch.setattr(cov, "MAX_CHAIN_WORK", 10_000)
+        assert expected_coverage(8, 4) == pytest.approx(float(expected_coverage_exact(8, 4)), rel=1e-15)
+        with pytest.raises(UnsupportedRangeError):
+            expected_coverage(8, 40)
+
+    def test_stop_rule_below_the_normal_floats_is_refused(self):
+        # ell^2 * u_m^2 <= tol would need u_m far below 2.2e-308, where the chain drops states
+        with pytest.raises(UnsupportedRangeError, match="tol"):
+            expected_coverage(10**300, 3, tol=1e-300)
+
+    def test_no_input_overflows(self):
+        # answers or refusals, never an OverflowError, however large the input
+        calls = [(miss_probability, (w, m)) for w in (1100, 2000, 10**6) for m in (0, w - 1, w, 10 * w, 10**9)]
+        calls += [(expected_coverage, (ell, w)) for ell in (1, 2, 10**18, 10**200, 10**400) for w in (1, 2, 1100, 10**5)]
+        partial = ((3, 2000, 2), (10**6, 1100, 10), (10**200, 2, 1), (10**200, 3, 2), (10**400, 2, 1))
+        calls += [(expected_coverage_partial, args) for args in partial]
+        calls += [(random_access_expectation, (ell, 2000, 3)) for ell in (1, 2)]
+        answered = 0
+        for fn, args in calls:
+            try:
+                value = fn(*args)
+            except UnsupportedRangeError:
+                continue
+            assert math.isfinite(value) and value >= 0.0, (fn.__name__, args)
+            answered += 1
+        assert answered >= len(calls) // 2
 
     def test_exact_refuses_oversized_expansion(self):
         with pytest.raises(UnsupportedRangeError, match="expected_coverage"):
@@ -241,7 +308,7 @@ class TestCoveringFamilyCount:
                 family_sum = sum(
                     (-1) ** (j + 1) * covering_family_count(m, r, j) for j in range(1, comb(m, r) + 1)
                 )
-                assert _order_statistic_weight(m, r) == family_sum, (m, r)
+                assert partial_weight(m, r) == family_sum, (m, r)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -301,42 +368,48 @@ class TestPartialRecovery:
                 )
 
     def test_caps(self):
-        with pytest.raises(UnsupportedRangeError):
-            expected_coverage_partial(20, 2, 10)  # C(20,10) = 184756
-        with pytest.raises(UnsupportedRangeError):
-            expected_coverage_partial(50, 2, 1)  # length beyond the exact-sum cap
+        # one work cap, checked before any work: reads times (omega + r) per read
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedRangeError, match="simulator"):
+            expected_coverage_partial(3, 2000, 2)
+        with pytest.raises(UnsupportedRangeError, match="simulator"):
+            expected_coverage_partial(10**12, 2, 10**11)
+        assert time.perf_counter() - start < 0.1
 
-    def test_large_support_fallback(self):
-        # omega=5 at ell=25 exceeds the exact-expansion cap; the float path is
-        # allowed only under a tolerance that covers its cancellation
-        with pytest.raises(UnsupportedRangeError, match="cancellation"):
-            expected_coverage_partial(25, 5, 1)
-        value = expected_coverage_partial(25, 5, 1, tol=1e-5)
-        assert expected_coverage(25, 5) * 0.1 < value < expected_coverage(1, 5)
+    def test_matches_fraction_oracle_grid(self):
+        for omega in (2, 3, 4):
+            for ell in range(1, 9):
+                for r in range(1, ell + 1):
+                    want = exact_expected_coverage_partial(ell, omega, r)
+                    assert rel_err(expected_coverage_partial(ell, omega, r), want) < 1e-13, (ell, omega, r)
 
-    def test_float_fallback_matches_exact_path(self, monkeypatch):
-        # force the series fallback (used when the rational expansion is
-        # infeasible) and check it against the exact path on the same inputs
-        import cdna.coverage as cov
+    def test_former_cap_inputs_answer(self):
+        # refused by the old C(ell, r) and ell caps, answered in milliseconds now
+        for args in ((20, 2, 10), (40, 3, 20), (50, 2, 1)):
+            start = time.perf_counter()
+            got = expected_coverage_partial(*args)
+            assert time.perf_counter() - start < 0.5
+            assert rel_err(got, exact_expected_coverage_partial(*args)) < 1e-12, args
+        value = expected_coverage_partial(1000, 4, 500)
+        assert 4 < value < expected_coverage(500, 4)
 
-        cases = [(4, 3, 2), (5, 2, 3), (6, 4, 1)]
-        exact_values = [expected_coverage_partial(*case) for case in cases]
-        monkeypatch.setattr(cov, "MAX_EXACT_TERMS", 0)
-        cov.expected_coverage_exact.cache_clear()
-        try:
-            for case, exact_value in zip(cases, exact_values):
-                assert cov.expected_coverage_partial(*case) == pytest.approx(
-                    exact_value, abs=1e-9
-                )
-        finally:
-            monkeypatch.undo()
-            cov.expected_coverage_exact.cache_clear()
+    def test_former_fallback_input_answers(self):
+        # omega=5 at ell=25: the minimum of 25 recovery times has
+        # E = sum_m u_m^25 with u_m = 1 - (exact cover probability)
+        want = sum((1 - c) ** 25 for c in surjection_cover_probabilities(5))
+        assert rel_err(expected_coverage_partial(25, 5, 1), want) < 1e-13
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
             expected_coverage_partial(3, 2, 0)
         with pytest.raises(ValueError):
             expected_coverage_partial(3, 2, 4)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan, "1e-12"])
+    def test_rejects_bad_tol(self, tol):
+        for r in (1, 3):  # partial recovery and the full-recovery case
+            with pytest.raises(ValueError, match="tol"):
+                expected_coverage_partial(3, 2, r, tol=tol)
 
 
 class TestRandomAccess:
