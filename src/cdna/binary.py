@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count, takewhile, tee
 from math import comb
 from typing import Union
 
-from .codes import DEFAULT_MAX_ENUM, CompositeCode, _float_success
+from .codes import DEFAULT_MAX_ENUM, CompositeCode, _codes_per_group, _float_success
 from .model import UnsupportedRangeError, observed_grid_size
 
 Number = Union[int, float, Fraction]
@@ -97,12 +96,20 @@ def optimize_binary4_grid(
     """Grid-search oracle for the size-4 optimum: exhaustive argmax of f_min.
 
     Evaluates the minimum success probability of {0, x, 1-x, 1} under
-    maximum-likelihood decoding for every grid point x in (0, 0.5) and returns
-    the first maximizer together with its objective value.  This is the
-    independent check for :func:`construct_binary4`; it makes no use of the
-    closed forms.  The candidate codes go through the float path of
-    :func:`~cdna.codes.evaluate_code`, several at a time, so each objective
-    value equals ``evaluate_code(code, n).f_min`` bit for bit.
+    maximum-likelihood decoding for every grid point x = i * grid_step in
+    (0, 0.5) and returns the first maximizer together with its objective
+    value.  This is the independent check for :func:`construct_binary4`; it
+    makes no use of the closed forms.  The candidates are generated as arrays,
+    one group at a time (as many codes as fill one block of at most
+    ``codes._BLOCK_ELEMENTS`` scores over the grid), and stream through the
+    float kernel of :func:`~cdna.codes.evaluate_code`, which decodes, weighs
+    and sums a whole group at once.  So each objective value equals
+    ``evaluate_code(code, n).f_min`` bit for bit, and memory does not grow
+    with the number of candidates.
+
+    Refuses with ``UnsupportedRangeError``, before any work, a grid of ``n``
+    reads above ``max_enum`` points, and a search whose candidates times grid
+    points, ``ceil(0.5 / grid_step) * (n + 1)``, exceed ``max_enum``.
     """
     if not 0.0 < grid_step <= 1e-3:
         raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
@@ -111,19 +118,43 @@ def optimize_binary4_grid(
     size = observed_grid_size(n, 2)
     if size > max_enum:
         raise UnsupportedRangeError(f"grid of n={n} exceeds the enumeration cap {max_enum}")
-    xs, grid = tee(takewhile(lambda x: x < 0.5, (i * grid_step for i in count(1))))
-    # The symbols of CompositeCode.binary([0.0, x, 1.0 - x, 1.0]) in its sorted
-    # order, the order of the values for 0 < x < 0.5.  Their probabilities are
-    # (v, 1 - v) as given: v + (1 - v) rounds to exactly 1 for every float v
-    # in [0, 1], so CompositeSymbol never renormalizes.
-    candidates = ([(v, 1 - v) for v in (0.0, x, 1.0 - x, 1.0)] for x in grid)
-    best_x = None
+    # ceil(c) * size > max_enum exactly when c > max_enum // size; c may be inf
+    if 0.5 / grid_step > max_enum // size:
+        raise UnsupportedRangeError(
+            f"grid search at step {grid_step} evaluates about {0.5 / grid_step:.3g} codes of "
+            f"{size} points each, beyond the enumeration cap {max_enum}"
+        )
+    # the candidates are i * grid_step for i in 1..stop-1, stop the first i
+    # with i * grid_step >= 0.5 (i * grid_step grows with i)
+    stop = math.ceil(0.5 / grid_step)
+    while stop > 1 and (stop - 1) * grid_step >= 0.5:
+        stop -= 1
+    while stop * grid_step < 0.5:
+        stop += 1
+
+    def candidates():
+        import numpy as np
+
+        # The symbols of CompositeCode.binary([0.0, x, 1.0 - x, 1.0]) in its
+        # sorted order, the order of the values for 0 < x < 0.5.  Their
+        # probabilities are (v, 1 - v) as given: v + (1 - v) rounds to exactly
+        # 1 for every float v in [0, 1], so CompositeSymbol never renormalizes.
+        group = _codes_per_group(4, 2, size)
+        for first in range(1, stop, group):
+            x = np.arange(first, min(first + group, stop), dtype=float) * grid_step
+            v = np.stack([np.zeros_like(x), x, 1.0 - x, np.ones_like(x)], axis=1)
+            yield np.stack([v, 1 - v], axis=2)
+
+    best_i = None
     best_f = None
-    for x, success in zip(xs, _float_success(candidates, n, size)):
-        f_min = min(success)
-        if best_f is None or f_min > best_f:
-            best_x, best_f = x, f_min
-    return best_x, best_f
+    done = 0
+    for success in _float_success(candidates(), n, size):
+        f_min = success.min(axis=1)
+        i = int(f_min.argmax())  # the first maximizer of the group
+        if best_f is None or f_min[i] > best_f:
+            best_i, best_f = done + i + 1, float(f_min[i])
+        done += len(f_min)
+    return best_i * grid_step, best_f
 
 
 def symmetric_reflect(code: CompositeCode) -> CompositeCode:

@@ -12,13 +12,15 @@ end; float codes evaluate in floats with a fixed tie tolerance.
 observation at a time.  :func:`evaluate_code` gives the same numbers, bit for
 bit, from an array evaluator: it decodes whole blocks of the grid in numpy
 (never more than ``_BLOCK_ELEMENTS`` scores per block, unless one row of a
-code's scores is longer) and weighs each point as :func:`prob_observed` does.
-Exact codes are decoded from float scores within a certified margin and
-confirmed in integers; see ``_exact_success``.
+code's scores is longer).  Float codes are also weighed and accumulated block
+by block, with the libm calls :func:`prob_observed` makes; see
+``_float_success``.  Exact codes are decoded from float scores within a
+certified margin and confirmed in integers; see ``_exact_success``.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -331,7 +333,7 @@ def evaluate_code(
 
     Decodes every observed distribution of ``n`` reads once and adds its
     multinomial mass under the decoded symbol to that symbol's success, in
-    grid order.  Decoding runs in numpy over blocks of at most
+    grid order.  The work runs in numpy over blocks of at most
     ``_BLOCK_ELEMENTS`` scores (one row of scores when the code has more
     symbols than that), so memory does not grow with the grid; the grid itself
     is generated one block at a time, and no per-observation object is built.
@@ -346,7 +348,9 @@ def evaluate_code(
       ``TIE_TOLERANCE`` of the best tie and go to the first symbol.  The mass
       is ``coef * p_1**k_1 * ...`` in floats, in log space where the
       multinomial coefficient exceeds ``_COEF_FLOAT_LIMIT``, and exact (then
-      rounded) for the exact symbols of a mixed code.
+      rounded) for the exact symbols of a mixed code.  Decoding, weighing
+      and the grid-order sums run on whole blocks (see ``_float_success``),
+      the kernel :func:`~cdna.binary.optimize_binary4_grid` shares.
     """
     if decoder is None:
         decoder = mld_decoder(code)
@@ -359,16 +363,18 @@ def evaluate_code(
         values = _exact_success(code.symbols, n, size, overrides)
     else:
         exact = frozenset(j for j, s in enumerate(code.symbols) if s.is_exact)
-        [values] = _float_success([[s.probs for s in code.symbols]], n, size, overrides, exact)
+        [success] = _float_success([[[s.probs for s in code.symbols]]], n, size, overrides, exact)
+        values = success[0].tolist()
     success = dict(zip(code.symbols, values))
     f_min = min(success.values())
     f_avg = sum(success.values()) / code.m
     return CodeEvaluation(per_symbol_success=success, f_min=f_min, f_avg=f_avg, n=n)
 
 
-#: The evaluator decodes in numpy blocks of at most this many scores; only a
-#: code with more symbols than this widens a block to one row of scores.
-_BLOCK_ELEMENTS = 1024
+#: The evaluator works in numpy blocks of at most this many scores (codes x
+#: points x symbols); only a code with more symbols than this widens a block to
+#: one row of scores.
+_BLOCK_ELEMENTS = 4096
 
 
 class _GridChunk(NamedTuple):
@@ -380,30 +386,40 @@ class _GridChunk(NamedTuple):
 
     start: int  # grid index of the first point
     counts: list  # count tuples
-    coef: list  # float multinomial coefficients; None where log_coef reaches the float limit
-    log_coef: list  # log multinomial coefficients, as prob_observed computes them
+    k: "np.ndarray"  # (points, q) integer counts
     fractions: "np.ndarray"  # (points, q) counts / n
+    coef: "np.ndarray"  # float multinomial coefficients; 0.0 where log_coef reaches the float limit
+    log_coef: "np.ndarray"  # log multinomial coefficients, as prob_observed computes them
+    direct: "np.ndarray"  # the rows weighed with coef
+    log_space: "np.ndarray"  # the rows weighed in log space, from log_coef
 
 
 def _grid_chunk(n: int, start: int, counts: list) -> _GridChunk:
     import numpy as np
 
-    log_coef = [_log_coefficient(k, n) for k in counts]
+    log_coef = [_log_coefficient(point, n) for point in counts]
+    direct = [r for r, lc in enumerate(log_coef) if lc < _LOG_COEF_FLOAT_LIMIT]
+    log_space = [r for r, lc in enumerate(log_coef) if lc >= _LOG_COEF_FLOAT_LIMIT]
+    k = np.array(counts)
     return _GridChunk(
         start=start,
         counts=counts,
-        coef=[
-            float(multinomial_coefficient(k)) if lc < _LOG_COEF_FLOAT_LIMIT else None
-            for k, lc in zip(counts, log_coef)
-        ],
-        log_coef=log_coef,
-        fractions=np.array([[k / n for k in row] for row in counts]),
+        k=k,
+        fractions=k / n,  # k_i and n are exact in floats, so this rounds as k_i / n does
+        coef=np.array(
+            [
+                float(multinomial_coefficient(point)) if lc < _LOG_COEF_FLOAT_LIMIT else 0.0
+                for point, lc in zip(counts, log_coef)
+            ]
+        ),
+        log_coef=np.array(log_coef),
+        direct=np.array(direct, dtype=int),
+        log_space=np.array(log_space, dtype=int),
     )
 
 
-def _grid_chunks(n: int, q: int, size: int) -> Iterator[_GridChunk]:
-    """The ``size`` points of the grid of ``n`` reads over ``q`` letters, one block at a time."""
-    rows = max(1, _BLOCK_ELEMENTS // q)
+def _grid_chunks(n: int, q: int, size: int, rows: int) -> Iterator[_GridChunk]:
+    """The ``size`` points of the grid of ``n`` reads over ``q`` letters, ``rows`` at a time."""
     points = _compositions(n, q)
     for start in range(0, size, rows):
         yield _grid_chunk(n, start, list(islice(points, rows)))
@@ -447,66 +463,145 @@ _LOG_ZERO = -1e200
 _IMPOSSIBLE = -1e6
 
 
-def _float_log(c) -> float:
-    c = float(c)
-    return _LOG_ZERO if c == 0.0 else math.log(c)
-
-
 def _float_success(
-    codes: Iterable[Sequence[Sequence]],
+    blocks: Iterable,
     n: int,
     size: int,
     overrides: Optional[Mapping[int, int]] = None,
     exact: frozenset = frozenset(),
-) -> Iterator[list[float]]:
-    """Float-path success of each of ``codes`` over the ``size`` points of one grid.
+) -> Iterator["np.ndarray"]:
+    """Float-path success of codes over the ``size`` points of one grid.
 
-    ``codes`` yields each code's symbol probabilities in code order; all codes
-    share ``m`` and ``q``.  ``overrides`` (grid index -> symbol index) and
-    ``exact`` (indices of the exact symbols of a mixed code) apply to every
-    code.  When the grid has fewer points than a block has rows, a block
-    decodes several codes at once, and the grid is generated again for each
-    such group of codes.
+    ``blocks`` yields groups of codes, each array-like of shape (codes, m, q):
+    every code's symbol probabilities in code order, with one ``m`` and ``q``
+    for all, and at most ``_codes_per_group(m, q, size)`` codes per group, so
+    that a group's scores over one chunk of the grid fill at most
+    ``_BLOCK_ELEMENTS`` (or one row).  That is several codes when the whole
+    grid fits one chunk, which is then generated once; one code otherwise,
+    for which the grid is generated again, chunk by chunk.  For each group
+    the kernel yields a (codes, m) array of successes.  ``overrides`` (grid
+    index -> symbol index) and ``exact`` (indices of the exact symbols of a
+    mixed code) apply to every code.
 
-    Decoding is vectorized; its log table comes from ``math.log`` (numpy's
-    vectorized ``log`` rounds differently on some inputs), so every score is
-    the per-observation sum to the bit.  Masses are then computed and added
-    point by point, exactly as :func:`prob_observed` and the per-observation
-    loop do.
+    Every number equals, bit for bit, that of decoding each point and adding
+    its :func:`prob_observed` mass to the decoded symbol's success in grid
+    order.  Only IEEE-exact elementwise operations (products, sums,
+    comparisons) run in numpy: numpy's vectorized ``log``, ``exp`` and
+    ``power`` round differently from libm on some builds and inputs, so the
+    log table (one ``math.log`` per distinct probability), the powers
+    ``p_i**k_i`` and the log-space ``math.exp`` come from Python's ``pow``,
+    ``math.log`` and ``math.exp``, mapped over flat arrays.
+
+    * Decode: per-read scores ``sum_i (k_i / n) * log p_i``; the first symbol
+      within ``TIE_TOLERANCE`` of the best wins, a point no symbol can produce
+      goes to symbol 0, and overrides apply last.
+    * Weigh: the decoded symbol's mass ``coef * p_1**k_1 * p_2**k_2 ...``,
+      multiplied left to right (a ``k = 0`` factor is ``p**0 = 1.0``, which
+      leaves the product as the skipped factor does); where the coefficient
+      exceeds ``_COEF_FLOAT_LIMIT``, ``exp(log_coef + sum_i k_i * log p_i)``.
+      The exact symbols of a mixed code are weighed exactly, point by point.
+    * Accumulate: each point's mass is added to its code's and symbol's
+      success in grid order, by a cumulative sum (a sequential scan), never a
+      pairwise or compensated sum.
     """
     import numpy as np
 
-    codes = iter(codes)
-    group = [next(codes)]
-    m, q = len(group[0]), len(group[0][0])
-    rows_per_block = max(1, _BLOCK_ELEMENTS // m)
-    step = max(1, _BLOCK_ELEMENTS // (min(size, rows_per_block) * m))
-    group += islice(codes, step - 1)
-    while group:
-        logs = np.array([_float_log(c) for code in group for p in code for c in p]).reshape(len(group), m, q)
-        success = [[0.0] * m for _ in group]
-        for chunk in _grid_chunks(n, q, size):
-            for a in range(0, len(chunk.counts), rows_per_block):
-                fractions = chunk.fractions[a : a + rows_per_block]
-                scores = np.zeros((len(group), len(fractions), m))
-                for i in range(q):
-                    scores += fractions[None, :, i, None] * logs[:, None, :, i]
-                best = scores.max(axis=2, keepdims=True)
-                tied = (scores >= best - TIE_TOLERANCE).tolist()
-                tops = best[:, :, 0].tolist()
-                for probs, totals, code_tied, code_tops in zip(group, success, tied, tops):
-                    for r, row, top in zip(range(a, a + len(fractions)), code_tied, code_tops):
-                        # no symbol can produce the observation: all tie at -inf
-                        j = 0 if top < _IMPOSSIBLE else row.index(True)
-                        if overrides:
-                            j = overrides.get(chunk.start + r, j)
-                        counts = chunk.counts[r]
-                        if j in exact:
-                            totals[j] += float(_exact_mass(probs[j], counts))
-                        else:
-                            totals[j] += _float_mass(probs[j], counts, chunk.coef[r], chunk.log_coef[r])
-        yield from success
-        group = list(islice(codes, step))
+    if overrides:
+        override_rows = sorted(overrides)
+        override_symbols = np.array([overrides[r] for r in override_rows])
+    chunks = None
+    for block in blocks:
+        codes = np.array(block, dtype=float)
+        _, m, q = codes.shape
+        rows = _grid_rows(m, q)
+        if chunks is None and size <= rows:
+            chunks = list(_grid_chunks(n, q, size, rows))
+        logs = _log_table(np, codes)
+        success = np.zeros((len(codes), m))
+        for chunk in chunks or _grid_chunks(n, q, size, rows):
+            decoded = _decode(np, logs, chunk.fractions)
+            if overrides:
+                lo = bisect_left(override_rows, chunk.start)
+                hi = bisect_left(override_rows, chunk.start + len(chunk.counts))
+                decoded[:, np.array(override_rows[lo:hi], dtype=int) - chunk.start] = override_symbols[lo:hi]
+            mass = _float_masses(np, codes, logs, decoded, chunk)
+            if exact:
+                weighed_exactly = np.zeros(decoded.shape, dtype=bool)
+                for j in exact:
+                    weighed_exactly |= decoded == j
+                for g, r in zip(*weighed_exactly.nonzero()):
+                    mass[g, r] = float(_exact_mass(block[g][decoded[g, r]], chunk.counts[r]))
+            # per symbol, the masses decoded to it (0.0 elsewhere, which adds
+            # nothing), summed in grid order after the running total
+            weights = np.zeros(decoded.shape + (m,))
+            weights[np.arange(len(codes))[:, None], np.arange(len(chunk.counts)), decoded] = mass
+            weights[:, 0] += success
+            success = weights.cumsum(axis=1)[:, -1]
+        yield success
+
+
+def _grid_rows(m: int, q: int) -> int:
+    """Grid points per chunk: a chunk's scores and counts fit ``_BLOCK_ELEMENTS`` (or one row)."""
+    return max(1, _BLOCK_ELEMENTS // max(m, q))
+
+
+def _codes_per_group(m: int, q: int, size: int) -> int:
+    """Codes that :func:`_float_success` decodes at once over a grid of ``size`` points."""
+    return max(1, _BLOCK_ELEMENTS // (min(size, _grid_rows(m, q)) * m))
+
+
+def _log_table(np, probs: "np.ndarray") -> "np.ndarray":
+    """``math.log`` of each probability, one call per distinct value; ``_LOG_ZERO`` for 0."""
+    values, inverse = np.unique(probs, return_inverse=True)
+    table = np.full(len(values), _LOG_ZERO)
+    positive = values[values > 0.0]
+    table[len(values) - len(positive) :] = _mapped(np, math.log, positive)
+    return table[inverse].reshape(probs.shape)
+
+
+def _mapped(np, function, *arrays: "np.ndarray") -> "np.ndarray":
+    """``function`` (a Python builtin) applied elementwise, without a list of Python numbers."""
+    flat = [memoryview(np.ascontiguousarray(a).ravel()) for a in arrays]
+    return np.fromiter(map(function, *flat), dtype=float, count=len(flat[0])).reshape(arrays[0].shape)
+
+
+def _decode(np, logs: "np.ndarray", fractions: "np.ndarray") -> "np.ndarray":
+    """(codes, points) index of the symbol each code decodes each point to."""
+    scores = np.zeros((len(logs), len(fractions), logs.shape[1]))
+    for i in range(fractions.shape[1]):
+        scores += fractions[None, :, i, None] * logs[:, None, :, i]
+    best = scores.max(axis=2)
+    decoded = (scores >= (best - TIE_TOLERANCE)[:, :, None]).argmax(axis=2)
+    # no symbol can produce the observation: all tie at -inf, the first wins
+    decoded[best < _IMPOSSIBLE] = 0
+    return decoded
+
+
+def _float_masses(
+    np, probs: "np.ndarray", logs: "np.ndarray", decoded: "np.ndarray", chunk: _GridChunk
+) -> "np.ndarray":
+    """(codes, points) float mass of each point under the symbol it decodes to."""
+    mass = np.empty(decoded.shape)
+    code = np.arange(len(decoded))[:, None]
+    direct, log_space = chunk.direct, chunk.log_space
+    if len(direct):
+        p = probs[code, decoded[:, direct]]
+        k = chunk.k[direct][None].repeat(len(p), axis=0)
+        # float(c) ** k, libm's pow; a k = 0 factor is 1.0 and leaves the product as it is
+        powers = _mapped(np, pow, p, k)
+        product = chunk.coef[direct]
+        for i in range(p.shape[2]):
+            product = product * powers[:, :, i]
+        mass[:, direct] = product
+    if len(log_space):
+        log_p = chunk.log_coef[log_space]
+        log_c = logs[code, decoded[:, log_space]]
+        k = chunk.k[log_space]
+        for i in range(log_c.shape[2]):
+            # a zero probability adds k * _LOG_ZERO and so gives exp(...) = 0.0
+            log_p = log_p + k[:, i] * log_c[:, :, i]
+        mass[:, log_space] = _mapped(np, math.exp, log_p)
+    return mass
 
 
 #: The exact path keeps as candidates the symbols whose float score is within
@@ -545,27 +640,24 @@ def _exact_success(
     logs = np.array(logs).reshape(m, q)
     slack = (q + 8) * _MARGIN_UNIT / n
     success = [Fraction(0)] * m
-    rows_per_block = max(1, _BLOCK_ELEMENTS // m)
-    for chunk in _grid_chunks(n, q, size):
-        for a in range(0, len(chunk.counts), rows_per_block):
-            fractions = chunk.fractions[a : a + rows_per_block]
-            points = chunk.counts[a : a + rows_per_block]
-            scores = np.zeros((len(points), m))
-            for i in range(q):
-                scores += fractions[:, i, None] * logs[None, :, i]
-            best = scores.max(axis=1).tolist()
-            floor = [top - slack * sum(k * v for k, v in zip(point, scale)) for top, point in zip(best, points)]
-            candidates = (scores >= np.array(floor)[:, None]).tolist()
-            for r, point, row, top in zip(range(a, a + len(points)), points, candidates, best):
-                if top < _IMPOSSIBLE:
-                    j = 0  # every likelihood is 0; the first symbol wins the tie
-                elif row.count(True) > 1:
-                    j = _first_max_likelihood(symbols, lcm, point, [c for c in range(m) if row[c]])
-                else:
-                    j = row.index(True)
-                if overrides:
-                    j = overrides.get(chunk.start + r, j)
-                success[j] += _exact_mass(symbols[j].probs, point)
+    for chunk in _grid_chunks(n, q, size, _grid_rows(m, q)):
+        points = chunk.counts
+        scores = np.zeros((len(points), m))
+        for i in range(q):
+            scores += chunk.fractions[:, i, None] * logs[None, :, i]
+        best = scores.max(axis=1).tolist()
+        floor = [top - slack * sum(k * v for k, v in zip(point, scale)) for top, point in zip(best, points)]
+        candidates = (scores >= np.array(floor)[:, None]).tolist()
+        for r, point, row, top in zip(range(chunk.start, chunk.start + len(points)), points, candidates, best):
+            if top < _IMPOSSIBLE:
+                j = 0  # every likelihood is 0; the first symbol wins the tie
+            elif row.count(True) > 1:
+                j = _first_max_likelihood(symbols, lcm, point, [c for c in range(m) if row[c]])
+            else:
+                j = row.index(True)
+            if overrides:
+                j = overrides.get(r, j)
+            success[j] += _exact_mass(symbols[j].probs, point)
     return success
 
 

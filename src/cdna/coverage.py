@@ -364,8 +364,18 @@ def random_access_expectation(ell: int, omega: int, k: int) -> float:
     """Expected reads to recover one target sequence among k uniformly sampled ones.
 
     Uniform sampling with labels multiplies the single-sequence expectation by
-    exactly k: ``k * expected_coverage(ell, omega)``.
+    exactly k: ``k * expected_coverage(ell, omega)``.  A ``k`` for which that
+    product is not a finite float is refused with ``UnsupportedRangeError``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return k * expected_coverage(ell, omega)
+    single = expected_coverage(ell, omega)
+    try:
+        value = k * single
+    except OverflowError:  # an int k beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise UnsupportedRangeError(
+            f"k * E(ell={ell}, omega={omega}) = k * {single!r} exceeds the largest float {sys.float_info.max!r}"
+        )
+    return value

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,8 @@ from cdna import (
     prob_observed,
     symmetric_reflect,
 )
-from cdna.model import CompositeSymbol
+from cdna import binary, codes
+from cdna.model import CompositeSymbol, UnsupportedRangeError
 import properties
 
 
@@ -112,6 +114,57 @@ class TestBinary4Grid:
             assert (x_star, f_star) == (best_x, best_f)
             assert type(x_star) is float and type(f_star) is float
 
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_same_result_at_group_edges(self, monkeypatch, n):
+        # candidate counts one below, at and one above a multiple of the codes
+        # the kernel decodes at once; step 0.5 / (count + 0.5) gives count of them
+        evaluated = []
+
+        def counted(*args):
+            for success in codes._float_success(*args):
+                evaluated.append(len(success))
+                yield success
+
+        monkeypatch.setattr(binary, "_float_success", counted)
+        group = codes._codes_per_group(4, 2, n + 1)
+        multiple = -(-500 // group) * group  # the first multiple with steps <= 1e-3
+        for count in (multiple - 1, multiple, multiple + 1):
+            step = 0.5 / (count + 0.5)
+            assert sum(1 for _ in grid_candidates(step)) == count
+            evaluated.clear()
+            assert optimize_binary4_grid(n, step) == search_by_candidate(n, step)
+            assert sum(evaluated) == count and max(evaluated) <= group
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_tiny_blocks_leave_the_search_unchanged(self, monkeypatch, block):
+        monkeypatch.setattr(codes, "_BLOCK_ELEMENTS", block)
+        for n in (2, 3, 6):
+            assert optimize_binary4_grid(n, 1e-3) == search_by_candidate(n, 1e-3)
+
+    def test_work_beyond_the_enumeration_cap_is_refused(self):
+        # ceil(0.5 / step) candidates of n + 1 points each, refused before any work
+        for step in (1e-300, 5e-324, 1e-7):
+            with pytest.raises(UnsupportedRangeError, match="enumeration cap"):
+                optimize_binary4_grid(3, step)
+        step = 1e-4
+        work = math.ceil(0.5 / step) * 4
+        assert optimize_binary4_grid(3, step, max_enum=work) == optimize_binary4_grid(3, step)
+        with pytest.raises(UnsupportedRangeError, match="enumeration cap"):
+            optimize_binary4_grid(3, step, max_enum=work - 1)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 5,000 and 500,000 candidates: the traced peak is that of one block
+        bound = 16 * 8 * codes._BLOCK_ELEMENTS
+        optimize_binary4_grid(3, 1e-3)  # numpy's one-time state stays out of the peak
+        for step in (1e-4, 1e-6):
+            tracemalloc.start()
+            try:
+                optimize_binary4_grid(3, step)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (step, peak, bound)
+
     def test_candidate_symbols_are_not_renormalized(self):
         # optimize_binary4_grid builds the probabilities (v, 1 - v) directly
         for i in range(1, 5000):
@@ -143,6 +196,23 @@ class TestBinary4Grid:
             optimize_binary4_grid(3, 0.0)
         with pytest.raises(ValueError):
             optimize_binary4_grid(3, 0.1)
+
+
+def grid_candidates(step):
+    i = 1
+    while i * step < 0.5:
+        yield i * step
+        i += 1
+
+
+def search_by_candidate(n, step):
+    """The grid search as a loop of evaluate_code calls, one per candidate code."""
+    best_x = best_f = None
+    for x in grid_candidates(step):
+        f_min = evaluate_code(CompositeCode.binary([0.0, x, 1.0 - x, 1.0]), n).f_min
+        if best_f is None or f_min > best_f:
+            best_x, best_f = x, f_min
+    return best_x, best_f
 
 
 class TestSymmetricReflect:

@@ -114,6 +114,14 @@ class TestRaCommand:
         assert result.exit_code == 0
         assert float(parse_csv(result.output)[0]["expected"]) == pytest.approx(coupon_collector(2000), rel=1e-11)
 
+    def test_k_beyond_the_float_range_exits_3(self):
+        # k * E(2, 2) overflows: an int k above the float range, and one just below it
+        for k in (10**400, 10**308):
+            result = run_cli("ra", "--ell", "2", "--omega", "2", "--k", str(k))
+            assert result.exit_code == 3
+            assert result.stdout == ""
+            assert result.stderr.startswith("error:") and "float" in result.stderr
+
 
 class TestSimCommand:
     def test_recovery_agrees_with_formula(self):
@@ -304,6 +312,18 @@ class TestDesignCommand:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "Error: grid_step must lie in (0, 1e-3], got 0.01" in result.stderr
+
+    def test_verify_grid_beyond_the_enumeration_cap_exits_3(self):
+        # 500 candidates of 4 points each against a cap of 1999, then about
+        # 5e299 candidates against the default cap: refused before any work
+        capped = run_cli(
+            "design", "--family", "binary4", "--n", "3", "--verify-grid", "1e-3", env={"CDNA_MAX_ENUM": "1999"}
+        )
+        assert capped.exit_code == 3 and capped.stdout == ""
+        result = run_cli("design", "--family", "binary4", "--n", "3", "--verify-grid", "1e-300")
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:") and "enumeration cap" in result.stderr
 
     def test_distinct_family(self):
         rows = parse_csv(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -324,6 +325,58 @@ class TestArrayEvaluator:
         ]
         for pair in pairs:
             assert_same_evaluation(CompositeCode.binary(pair), 1)
+
+    def test_ties_on_binary_thresholds(self):
+        # the 0.4/0.5/0.6 counterexample at n = 5, with and without a table; at
+        # even n the fraction 1/2 ties the inner pair of {0, x, 1-x, 1}
+        for decoder in (None, custom_decoder_from_table(COUNTEREXAMPLE, 5, {(0, 5): 2})):
+            assert_same_evaluation(COUNTEREXAMPLE, 5, decoder)
+        for x in (0.25, 0.2, 0.1 + 0.2, 1 / 3):
+            for n in (2, 4, 6, 10):
+                assert_same_evaluation(CompositeCode.binary([0.0, x, 1.0 - x, 1.0]), n)
+
+    def test_log_space_mass_near_1200_reads(self):
+        n = 1200
+        assert math.lgamma(n + 1) - 2 * math.lgamma(n // 2 + 1) >= codes._LOG_COEF_FLOAT_LIMIT
+        for values in ([0.1, 0.45, 0.5, 0.9], [0.0, 0.2, 0.8, 1.0], [0.3, 0.7]):
+            assert_same_evaluation(CompositeCode.binary(values), n)
+        # codes whose log-space masses numpy's vectorized exp rounds differently
+        # from math.exp on some builds
+        for values in ([0.334, 0.802], [0.295, 0.453, 0.999]):
+            assert_same_evaluation(CompositeCode.binary(values), 1000)
+        code = CompositeCode([(Fraction(1, 5), Fraction(4, 5)), (0.5, 0.5), (0.9, 0.1)])
+        assert_same_evaluation(code, n, custom_decoder_from_table(code, n, {(600, 600): 0, (0, 1200): 2}))
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # 2,001 and 60,001 grid points: the traced peak is that of a few blocks
+        bound = 32 * 8 * codes._BLOCK_ELEMENTS
+        code = CompositeCode.binary([0.1, 0.5, 0.9])
+        evaluate_code(code, 10)  # numpy's one-time state stays out of the peak
+        for n in (2000, 60000):
+            tracemalloc.start()
+            try:
+                evaluate_code(code, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (n, peak, bound)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_tiny_blocks_leave_evaluations_unchanged(self, monkeypatch, rng, block):
+        monkeypatch.setattr(codes, "_BLOCK_ELEMENTS", block)
+        mixed = CompositeCode(
+            [(Fraction(1, 3), Fraction(2, 3)), (0.5, 0.5), (Fraction(3, 4), Fraction(1, 4)), (0.9, 0.1)]
+        )
+        zeros = CompositeCode([(Fraction(1, 2), Fraction(1, 2), 0), (1, 0, 0), (0, 1, 0)]).as_float()
+        grids = ((construct_grid_code(6, 3).as_float(), 6), (construct_grid_code(4, 3), 4))
+        for code, n in ((mixed, 12), (zeros, 6), *grids):
+            assert_same_evaluation(code, n)
+            assert_same_evaluation(code, n, random_table_decoder(rng, code, n, 5))
+        table = custom_decoder_from_table(COUNTEREXAMPLE, 10, {(0, 10): 1, (5, 5): 2})
+        assert_same_evaluation(COUNTEREXAMPLE, 10, table)
+        assert_same_evaluation(CompositeCode.binary([0.1, 0.45, 0.5, 0.9]), 1200)
+        for _ in range(5):
+            assert_same_evaluation(random_float_binary_code(rng, int(rng.integers(2, 7))), int(rng.integers(1, 40)))
 
     def test_cap_message(self):
         code = construct_base_plus_uniform(4)

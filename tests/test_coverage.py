@@ -426,6 +426,13 @@ class TestRandomAccess:
         with pytest.raises(ValueError):
             random_access_expectation(1, 2, 0)
 
+    def test_product_beyond_the_float_range_is_refused(self):
+        # an int k too large for a float, and one whose product with E overflows
+        for k in (10**400, 10**308, 5 * 10**307):
+            with pytest.raises(UnsupportedRangeError, match="float"):
+                random_access_expectation(2, 2, k)
+        assert random_access_expectation(2, 2, 10**307) == 10**307 * expected_coverage(2, 2)
+
 
 class TestParamTypes:
     def test_coverage_params_validation(self):
