@@ -5,8 +5,8 @@ decoder sees only the empirical distribution of ``n`` reads; its success
 probability per symbol is computed exactly by enumerating every observed
 distribution and summing multinomial masses over decoding regions.
 
-Codes built from exact rationals evaluate in exact rational arithmetic end to
-end; float codes evaluate in floats with a fixed tie tolerance.
+Codes built from exact rationals evaluate exactly end to end; float codes
+evaluate in floats with a fixed tie tolerance.
 
 :func:`mld_decode`, :func:`prob_observed` and :func:`decoding_region` work one
 observation at a time.  :func:`evaluate_code` gives the same numbers, bit for
@@ -14,8 +14,10 @@ bit, from an array evaluator: it decodes whole blocks of the grid in numpy
 (never more than ``_BLOCK_ELEMENTS`` scores per block, unless one row of a
 code's scores is longer).  Float codes are also weighed and accumulated block
 by block, with the libm calls :func:`prob_observed` makes; see
-``_float_success``.  Exact codes are decoded from float scores within a
-certified margin and confirmed in integers; see ``_exact_success``.
+``_float_success``.  Exact codes are preselected from float scores within a
+certified margin; then integer likelihoods decide and weigh each point, and
+each symbol's integer total is divided once by ``D**n``, with ``D`` the lcm of
+the code's denominators; see ``_exact_success``.
 """
 from __future__ import annotations
 
@@ -23,7 +25,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .model import (
@@ -115,14 +118,8 @@ class CompositeCode:
     def as_float(self) -> "CompositeCode":
         return CompositeCode(s.as_float() for s in self.symbols)
 
-    def index(self, symbol: SymbolLike) -> int:
-        return self.symbols.index(_as_symbol(symbol))
-
     def __contains__(self, symbol: object) -> bool:
         return isinstance(symbol, CompositeSymbol) and symbol in self.symbols
-
-    def __iter__(self):
-        return iter(self.symbols)
 
 
 def _check_same_q(code_q: int, theta: ObservedDistribution) -> None:
@@ -342,8 +339,9 @@ def evaluate_code(
 
     * Exact codes take the exact path and yield exact rationals.  Float
       log-likelihoods only preselect the symbols within a certified margin of
-      the best (see ``_exact_success``); integer likelihoods decide among
-      several, with ties going to the first symbol.
+      the best (see ``_exact_success``).  Integer likelihoods decide among
+      them, with ties going to the first symbol, and weigh the point: each
+      symbol sums its points' integer masses, divided once by ``D**n``.
     * Other codes take the float path: per-read log-likelihoods within
       ``TIE_TOLERANCE`` of the best tie and go to the first symbol.  The mass
       is ``coef * p_1**k_1 * ...`` in floats, in log space where the
@@ -378,7 +376,8 @@ _BLOCK_ELEMENTS = 4096
 
 
 class _GridChunk(NamedTuple):
-    """Consecutive points of one observation grid, in lexicographic count order.
+    """Consecutive points of one observation grid, in lexicographic count order,
+    with what the float path needs to decode and weigh them.
 
     A NamedTuple rather than a frozen dataclass: it is built about 1 ms faster
     when the module is imported.
@@ -418,11 +417,12 @@ def _grid_chunk(n: int, start: int, counts: list) -> _GridChunk:
     )
 
 
-def _grid_chunks(n: int, q: int, size: int, rows: int) -> Iterator[_GridChunk]:
-    """The ``size`` points of the grid of ``n`` reads over ``q`` letters, ``rows`` at a time."""
+def _grid_chunks(n: int, q: int, size: int, rows: int) -> Iterator[tuple[int, list]]:
+    """The ``size`` points of the grid of ``n`` reads over ``q`` letters, ``rows`` at a time,
+    each chunk as the grid index of its first point and its count tuples."""
     points = _compositions(n, q)
     for start in range(0, size, rows):
-        yield _grid_chunk(n, start, list(islice(points, rows)))
+        yield start, list(islice(points, rows))
 
 
 def _grid_rank(counts: Sequence[int], n: int) -> int:
@@ -514,11 +514,12 @@ def _float_success(
         codes = np.array(block, dtype=float)
         _, m, q = codes.shape
         rows = _grid_rows(m, q)
+        grid = (_grid_chunk(n, start, counts) for start, counts in _grid_chunks(n, q, size, rows))
         if chunks is None and size <= rows:
-            chunks = list(_grid_chunks(n, q, size, rows))
+            chunks = list(grid)
         logs = _log_table(np, codes)
         success = np.zeros((len(codes), m))
-        for chunk in chunks or _grid_chunks(n, q, size, rows):
+        for chunk in chunks or grid:
             decoded = _decode(np, logs, chunk.fractions)
             if overrides:
                 lo = bisect_left(override_rows, chunk.start)
@@ -626,59 +627,45 @@ def _exact_success(
     ``s = sum_i (k_i / n) * max(0, max_j log b_ji)``.  Candidates are the
     symbols within ``(q + 8) * 2**-48 * s`` of the best score: eight times
     the two-sided error, which also covers the rounding of the margin itself,
-    so no true maximizer is left out.  A row with one candidate is decided;
-    among several, the integers ``N_j`` decide, and the first strict maximum
-    wins, as in :func:`mld_decode`.  Masses are the exact Fractions of
-    :func:`prob_observed`.
+    so no true maximizer is left out.
+
+    Integers then decide and weigh each point: among the candidates the first
+    strict maximum of ``N_j`` wins, as in :func:`mld_decode`, and the decoded
+    symbol's (after overrides) ``C(n; k) * N_j`` joins its integer total.  A
+    point no symbol can produce (every ``N_j`` is 0) adds nothing.  Each
+    success is its total over ``D**n``, one exact division per symbol, which
+    equals the sum of the points' :func:`prob_observed` masses.
     """
     import numpy as np
 
     m, q = len(symbols), symbols[0].q
     lcm = math.lcm(*(c.denominator for s in symbols for c in s.probs))
-    logs = [_scaled_log(c, lcm) for s in symbols for c in s.probs]
+    scaled = [[c.numerator * (lcm // c.denominator) for c in s.probs] for s in symbols]
+    logs = [math.log(b) if b else _LOG_ZERO for row in scaled for b in row]
     scale = [max(0.0, *logs[i::q]) for i in range(q)]
     logs = np.array(logs).reshape(m, q)
     slack = (q + 8) * _MARGIN_UNIT / n
-    success = [Fraction(0)] * m
-    for chunk in _grid_chunks(n, q, size, _grid_rows(m, q)):
-        points = chunk.counts
+    totals = [0] * m
+    for start, points in _grid_chunks(n, q, size, _grid_rows(m, q)):
+        fractions = np.array(points) / n
         scores = np.zeros((len(points), m))
         for i in range(q):
-            scores += chunk.fractions[:, i, None] * logs[None, :, i]
+            scores += fractions[:, i, None] * logs[None, :, i]
         best = scores.max(axis=1).tolist()
         floor = [top - slack * sum(k * v for k, v in zip(point, scale)) for top, point in zip(best, points)]
         candidates = (scores >= np.array(floor)[:, None]).tolist()
-        for r, point, row, top in zip(range(chunk.start, chunk.start + len(points)), points, candidates, best):
+        for r, point, row, top in zip(range(start, start + len(points)), points, candidates, best):
             if top < _IMPOSSIBLE:
-                j = 0  # every likelihood is 0; the first symbol wins the tie
-            elif row.count(True) > 1:
-                j = _first_max_likelihood(symbols, lcm, point, [c for c in range(m) if row[c]])
-            else:
-                j = row.index(True)
-            if overrides:
-                j = overrides.get(r, j)
-            success[j] += _exact_mass(symbols[j].probs, point)
-    return success
-
-
-def _scaled_log(c: Fraction, lcm: int) -> float:
-    """``math.log(c * lcm)``, or ``_LOG_ZERO`` for a zero probability."""
-    return math.log(c.numerator * (lcm // c.denominator)) if c else _LOG_ZERO
-
-
-def _first_max_likelihood(
-    symbols: Sequence[CompositeSymbol], lcm: int, counts: Sequence[int], candidates: list
-) -> int:
-    """The first candidate with the largest integer likelihood ``prod_i (p_ji * lcm)**k_i``."""
-    best = None
-    for j in candidates:
-        value = 1
-        for c, k in zip(symbols[j].probs, counts):
-            if k:
-                value *= (c.numerator * (lcm // c.denominator)) ** k
-        if best is None or value > best:
-            best, choice = value, j
-    return choice
+                continue  # every N_j is 0, so the point weighs 0 wherever it decodes
+            # (N_j, j) per candidate, N_j = prod_i b_ji**k_i with 0**0 = 1
+            likelihoods = ((math.prod(map(pow, scaled[j], point)), j) for j in compress(range(m), row))
+            weight, decoded = max(likelihoods, key=itemgetter(0))  # the first of equal maxima wins
+            if overrides and overrides.get(r, decoded) != decoded:
+                decoded = overrides[r]
+                weight = math.prod(map(pow, scaled[decoded], point))
+            totals[decoded] += multinomial_coefficient(point) * weight
+    denominator = lcm**n
+    return [Fraction(total, denominator) for total in totals]
 
 
 def construct_distinct_support(q: int, m: int, partition: Sequence[Iterable[int]]) -> CompositeCode:
@@ -751,38 +738,12 @@ def construct_grid_code(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> Com
     return CompositeCode(theta.as_symbol(exact=True) for theta in grid)
 
 
-def self_decoding_probability(dist: Union[ObservedDistribution, CompositeSymbol], n: Optional[int] = None) -> Fraction:
-    """Probability that n reads of a grid distribution reproduce it exactly.
+def self_decoding_probability(theta: ObservedDistribution) -> Fraction:
+    """Probability that ``theta.n`` reads of the grid point ``theta`` reproduce it exactly.
 
-    ``dist`` must lie on the grid with denominator ``n`` (automatic for an
-    :class:`ObservedDistribution`); the value is the multinomial mass of the
-    distribution under itself, returned exactly.
+    The multinomial mass of the observation under its own distribution
+    ``counts / n``, in integers over one denominator:
+    ``C(n; k) * prod_i k_i**k_i / n**n``, returned exactly.
     """
-    if isinstance(dist, ObservedDistribution):
-        if n is not None and n != dist.n:
-            raise ValueError(f"n={n} conflicts with observation denominator {dist.n}")
-        counts = dist.counts
-        n = dist.n
-    else:
-        if n is None or n < 1:
-            raise ValueError("n >= 1 is required when passing a composite symbol")
-        counts = []
-        for p in dist.probs:
-            if dist.is_exact:
-                scaled = Fraction(p) * n
-                if scaled.denominator != 1:
-                    raise ValueError(f"{dist} is not on the grid with denominator {n}")
-                counts.append(int(scaled))
-            else:
-                scaled = float(p) * n
-                if abs(scaled - round(scaled)) > 1e-9:
-                    raise ValueError(f"{dist} is not on the grid with denominator {n}")
-                counts.append(int(round(scaled)))
-        counts = tuple(counts)
-        if sum(counts) != n:
-            raise ValueError(f"{dist} is not on the grid with denominator {n}")
-    result = Fraction(multinomial_coefficient(counts))
-    for k in counts:
-        if k:
-            result *= Fraction(k, n) ** k
-    return result
+    counts, n = theta.counts, theta.n
+    return Fraction(multinomial_coefficient(counts) * math.prod(k**k for k in counts), n**n)

@@ -77,9 +77,6 @@ class BoundPair:
         if not self.lower <= self.upper:
             raise ValueError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
 
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
 
 def miss_probability(support_size: int, draws: int) -> float:
     """Probability that ``draws`` uniform picks from a ``support_size``-set miss some element.

@@ -89,11 +89,6 @@ class CompositeSymbol:
         """True when every entry is an exact rational."""
         return all(_is_exact(p) for p in self.probs)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Sorted 1-based indices with positive probability."""
-        return tuple(i + 1 for i, p in enumerate(self.probs) if p > 0)
-
     def as_float(self) -> "CompositeSymbol":
         return CompositeSymbol(float(p) for p in self.probs)
 
@@ -133,10 +128,6 @@ class ObservedDistribution:
     @property
     def q(self) -> int:
         return len(self.counts)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, k in enumerate(self.counts) if k > 0)
 
     def as_symbol(self, exact: bool = True) -> CompositeSymbol:
         """The grid point counts/n as a composite symbol (exact by default)."""

@@ -262,7 +262,6 @@ class TestCoverageBounds:
         b = coverage_bounds(1, 2)
         assert b.lower == pytest.approx(1 + 1 / math.log(2), abs=1e-12)
         assert b.upper == pytest.approx(2 + 1 / math.log(2), abs=1e-12)
-        assert b.contains(3.0)
 
     def test_sandwich_grid(self):
         for omega in (2, 3, 4):

@@ -69,9 +69,6 @@ class TestCompositeSymbol:
         with pytest.raises(ValueError):
             CompositeSymbol((Fraction(1, 3), Fraction(1, 3)))
 
-    def test_support(self):
-        assert CompositeSymbol((0.5, 0.0, 0.5)).support == (1, 3)
-
     def test_lexicographic_order(self):
         a = CompositeSymbol((0.4, 0.6))
         b = CompositeSymbol((0.5, 0.5))
