@@ -12,22 +12,36 @@ access to one labeled sequence out of ``k``.
 All three read one kernel, the covered-count chain of a single index
 (:func:`_chain`); a question whose predicted work exceeds ``MAX_CHAIN_WORK``
 is refused with ``UnsupportedRangeError`` before any work.
+
+The chain depends on ``omega`` alone, so each process walks it once per
+support size and keeps what it walked (:class:`_Walk`): ``u_m``, ``f_m`` and
+``R_m`` for every read some admitted request has needed, and no further.  A
+later question at the same ``omega`` reads those floats, and walks on from the
+last one only if it needs more.  The answers are the same floats whichever
+questions came before.  The last ``_WALKS_KEPT`` support sizes asked are kept;
+each entry is bounded (see :class:`_Walk`), and extending one is guarded by a
+lock, so the functions here are safe to call from many threads.
 """
 from __future__ import annotations
 
 import math
 import sys
+import threading
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import comb
 from typing import Iterable, Iterator, Optional
 
-from .model import UnsupportedRangeError, _compositions
+from .model import UnsupportedRangeError, _compositions, _integer
 
 #: Cap on a chain question's predicted work: reads, from the union bound u_m <=
 #: omega ((omega-1)/omega)^m, times states and binomial terms per read.  The cap
-#: takes up to about 1 s (2-CPU x86-64, Python 3.11); beyond it, use the simulator.
+#: holds per request, walked or not; a request at the cap takes up to about 1 s
+#: (2-CPU x86-64, Python 3.11), of which the walk is paid once per omega and
+#: process (see _Walk).  Beyond the cap, use the simulator.
 MAX_CHAIN_WORK = 10_000_000
 
 #: expected_coverage_exact refuses when its term count C(ell+omega-1, omega-1)
@@ -40,6 +54,10 @@ MAX_EXACT_TERMS = 20_000
 
 #: log of the smallest normal float; the chain drops states below it.
 _LOG_NORMAL_MIN = math.log(sys.float_info.min)
+
+#: Support sizes whose walks are kept; asking a new one beyond this drops the
+#: least recently asked.
+_WALKS_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -56,14 +74,12 @@ class CoverageParams:
     k: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1, got {self.ell}")
-        if self.omega < 1:
-            raise ValueError(f"omega must be >= 1, got {self.omega}")
-        if self.r is not None and not 1 <= self.r <= self.ell:
+        _integer("ell", self.ell, 1)
+        _integer("omega", self.omega, 1)
+        if self.r is not None and _integer("r", self.r, 1) > self.ell:
             raise ValueError(f"r must satisfy 1 <= r <= ell, got r={self.r}, ell={self.ell}")
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.k is not None:
+            _integer("k", self.k, 1)
 
 
 @dataclass(frozen=True)
@@ -81,47 +97,111 @@ class BoundPair:
 def miss_probability(support_size: int, draws: int) -> float:
     """Probability that ``draws`` uniform picks from a ``support_size``-set miss some element.
 
-    The chain's ``u_m`` after ``m`` reads, at O(w) per read.  Fewer than ``w``
-    draws always miss; once the union bound is below the normal floats, 0.0.
+    The chain's ``u_m`` after ``m`` reads, at O(w) per read not yet walked (see
+    :class:`_Walk`).  Fewer than ``w`` draws always miss; once the union bound is
+    below the normal floats, 0.0.
     """
-    w, m = support_size, draws
-    if w < 1:
-        raise ValueError(f"support size must be >= 1, got {w}")
-    if m < 0:
-        raise ValueError(f"draw count must be >= 0, got {m}")
+    w = _integer("support size", support_size, 1)
+    m = _integer("draw count", draws, 0)
     if m < w:
         return 1.0
     if w == 1 or m > _reads_until(w, _LOG_NORMAL_MIN):
         return 0.0
     _check_work(m, w)
-    return next(islice(_chain(w), m, None))[0]
+    walk = _walk(w)
+    walk.extend(m + 1)
+    return walk.uncovered[m]
 
 
-def _chain(w: int) -> Iterator[tuple[float, float, list[float]]]:
+def _chain(w: int) -> Iterator[tuple[float, float, float]]:
     """Covered-count chain of one index with support ``w`` >= 2 (Flajolet, Gardy and
     Thimonier, 1992): a read moves c covered symbols to c+1 with probability (w-c)/w.
 
-    Yields ``(u_m, f_m, states)`` for m = 0, 1, ...: ``states`` holds the top counts c < w,
+    Yields ``(u_m, f_m, R_m)`` for m = 0, 1, ...  ``states`` holds the top counts c < w,
     ``u_m`` (uncovered) is their sum and ``f_m`` the full state, all sums of positive
-    products.  Bottom states below the smallest normal float leave the list (w * 2.3e-308
-    of mass at most): subnormals are ten times as slow, and times c/w > 1/2 never reach 0.
+    products.  ``R_m = sum_{j>=m} u_j`` exactly, from the states at m: count c is
+    ``w H_{w-c}`` reads from full, with ``H_0..H_w`` summed once, in order.  Bottom states
+    below the smallest normal float leave the list (w * 2.3e-308 of mass at most):
+    subnormals are ten times as slow, and times c/w > 1/2 never reach 0.
     """
     stay = [c / w for c in range(w)]
     enter = [0.0] + [(w - c) / w for c in range(w - 1)]  # enter[c]: from c-1 into c
+    harmonic = list(accumulate((1 / i for i in range(1, w + 1)), initial=0.0))[::-1]  # H_w..H_0
     states, full = [1.0] + [0.0] * (w - 1), 0.0
     while True:
-        yield sum(states), full, states
+        n = len(states)  # states[i] is count w-n+i, weighted by H_{n-i}
+        yield sum(states), full, w * math.fsum(p * h for p, h in zip(states, harmonic[w - n :]))
         full += states[-1] / w
-        n = len(states)
         states = [p * s + q * t for p, s, q, t in zip(states, stay[-n:], [0.0] + states, enter[-n:])]
         while len(states) > 1 and states[0] < sys.float_info.min:
             del states[0]
 
 
-def _remaining(states: list[float], w: int) -> float:
-    """``R_m = sum_{j>=m} u_j`` exactly, from the states at m: count c is ``w H_{w-c}`` reads from full."""
-    harmonic = list(accumulate((1 / i for i in range(1, len(states) + 1)), initial=0.0))
-    return w * math.fsum(p * h for p, h in zip(states, reversed(harmonic)))
+class _Walk:
+    """The chain of one support size ``w`` >= 2, walked as far as admitted requests needed.
+
+    ``uncovered``, ``full`` and ``rest`` hold ``u_m``, ``f_m`` and ``R_m`` of reads
+    0..m; the paused :func:`_chain` holds the states of the next read.  Only
+    :meth:`extend` appends, under the lock, and appends never move the floats
+    already stored, so a reader indexes below the length it has seen without it.
+
+    Size: with L reads stored, at most ``24 (17/16) L + 200 w + 4096`` bytes: three
+    doubles per read, which ``array`` over-allocates by at most 1/16, then the
+    chain's O(w) lists of floats and a fixed part.  An admitted request reads at
+    most ``MAX_CHAIN_WORK / w`` reads (its ``_check_work``), and at most
+    ``N_w = _reads_until(w, _LOG_NORMAL_MIN)``, about ``w (709 + ln w)`` reads,
+    plus one on a stop rule that misses by a rounding error.  So an entry holds
+    ``L <= min(MAX_CHAIN_WORK / w, N_w + 1) + 1`` reads.  The two limits meet at
+    w = 119, where L <= 84,034 reads, or 2.2 MB at the default cap; the
+    ``_WALKS_KEPT`` entries together stay below 18 MB.
+    """
+
+    def __init__(self, w: int):
+        self.uncovered, self.full, self.rest = array("d"), array("d"), array("d")
+        self._chain = _chain(w)
+        self._lock = threading.Lock()
+
+    def extend(self, reads: int) -> None:
+        """Walk on until at least ``reads`` reads are stored."""
+        with self._lock:
+            while len(self.rest) < reads:
+                u, f, r = next(self._chain)
+                self.uncovered.append(u)
+                self.full.append(f)
+                self.rest.append(r)  # last: a stored R_m means u_m and f_m are stored
+
+    def __iter__(self) -> Iterator[tuple[float, float, float]]:
+        """``(u_m, f_m, R_m)`` for m = 0, 1, ..., walking one read on past the stored ones."""
+        uncovered, full, rest = self.uncovered, self.full, self.rest
+        m = 0
+        while True:
+            if m == len(rest):
+                self.extend(m + 1)
+            yield uncovered[m], full[m], rest[m]
+            m += 1
+
+
+_walks: "OrderedDict[int, _Walk]" = OrderedDict()
+_walks_lock = threading.Lock()
+
+
+def _walk(w: int) -> _Walk:
+    """The kept walk of support size ``w``, or a new one that may drop the least recently asked."""
+    with _walks_lock:
+        walk = _walks.get(w)
+        if walk is None:
+            walk = _walks[w] = _Walk(w)
+            if len(_walks) > _WALKS_KEPT:
+                _walks.popitem(last=False)
+        else:
+            _walks.move_to_end(w)
+        return walk
+
+
+def _clear_walks() -> None:
+    """Forget every kept walk; the next question at each omega walks from m = 0."""
+    with _walks_lock:
+        _walks.clear()
 
 
 def _reads_until(w: int, log_bound: float) -> int:
@@ -129,6 +209,11 @@ def _reads_until(w: int, log_bound: float) -> int:
     if log_bound < _LOG_NORMAL_MIN:
         raise UnsupportedRangeError("the stop rule needs probabilities below the normal floats; raise tol or lower ell")
     return max(0, math.ceil((math.log(w) - log_bound) / -math.log1p(-1 / w)))
+
+
+def _check_float_range(ell: int) -> None:
+    if ell > sys.float_info.max:
+        raise UnsupportedRangeError("ell beyond the float range (1.8e308) is not supported")
 
 
 def _check_work(reads: int, per_read: int) -> None:
@@ -152,25 +237,23 @@ def expected_coverage(ell: int, omega: int, tol: float = 1e-12) -> float:
     ``ell * R_m`` within ``C(ell, 2) * u_m * R_m`` (Bonferroni); summation stops
     once that is within ``min(tol, omega 2^-53)`` and adds ``ell * R_m``.  ``ell = 1`` is
     ``omega * H_omega``, one O(omega) pass; otherwise each read costs O(omega),
-    over about ``omega * (log omega + log(ell^2 omega / tol) / 2)`` reads.
+    over about ``omega * (log omega + log(ell^2 omega / tol) / 2)`` reads, walked
+    once per omega (see :class:`_Walk`).
     """
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if omega < 1:
-        raise ValueError(f"omega must be >= 1, got {omega}")
+    ell, omega = _integer("ell", ell, 1), _integer("omega", omega, 1)
     log_target = math.log(_truncation_target(tol, omega))
     if ell == 1 or omega == 1:  # one index, or one read covers a singleton support at every index
         _check_work(0, omega)
         return omega * math.fsum(1 / i for i in range(1, omega + 1))
     log_pairs = math.log(ell) + math.log(ell - 1) - math.log(2)
     # stop rule under u_m <= U_m and R_m <= omega H_omega u_m <= omega (1 + log omega) U_m
-    log_scale = log_pairs + math.log(omega * (1 + math.log(omega)))
+    log_omega = math.log(omega)
+    log_scale = log_pairs + math.log(omega * (1 + log_omega))
     _check_work(_reads_until(omega, (log_target - log_scale) / 2), omega)
     terms = []
-    for uncovered, full, states in _chain(omega):
+    for uncovered, full, rest in _walk(omega):
         # R_m >= omega * u_m, so the stop rule cannot hold before this does.
-        if log_pairs + 2 * math.log(uncovered) + math.log(omega) <= log_target:
-            rest = _remaining(states, omega)
+        if log_pairs + 2 * math.log(uncovered) + log_omega <= log_target:
             if log_pairs + math.log(uncovered) + math.log(rest) <= log_target:
                 return math.fsum(terms) + ell * rest
         log_cover = math.log1p(-uncovered) if uncovered < 0.5 else math.log(full) if full else -math.inf
@@ -189,8 +272,7 @@ def expected_coverage_exact(ell: int, omega: int) -> Fraction:
     The terms are summed as unreduced integer pairs in a balanced tree, and the
     result is reduced once at the root.
     """
-    if ell < 1 or omega < 1:
-        raise ValueError("need ell >= 1 and omega >= 1")
+    ell, omega = _integer("ell", ell, 1), _integer("omega", omega, 1)
     if omega == 1:
         return Fraction(1)
     n_terms = comb(ell + omega - 1, omega - 1)
@@ -264,9 +346,7 @@ def expected_coverage_closed_pairs(ell: int) -> float:
     Lengths beyond 64 are refused; use :func:`expected_coverage`, whose series
     is numerically benign at any length.
     """
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if ell > 64:
+    if _integer("ell", ell, 1) > 64:
         raise UnsupportedRangeError(
             f"closed form supported for ell <= 64 (got {ell}); use expected_coverage(ell, 2)"
         )
@@ -288,15 +368,17 @@ def coverage_bounds(ell: int, omega: int) -> BoundPair:
 
         log2(ell)/d + log2(e)/(ell d)  <=  E  <=  1 + log2(omega*ell)/d + omega.
     """
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    ell, omega = _integer("ell", ell, 1), _integer("omega", omega, 1)
     if omega < 2:
         raise ValueError(f"bounds are stated for omega >= 2, got {omega}")
+    _check_float_range(ell)
     if omega == 2:
         lower = 1.0 + math.log2(ell) + 1.0 / (ell * math.log(2))
         upper = 2.0 + math.log2(ell) + 1.0 / math.log(2)
     else:
         d = math.log2(omega / (omega - 1))
+        if d == 0.0:  # omega / (omega - 1) rounds to 1 from omega of about 9e15 on
+            raise UnsupportedRangeError(f"omega={omega} is beyond the float form of the bounds")
         lower = math.log2(ell) / d + math.log2(math.e) / (ell * d)
         upper = 1.0 + math.log2(omega * ell) / d + omega
     return BoundPair(lower, upper)
@@ -312,8 +394,7 @@ def covering_family_count(m: int, r: int, j: int) -> int:
     Exact integer arithmetic throughout; validated against brute-force subset
     enumeration in the test suite.
     """
-    if m < 1 or r < 1 or j < 1:
-        raise ValueError(f"need m, r, j >= 1, got m={m}, r={r}, j={j}")
+    m, r, j = _integer("m", m, 1), _integer("r", r, 1), _integer("j", j, 1)
     return sum((-1) ** i * comb(m, i) * comb(comb(m - i, r), j) for i in range(m + 1))
 
 
@@ -327,32 +408,31 @@ def expected_coverage_partial(ell: int, omega: int, r: int, tol: float = 1e-12) 
     stops once that is within ``min(tol, omega 2^-53)``.  Each read costs O(omega + r).
     ``r = ell`` is full recovery, answered by :func:`expected_coverage`.
     """
-    if ell < 1 or omega < 1:
-        raise ValueError("need ell >= 1 and omega >= 1")
-    if not 1 <= r <= ell:
+    ell, omega = _integer("ell", ell, 1), _integer("omega", omega, 1)
+    if (r := _integer("r", r, 1)) > ell:
         raise ValueError(f"r must satisfy 1 <= r <= ell, got r={r}, ell={ell}")
     log_target = math.log(_truncation_target(tol, omega))
     if r == ell or omega == 1:  # full recovery, or one read covers every index
         return expected_coverage(ell, omega, tol)
-    if ell > sys.float_info.max:
-        raise UnsupportedRangeError("ell beyond the float range (1.8e308) is not supported")
+    _check_float_range(ell)
     k = ell - r + 1
     # log C(ell, k) = log C(ell, r-1): by lgamma to predict the work, then as a sum of logs
     log_sets = math.lgamma(ell + 1) - math.lgamma(k + 1) - math.lgamma(r)
-    log_scale = log_sets + math.log(omega * (1 + math.log(omega)))  # as in expected_coverage
+    log_omega = math.log(omega)
+    log_scale = log_sets + math.log(omega * (1 + log_omega))  # as in expected_coverage
     _check_work(_reads_until(omega, (log_target - log_scale) / k), omega + r)
     log_choose = list(accumulate((math.log((ell - j) / (j + 1)) for j in range(r - 1)), initial=0.0))
     log_sets = log_choose[-1]
     terms = []
-    for uncovered, full, states in _chain(omega):
+    for uncovered, full, rest in _walk(omega):
         if full == 0.0:  # under omega reads, or a chance below the float range
             terms.append(1.0)
             continue
         log_u = math.log1p(-full) if full < 0.5 else math.log(uncovered)
         log_f = math.log1p(-uncovered) if uncovered < 0.5 else math.log(full)
         # R_m >= omega * u_m, so the stop rule cannot hold before this does.
-        if log_sets + k * log_u + math.log(omega) <= log_target:
-            if log_sets + (k - 1) * log_u + math.log(_remaining(states, omega)) <= log_target:
+        if log_sets + k * log_u + log_omega <= log_target:
+            if log_sets + (k - 1) * log_u + math.log(rest) <= log_target:
                 return math.fsum(terms)
         terms.append(math.fsum(math.exp(c + j * log_f + (ell - j) * log_u) for j, c in enumerate(log_choose)))
 
@@ -364,8 +444,7 @@ def random_access_expectation(ell: int, omega: int, k: int) -> float:
     exactly k: ``k * expected_coverage(ell, omega)``.  A ``k`` for which that
     product is not a finite float is refused with ``UnsupportedRangeError``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _integer("k", k, 1)
     single = expected_coverage(ell, omega)
     try:
         value = k * single

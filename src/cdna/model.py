@@ -10,6 +10,7 @@ Everything here is immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -24,6 +25,24 @@ SUM_TOLERANCE = 1e-12
 
 class UnsupportedRangeError(ValueError):
     """A request exceeds a documented feasibility cap (not a usage mistake)."""
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``, refused with ValueError unless it is an integer >= ``minimum``.
+
+    Bools and floats are refused however integral they look: ``True`` would pass
+    for 1 and ``2.0`` for 2, and a float count silently changes an answer.
+    Other integer types (numpy's, say) are taken through ``__index__``.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def _is_exact(value: Prob) -> bool:

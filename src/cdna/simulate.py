@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .coverage import CoverageParams
-from .model import UnsupportedRangeError
+from .model import UnsupportedRangeError, _integer
 
 DEFAULT_MAX_TRANSMISSIONS = 10**6
 
@@ -164,10 +164,8 @@ class SimConfig:
     mode: str = "recovery"
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.max_transmissions < 1:
-            raise ValueError(f"max_transmissions must be >= 1, got {self.max_transmissions}")
+        _integer("trials", self.trials, 1)
+        _integer("max_transmissions", self.max_transmissions, 1)
         if self.mode not in ("recovery", "partial", "ra"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "partial" and self.params.r is None:

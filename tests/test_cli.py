@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -394,3 +396,40 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "3.66666666667" in proc.stdout
+
+
+#: One coverage sweep and the partial and random-access lines, the chain questions
+#: one process asks in turn; made by running these commands on the code before the
+#: chain walks were kept.
+CHAIN_COMMANDS = (
+    ("coverage", "--range", "1:1048576:*2", "--omega", "32", "--bounds"),
+    ("partial", "--ell", "12", "--omega", "3", "--r", "5"),
+    ("ra", "--ell", "3", "--omega", "3", "--k", "5"),
+)
+ROOT = Path(__file__).resolve().parent.parent
+CHAIN_GOLDEN = ROOT / "tests" / "golden" / "cli" / "coverage_sweep.txt"
+
+
+class TestChainGolden:
+    """stdout of the chain commands, byte for byte, in fresh processes and in one warm one."""
+
+    def test_fresh_processes(self):
+        src = str(ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = b""
+        for args in CHAIN_COMMANDS:
+            proc = subprocess.run([sys.executable, "-m", "cdna.cli", *args], capture_output=True, env=env, cwd=ROOT)
+            assert proc.returncode == 0, proc.stderr.decode()
+            out += proc.stdout
+        assert out == CHAIN_GOLDEN.read_bytes()
+
+    def test_one_process_twice(self):
+        # the second pass reads every chain from the walks the first one kept
+        want = CHAIN_GOLDEN.read_text()
+        for _ in range(2):
+            got = ""
+            for args in CHAIN_COMMANDS:
+                result = run_cli(*args)
+                assert result.exit_code == 0
+                got += result.stdout
+            assert got == want

@@ -1,5 +1,9 @@
+import gc
 import math
+import random
+import threading
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
@@ -7,6 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import cdna.coverage as cov
 from cdna import (
     BoundPair,
     CoverageParams,
@@ -34,6 +39,14 @@ from conftest import (
 
 def rel_err(got: float, want) -> float:
     return abs(Fraction(got) - Fraction(want)) / abs(Fraction(want))
+
+
+@pytest.fixture(autouse=True)
+def cold_walks():
+    """Each test starts from no walked chain, whatever ran before it."""
+    cov._clear_walks()
+    yield
+    cov._clear_walks()
 
 
 class TestMissProbability:
@@ -446,3 +459,179 @@ class TestParamTypes:
     def test_bound_pair_validation(self):
         with pytest.raises(ValueError):
             BoundPair(2.0, 1.0)
+
+
+class TestIntegerArguments:
+    """Counts must be ints: a bool or a float is refused, never rounded or keyed as an int."""
+
+    BAD = (True, False, 2.0, 2.5, "3", math.nan)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_entry_points_refuse(self, bad):
+        calls = [
+            lambda: expected_coverage(bad, 3),
+            lambda: expected_coverage(3, bad),
+            lambda: expected_coverage_exact(bad, 2),
+            lambda: expected_coverage_exact(3, bad),
+            lambda: expected_coverage_partial(bad, 3, 2),
+            lambda: expected_coverage_partial(4, bad, 2),
+            lambda: expected_coverage_partial(4, 3, bad),
+            lambda: miss_probability(bad, 5),
+            lambda: miss_probability(3, bad),
+            lambda: random_access_expectation(bad, 2, 2),
+            lambda: random_access_expectation(3, bad, 2),
+            lambda: random_access_expectation(3, 2, bad),
+            lambda: expected_coverage_closed_pairs(bad),
+            lambda: coverage_bounds(bad, 3),
+            lambda: coverage_bounds(3, bad),
+            lambda: covering_family_count(bad, 1, 1),
+            lambda: covering_family_count(2, bad, 1),
+            lambda: covering_family_count(2, 1, bad),
+            lambda: CoverageParams(bad, 2),
+            lambda: CoverageParams(2, bad),
+            lambda: CoverageParams(3, 2, r=bad),
+            lambda: CoverageParams(3, 2, k=bad),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="integer"):
+                call()
+        assert not cov._walks
+
+    def test_numpy_integers_are_ints(self):
+        assert expected_coverage(np.int64(5), np.int64(3)) == expected_coverage(5, 3)
+        assert miss_probability(np.int32(3), np.int64(7)) == miss_probability(3, 7)
+        assert expected_coverage_partial(np.int64(6), 3, np.int8(2)) == expected_coverage_partial(6, 3, 2)
+        assert random_access_expectation(3, 2, np.int64(4)) == random_access_expectation(3, 2, 4)
+
+    def test_bounds_beyond_the_float_range_are_refused(self):
+        for omega in (2, 3):
+            with pytest.raises(UnsupportedRangeError, match="float range"):
+                coverage_bounds(10**400, omega)
+            coverage_bounds(10**300, omega)
+        with pytest.raises(UnsupportedRangeError, match="float form"):
+            coverage_bounds(2, 10**17)
+
+
+def _sweep(omega, ells):
+    return [expected_coverage(ell, omega) for ell in ells]
+
+
+class TestWalkMemo:
+    """Every reader takes u_m, f_m and R_m from one walk per omega; answers never depend on it."""
+
+    ELLS = [2**e for e in range(21)] + [3, 5, 100, 12345]
+
+    def test_cold_warm_and_order(self):
+        for omega in (3, 32):
+            cold = _sweep(omega, self.ELLS)
+            assert _sweep(omega, self.ELLS) == cold  # warm
+            for order in (self.ELLS[::-1], random.Random(omega).sample(self.ELLS, len(self.ELLS))):
+                cov._clear_walks()
+                assert _sweep(omega, order) == [cold[self.ELLS.index(ell)] for ell in order]
+
+    def test_readers_interleaved_at_one_omega(self):
+        omega = 6
+        calls = [
+            (miss_probability, (omega, 3000)),  # a large m first walks far ahead of the rest
+            (expected_coverage_partial, (12, omega, 5)),
+            (expected_coverage, (12, omega)),
+            (random_access_expectation, (40, omega, 3)),
+            (miss_probability, (omega, 17)),
+            (expected_coverage_partial, (1000, omega, 1)),
+            (expected_coverage, (2**20, omega)),
+            (expected_coverage_partial, (40, omega, 39)),
+        ]
+        alone = []
+        for fn, args in calls:
+            cov._clear_walks()
+            alone.append(fn(*args))
+        cov._clear_walks()
+        assert [fn(*args) for fn, args in calls] == alone
+        assert [fn(*args) for fn, args in reversed(calls)] == alone[::-1]
+
+    def test_walks_no_further_than_a_request_reads(self):
+        # the stored length is the read where expected_coverage's stop rule first holds, plus one
+        for ell, omega in ((2, 3), (1000, 8), (2**20, 32)):
+            expected_coverage(ell, omega)
+            log_pairs = math.log(ell) + math.log(ell - 1) - math.log(2)
+            log_target = math.log(min(1e-12, omega * 2.0**-53))
+            for m, (u, _, rest) in enumerate(cov._chain(omega)):
+                if log_pairs + 2 * math.log(u) + math.log(omega) <= log_target:
+                    if log_pairs + math.log(u) + math.log(rest) <= log_target:
+                        break
+            assert len(cov._walks[omega].rest) == m + 1, (ell, omega)
+            miss_probability(omega, m + 5)
+            assert len(cov._walks[omega].rest) == m + 6
+
+    def test_eviction_then_rewalk(self):
+        first = expected_coverage(50, 2)
+        for omega in range(3, 3 + cov._WALKS_KEPT):
+            expected_coverage(50, omega)
+        assert 2 not in cov._walks and len(cov._walks) == cov._WALKS_KEPT
+        assert expected_coverage(50, 2) == first
+        assert 2 in cov._walks and 3 not in cov._walks
+
+    def test_refused_requests_leave_the_walk_alone(self, monkeypatch):
+        expected_coverage(20, 10)
+        length = len(cov._walks[10].rest)
+        monkeypatch.setattr(cov, "MAX_CHAIN_WORK", 10 * length)
+        refused = [
+            lambda: miss_probability(10, length + 5),  # beyond the work cap
+            lambda: expected_coverage(10**9, 10),
+            lambda: expected_coverage(10**300, 10, tol=1e-300),  # stop rule below the normal floats
+            lambda: expected_coverage_partial(10**6, 10, 10**5),  # omega + r states per read
+            lambda: expected_coverage_partial(2 * 10**308, 10, 5),  # ell beyond the float range
+        ]
+        for call in refused:
+            with pytest.raises(UnsupportedRangeError):
+                call()
+            assert len(cov._walks[10].rest) == length
+        with pytest.raises(UnsupportedRangeError):
+            expected_coverage(2, 10**6)
+        assert set(cov._walks) == {10}
+
+    def test_threads_share_one_walk(self):
+        omega, ells = 24, self.ELLS * 2
+        serial = _sweep(omega, ells)
+        cov._clear_walks()
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def sweep(i):
+            start.wait()
+            order = random.Random(i).sample(range(len(ells)), len(ells))
+            results[i] = {j: expected_coverage(ells[j], omega) for j in order}
+
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for got in results:
+            assert [got[j] for j in range(len(ells))] == serial
+
+    @pytest.mark.parametrize("omega", [2, 3, 20, 60, 300])
+    def test_entry_size_within_the_stated_bound(self, monkeypatch, omega):
+        # the _Walk docstring: L <= min(cap / w, N_w + 1) + 1 reads, in at most
+        # 24 (17/16) L + 200 w + 4096 bytes
+        cap = 300_000
+        monkeypatch.setattr(cov, "MAX_CHAIN_WORK", cap)
+        longest = min(cap // omega, cov._reads_until(omega, cov._LOG_NORMAL_MIN) + 1) + 1
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            last = min(cap // omega - 1, cov._reads_until(omega, cov._LOG_NORMAL_MIN))
+            miss_probability(omega, last)  # the longest walk a request may ask
+            for ell in (2, 10**6, 10**30):
+                try:
+                    expected_coverage(ell, omega)
+                except UnsupportedRangeError:
+                    pass
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        reads = len(cov._walks[omega].rest)
+        assert last < reads <= longest
+        assert held <= 24 * 17 / 16 * reads + 200 * omega + 4096, (reads, held)

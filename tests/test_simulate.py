@@ -336,6 +336,13 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             SimConfig(CoverageParams(1, 2), trials=10, seed=0, mode="bogus")
 
+    @pytest.mark.parametrize("bad", [True, 2.0, 2.5])
+    def test_counts_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            SimConfig(CoverageParams(2, 2), trials=bad, seed=1)
+        with pytest.raises(ValueError, match="max_transmissions must be an integer"):
+            SimConfig(CoverageParams(2, 2), trials=10, seed=1, max_transmissions=bad)
+
     def test_parameters_of_other_modes_refused(self):
         # a threshold or pool size the mode would ignore is a caller bug
         with pytest.raises(ValueError, match="params.r applies to partial mode only"):
