@@ -13,25 +13,26 @@ All three read one kernel, the covered-count chain of a single index
 (:func:`_chain`); a question whose predicted work exceeds ``MAX_CHAIN_WORK``
 is refused with ``UnsupportedRangeError`` before any work.
 
-The chain depends on ``omega`` alone, so each process walks it once per
-support size and keeps what it walked (:class:`_Walk`): ``u_m``, ``f_m`` and
-``R_m`` for every read some admitted request has needed, and no further.  A
-later question at the same ``omega`` reads those floats, and walks on from the
-last one only if it needs more.  The answers are the same floats whichever
+The chain depends on ``omega`` alone, so each process keeps what it walked
+per support size (:class:`_Walk`): ``u_m`` and ``f_m`` of every read some
+admitted request has needed, and no further, and ``R_m`` where a request asked
+for it.  A later question at the same ``omega`` reads those floats and walks on
+only past them; one that needs ``R_m`` at a read walked without it walks again
+from read 0, as it would alone.  The answers are the same floats whichever
 questions came before.  The last ``_WALKS_KEPT`` support sizes asked are kept;
-each entry is bounded (see :class:`_Walk`), and extending one is guarded by a
-lock, so the functions here are safe to call from many threads.
+each entry is bounded (see :class:`_Walk`), and each walks under its own lock,
+so the functions here are safe to call from many threads.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 from math import comb
 from typing import Iterable, Iterator, Optional
 
@@ -39,9 +40,11 @@ from .model import UnsupportedRangeError, _compositions, _integer
 
 #: Cap on a chain question's predicted work: reads, from the union bound u_m <=
 #: omega ((omega-1)/omega)^m, times states and binomial terms per read.  The cap
-#: holds per request, walked or not; a request at the cap takes up to about 1 s
-#: (2-CPU x86-64, Python 3.11), of which the walk is paid once per omega and
-#: process (see _Walk).  Beyond the cap, use the simulator.
+#: holds per request, walked or not.  On a 2-CPU x86-64 machine with Python
+#: 3.11, a first request near the cap takes up to about 2 s when binomial terms
+#: dominate (partial recovery with r ~ 10^5 .. 10^6), and its walk at most
+#: about 0.4 s (miss_probability(1000, 9000)); the walk is paid once per omega
+#: and process (see _Walk).  Beyond the cap, use the simulator.
 MAX_CHAIN_WORK = 10_000_000
 
 #: expected_coverage_exact refuses when its term count C(ell+omega-1, omega-1)
@@ -113,37 +116,40 @@ def miss_probability(support_size: int, draws: int) -> float:
     return walk.uncovered[m]
 
 
-def _chain(w: int) -> Iterator[tuple[float, float, float]]:
+def _chain(w: int) -> Iterator[tuple[float, float, list[float]]]:
     """Covered-count chain of one index with support ``w`` >= 2 (Flajolet, Gardy and
     Thimonier, 1992): a read moves c covered symbols to c+1 with probability (w-c)/w.
 
-    Yields ``(u_m, f_m, R_m)`` for m = 0, 1, ...  ``states`` holds the top counts c < w,
+    Yields ``(u_m, f_m, states)`` for m = 0, 1, ...: ``states`` holds the top counts c < w,
     ``u_m`` (uncovered) is their sum and ``f_m`` the full state, all sums of positive
-    products.  ``R_m = sum_{j>=m} u_j`` exactly, from the states at m: count c is
-    ``w H_{w-c}`` reads from full, with ``H_0..H_w`` summed once, in order.  Bottom states
-    below the smallest normal float leave the list (w * 2.3e-308 of mass at most):
-    subnormals are ten times as slow, and times c/w > 1/2 never reach 0.
+    products.  Bottom states below the smallest normal float leave the list (w * 2.3e-308
+    of mass at most): subnormals are ten times as slow, and times c/w > 1/2 never reach 0.
     """
     stay = [c / w for c in range(w)]
     enter = [0.0] + [(w - c) / w for c in range(w - 1)]  # enter[c]: from c-1 into c
-    harmonic = list(accumulate((1 / i for i in range(1, w + 1)), initial=0.0))[::-1]  # H_w..H_0
-    states, full = [1.0] + [0.0] * (w - 1), 0.0
-    while True:
-        n = len(states)  # states[i] is count w-n+i, weighted by H_{n-i}
-        yield sum(states), full, w * math.fsum(p * h for p, h in zip(states, harmonic[w - n :]))
+    states, full, normal_min = [1.0] + [0.0] * (w - 1), 0.0, sys.float_info.min
+    while True:  # stay and enter are aligned with states at their top ends
+        yield sum(states), full, states
         full += states[-1] / w
-        states = [p * s + q * t for p, s, q, t in zip(states, stay[-n:], [0.0] + states, enter[-n:])]
-        while len(states) > 1 and states[0] < sys.float_info.min:
-            del states[0]
+        states = [p * s + q * t for p, s, q, t in zip(states, stay, [0.0] + states, enter)]
+        if states[0] < normal_min and len(states) > 1:
+            while len(states) > 1 and states[0] < normal_min:
+                del states[0]
+            stay, enter = stay[-len(states) :], enter[-len(states) :]
 
 
 class _Walk:
     """The chain of one support size ``w`` >= 2, walked as far as admitted requests needed.
 
-    ``uncovered``, ``full`` and ``rest`` hold ``u_m``, ``f_m`` and ``R_m`` of reads
-    0..m; the paused :func:`_chain` holds the states of the next read.  Only
-    :meth:`extend` appends, under the lock, and appends never move the floats
-    already stored, so a reader indexes below the length it has seen without it.
+    ``uncovered`` and ``full`` hold ``u_m`` and ``f_m`` of every read walked, and
+    ``rest`` holds ``R_m = sum_{j>=m} u_j`` of the reads where some request asked
+    for it (:meth:`remaining`), NaN elsewhere: ``R_m`` costs an exact sum over the
+    states, which most reads never need.  A cursor keeps one read's states; it
+    walks on to a later read, or from read 0 again to an earlier one, so each
+    request costs at most the walk it would cost alone.  Only the locked methods
+    write; ``rest`` grows last and no stored float ever moves, so a reader indexes
+    below ``len(rest)`` without the lock.  If a walk is interrupted, what it stored
+    stays and the cursor starts again from read 0.
 
     Size: with L reads stored, at most ``24 (17/16) L + 200 w + 4096`` bytes: three
     doubles per read, which ``array`` over-allocates by at most 1/16, then the
@@ -158,50 +164,64 @@ class _Walk:
 
     def __init__(self, w: int):
         self.uncovered, self.full, self.rest = array("d"), array("d"), array("d")
-        self._chain = _chain(w)
+        self._w = w
+        self._harmonic = list(accumulate((1 / i for i in range(1, w + 1)), initial=0.0))[::-1]  # H_w..H_0
+        self._cursor: Optional[tuple[int, list[float], Iterator]] = None  # read m, its states, the chain after it
         self._lock = threading.Lock()
+
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        """``(u_m, f_m)`` for m = 0, 1, ..., walking one read on past the stored ones."""
+        uncovered, full = self.uncovered, self.full
+        m = 0
+        while True:
+            if m == len(self.rest):
+                self.extend(m + 1)
+            yield uncovered[m], full[m]
+            m += 1
 
     def extend(self, reads: int) -> None:
         """Walk on until at least ``reads`` reads are stored."""
         with self._lock:
-            while len(self.rest) < reads:
-                u, f, r = next(self._chain)
-                self.uncovered.append(u)
-                self.full.append(f)
-                self.rest.append(r)  # last: a stored R_m means u_m and f_m are stored
+            if len(self.rest) < reads:
+                self._seek(reads - 1)
 
-    def __iter__(self) -> Iterator[tuple[float, float, float]]:
-        """``(u_m, f_m, R_m)`` for m = 0, 1, ..., walking one read on past the stored ones."""
-        uncovered, full, rest = self.uncovered, self.full, self.rest
-        m = 0
-        while True:
-            if m == len(rest):
-                self.extend(m + 1)
-            yield uncovered[m], full[m], rest[m]
-            m += 1
+    def remaining(self, m: int) -> float:
+        """``R_m`` of a stored read ``m``: count c is ``w H_{w-c}`` reads from full."""
+        rest = self.rest[m]
+        if math.isnan(rest):
+            with self._lock:
+                if math.isnan(rest := self.rest[m]):
+                    states = self._seek(m)
+                    rest = self._w * math.fsum(p * h for p, h in zip(states, self._harmonic[self._w - len(states) :]))
+                    self.rest[m] = rest
+        return rest
+
+    def _seek(self, m: int) -> list[float]:
+        """The states at read ``m``, storing ``u`` and ``f`` of each read first walked on the way."""
+        index, states, chain = self._cursor or (-1, [], _chain(self._w))
+        if index > m:
+            index, chain = -1, _chain(self._w)
+        self._cursor = None  # until the walk below is done
+        stored = len(self.rest)
+        try:
+            for _, _, states in islice(chain, max(0, min(m + 1, stored) - index - 1)):
+                pass  # stored reads: only their states are needed
+            index = max(index, min(m, stored - 1))
+            store_u, store_f = self.uncovered.append, self.full.append
+            for uncovered, full, states in islice(chain, m - index):
+                store_u(uncovered)
+                store_f(full)
+            self.rest.extend(repeat(math.nan, len(self.full) - stored))  # last: a read is stored once its rest is
+        except BaseException:
+            del self.uncovered[len(self.rest) :], self.full[len(self.rest) :]
+            raise
+        self._cursor = m, states, chain
+        return states
 
 
-_walks: "OrderedDict[int, _Walk]" = OrderedDict()
-_walks_lock = threading.Lock()
-
-
-def _walk(w: int) -> _Walk:
-    """The kept walk of support size ``w``, or a new one that may drop the least recently asked."""
-    with _walks_lock:
-        walk = _walks.get(w)
-        if walk is None:
-            walk = _walks[w] = _Walk(w)
-            if len(_walks) > _WALKS_KEPT:
-                _walks.popitem(last=False)
-        else:
-            _walks.move_to_end(w)
-        return walk
-
-
-def _clear_walks() -> None:
-    """Forget every kept walk; the next question at each omega walks from m = 0."""
-    with _walks_lock:
-        _walks.clear()
+#: The kept walks, least recently asked dropped first.  Two threads asking a new
+#: support size at once may each build a walk; both give the same floats.
+_walk = functools.lru_cache(maxsize=_WALKS_KEPT)(_Walk)
 
 
 def _reads_until(w: int, log_bound: float) -> int:
@@ -209,6 +229,11 @@ def _reads_until(w: int, log_bound: float) -> int:
     if log_bound < _LOG_NORMAL_MIN:
         raise UnsupportedRangeError("the stop rule needs probabilities below the normal floats; raise tol or lower ell")
     return max(0, math.ceil((math.log(w) - log_bound) / -math.log1p(-1 / w)))
+
+
+def _reads_above(w: int, log_bound: float) -> int:
+    """Reads at which ``u_m >= ((w-1)/w)^m`` is still above ``exp(log_bound)``, less one for rounding."""
+    return max(0, math.floor(log_bound / math.log1p(-1 / w)) - 1)
 
 
 def _check_float_range(ell: int) -> None:
@@ -251,9 +276,12 @@ def expected_coverage(ell: int, omega: int, tol: float = 1e-12) -> float:
     log_scale = log_pairs + math.log(omega * (1 + log_omega))
     _check_work(_reads_until(omega, (log_target - log_scale) / 2), omega)
     terms = []
-    for uncovered, full, rest in _walk(omega):
+    walk = _walk(omega)
+    walk.extend(_reads_above(omega, (log_target - log_pairs - log_omega) / 2))  # reads before the test can hold
+    for m, (uncovered, full) in enumerate(walk):
         # R_m >= omega * u_m, so the stop rule cannot hold before this does.
         if log_pairs + 2 * math.log(uncovered) + log_omega <= log_target:
+            rest = walk.remaining(m)
             if log_pairs + math.log(uncovered) + math.log(rest) <= log_target:
                 return math.fsum(terms) + ell * rest
         log_cover = math.log1p(-uncovered) if uncovered < 0.5 else math.log(full) if full else -math.inf
@@ -377,8 +405,6 @@ def coverage_bounds(ell: int, omega: int) -> BoundPair:
         upper = 2.0 + math.log2(ell) + 1.0 / math.log(2)
     else:
         d = math.log2(omega / (omega - 1))
-        if d == 0.0:  # omega / (omega - 1) rounds to 1 from omega of about 9e15 on
-            raise UnsupportedRangeError(f"omega={omega} is beyond the float form of the bounds")
         lower = math.log2(ell) / d + math.log2(math.e) / (ell * d)
         upper = 1.0 + math.log2(omega * ell) / d + omega
     return BoundPair(lower, upper)
@@ -424,7 +450,9 @@ def expected_coverage_partial(ell: int, omega: int, r: int, tol: float = 1e-12) 
     log_choose = list(accumulate((math.log((ell - j) / (j + 1)) for j in range(r - 1)), initial=0.0))
     log_sets = log_choose[-1]
     terms = []
-    for uncovered, full, rest in _walk(omega):
+    walk = _walk(omega)
+    walk.extend(_reads_above(omega, (log_target - log_sets - log_omega) / k))  # reads before the test can hold
+    for m, (uncovered, full) in enumerate(walk):
         if full == 0.0:  # under omega reads, or a chance below the float range
             terms.append(1.0)
             continue
@@ -432,6 +460,7 @@ def expected_coverage_partial(ell: int, omega: int, r: int, tol: float = 1e-12) 
         log_f = math.log1p(-uncovered) if uncovered < 0.5 else math.log(full)
         # R_m >= omega * u_m, so the stop rule cannot hold before this does.
         if log_sets + k * log_u + log_omega <= log_target:
+            rest = walk.remaining(m)
             if log_sets + (k - 1) * log_u + math.log(rest) <= log_target:
                 return math.fsum(terms)
         terms.append(math.fsum(math.exp(c + j * log_f + (ell - j) * log_u) for j, c in enumerate(log_choose)))

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -44,9 +45,9 @@ def rel_err(got: float, want) -> float:
 @pytest.fixture(autouse=True)
 def cold_walks():
     """Each test starts from no walked chain, whatever ran before it."""
-    cov._clear_walks()
+    cov._walk.cache_clear()
     yield
-    cov._clear_walks()
+    cov._walk.cache_clear()
 
 
 class TestMissProbability:
@@ -495,7 +496,7 @@ class TestIntegerArguments:
         for call in calls:
             with pytest.raises(ValueError, match="integer"):
                 call()
-        assert not cov._walks
+        assert cov._walk.cache_info().currsize == 0
 
     def test_numpy_integers_are_ints(self):
         assert expected_coverage(np.int64(5), np.int64(3)) == expected_coverage(5, 3)
@@ -508,8 +509,12 @@ class TestIntegerArguments:
             with pytest.raises(UnsupportedRangeError, match="float range"):
                 coverage_bounds(10**400, omega)
             coverage_bounds(10**300, omega)
-        with pytest.raises(UnsupportedRangeError, match="float form"):
-            coverage_bounds(2, 10**17)
+
+
+def _remaining(states, w):
+    """R_m from the chain's states at m: count c is w H_{w-c} reads from full."""
+    harmonic = list(accumulate((1 / i for i in range(1, len(states) + 1)), initial=0.0))
+    return w * math.fsum(p * h for p, h in zip(states, reversed(harmonic)))
 
 
 def _sweep(omega, ells):
@@ -526,7 +531,7 @@ class TestWalkMemo:
             cold = _sweep(omega, self.ELLS)
             assert _sweep(omega, self.ELLS) == cold  # warm
             for order in (self.ELLS[::-1], random.Random(omega).sample(self.ELLS, len(self.ELLS))):
-                cov._clear_walks()
+                cov._walk.cache_clear()
                 assert _sweep(omega, order) == [cold[self.ELLS.index(ell)] for ell in order]
 
     def test_readers_interleaved_at_one_omega(self):
@@ -543,37 +548,81 @@ class TestWalkMemo:
         ]
         alone = []
         for fn, args in calls:
-            cov._clear_walks()
+            cov._walk.cache_clear()
             alone.append(fn(*args))
-        cov._clear_walks()
+        cov._walk.cache_clear()
         assert [fn(*args) for fn, args in calls] == alone
         assert [fn(*args) for fn, args in reversed(calls)] == alone[::-1]
 
     def test_walks_no_further_than_a_request_reads(self):
-        # the stored length is the read where expected_coverage's stop rule first holds, plus one
+        # the stored length is the read where expected_coverage's stop rule first holds, plus one;
+        # R_m is stored from the read where the stop rule is first tried, and only there
         for ell, omega in ((2, 3), (1000, 8), (2**20, 32)):
             expected_coverage(ell, omega)
             log_pairs = math.log(ell) + math.log(ell - 1) - math.log(2)
             log_target = math.log(min(1e-12, omega * 2.0**-53))
-            for m, (u, _, rest) in enumerate(cov._chain(omega)):
+            tried = None
+            for m, (u, _, states) in enumerate(cov._chain(omega)):
                 if log_pairs + 2 * math.log(u) + math.log(omega) <= log_target:
-                    if log_pairs + math.log(u) + math.log(rest) <= log_target:
+                    tried = m if tried is None else tried
+                    if log_pairs + math.log(u) + math.log(_remaining(states, omega)) <= log_target:
                         break
-            assert len(cov._walks[omega].rest) == m + 1, (ell, omega)
+            walk = cov._walk(omega)
+            assert len(walk.rest) == m + 1, (ell, omega)
+            assert [math.isnan(rest) for rest in walk.rest] == [j < tried for j in range(m + 1)]
             miss_probability(omega, m + 5)
-            assert len(cov._walks[omega].rest) == m + 6
+            assert len(walk.rest) == m + 6 and all(math.isnan(rest) for rest in walk.rest[m + 1 :])
 
     def test_eviction_then_rewalk(self):
-        first = expected_coverage(50, 2)
+        first, walk = expected_coverage(50, 2), cov._walk(2)
         for omega in range(3, 3 + cov._WALKS_KEPT):
             expected_coverage(50, omega)
-        assert 2 not in cov._walks and len(cov._walks) == cov._WALKS_KEPT
+        assert cov._walk.cache_info().currsize == cov._WALKS_KEPT
         assert expected_coverage(50, 2) == first
-        assert 2 in cov._walks and 3 not in cov._walks
+        assert cov._walk(2) is not walk and len(cov._walk(2).rest) == len(walk.rest)
+
+    def test_earlier_rest_rewalks_from_the_first_read(self):
+        # a large m walks far without R_m; the readers then need R_m at reads already passed
+        omega = 7
+        calls = [(expected_coverage, (2**20, omega)), (expected_coverage, (2, omega))]
+        calls.append((expected_coverage_partial, (60, omega, 2)))
+        alone = []
+        for fn, args in calls:
+            cov._walk.cache_clear()
+            alone.append(fn(*args))
+        cov._walk.cache_clear()
+        miss_probability(omega, 2000)
+        assert [fn(*args) for fn, args in calls] == alone
+        assert len(cov._walk(omega).rest) == 2001
+
+    @pytest.mark.parametrize("at", [0, 3, 40, 150])
+    def test_interrupted_walk_gives_the_cold_answers(self, monkeypatch, at):
+        omega, ells = 9, (2, 50, 2**20)
+        cold = [expected_coverage(ell, omega) for ell in ells] + [miss_probability(omega, 500)]
+        chain, interrupts = cov._chain, [at]
+
+        def interrupted(w):  # the first chain built stops with an interrupt at read ``at``
+            for m, read in enumerate(chain(w)):
+                if interrupts and m == interrupts[0]:
+                    interrupts.pop()
+                    raise KeyboardInterrupt
+                yield read
+
+        monkeypatch.setattr(cov, "_chain", interrupted)
+        for warm in (False, True):  # True: walked to read 500 first, so R_m comes from a re-walk
+            cov._walk.cache_clear()
+            if warm:
+                miss_probability(omega, 500)
+            interrupts[:] = [at]
+            with pytest.raises(KeyboardInterrupt):
+                expected_coverage(ells[-1], omega)
+            walk = cov._walk(omega)
+            assert len(walk.uncovered) == len(walk.full) == len(walk.rest)
+            assert [expected_coverage(ell, omega) for ell in ells] + [miss_probability(omega, 500)] == cold
 
     def test_refused_requests_leave_the_walk_alone(self, monkeypatch):
         expected_coverage(20, 10)
-        length = len(cov._walks[10].rest)
+        length = len(cov._walk(10).rest)
         monkeypatch.setattr(cov, "MAX_CHAIN_WORK", 10 * length)
         refused = [
             lambda: miss_probability(10, length + 5),  # beyond the work cap
@@ -585,15 +634,15 @@ class TestWalkMemo:
         for call in refused:
             with pytest.raises(UnsupportedRangeError):
                 call()
-            assert len(cov._walks[10].rest) == length
+            assert len(cov._walk(10).rest) == length
         with pytest.raises(UnsupportedRangeError):
             expected_coverage(2, 10**6)
-        assert set(cov._walks) == {10}
+        assert cov._walk.cache_info().currsize == 1
 
     def test_threads_share_one_walk(self):
         omega, ells = 24, self.ELLS * 2
         serial = _sweep(omega, ells)
-        cov._clear_walks()
+        cov._walk.cache_clear()
         start = threading.Barrier(4)
         results = [None] * 4
 
@@ -632,6 +681,6 @@ class TestWalkMemo:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        reads = len(cov._walks[omega].rest)
+        reads = len(cov._walk(omega).rest)
         assert last < reads <= longest
         assert held <= 24 * 17 / 16 * reads + 200 * omega + 4096, (reads, held)
