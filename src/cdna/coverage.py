@@ -40,10 +40,10 @@ from .model import UnsupportedRangeError, _compositions, _integer
 
 #: Cap on a chain question's predicted work: reads, from the union bound u_m <=
 #: omega ((omega-1)/omega)^m, times states and binomial terms per read.  The cap
-#: holds per request, walked or not.  On a 2-CPU x86-64 machine with Python
-#: 3.11, a first request near the cap takes up to about 2 s when binomial terms
-#: dominate (partial recovery with r ~ 10^5 .. 10^6), and its walk at most
-#: about 0.4 s (miss_probability(1000, 9000)); the walk is paid once per omega
+#: holds per request, walked or not.  Near the cap, on a 2-CPU x86-64 machine
+#: with Python 3.11, binomial terms take about 2 s (expected_coverage_partial(
+#: 2 * 10**6, 2, 1_500_000), 9e6 steps) and a walk about 0.35 s
+#: (miss_probability(1000, 9000), 9e6 steps); the walk is paid once per omega
 #: and process (see _Walk).  Beyond the cap, use the simulator.
 MAX_CHAIN_WORK = 10_000_000
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 import threading
 import time
 import tracemalloc
@@ -598,10 +599,10 @@ class TestWalkMemo:
     @pytest.mark.parametrize("at", [0, 3, 40, 150])
     def test_interrupted_walk_gives_the_cold_answers(self, monkeypatch, at):
         omega, ells = 9, (2, 50, 2**20)
-        cold = [expected_coverage(ell, omega) for ell in ells] + [miss_probability(omega, 500)]
-        chain, interrupts = cov._chain, [at]
+        cold = [miss_probability(omega, 500)] + [expected_coverage(ell, omega) for ell in ells]
+        chain, interrupts = cov._chain, []
 
-        def interrupted(w):  # the first chain built stops with an interrupt at read ``at``
+        def interrupted(w):  # stops once with an interrupt at the read in ``interrupts``
             for m, read in enumerate(chain(w)):
                 if interrupts and m == interrupts[0]:
                     interrupts.pop()
@@ -609,16 +610,18 @@ class TestWalkMemo:
                 yield read
 
         monkeypatch.setattr(cov, "_chain", interrupted)
-        for warm in (False, True):  # True: walked to read 500 first, so R_m comes from a re-walk
+        # walked first: nothing; 12 reads, so the kept chain is the one interrupted;
+        # 500 reads, so R_m comes from a walk again from read 0
+        for first, stop in ((0, at), (12, 13 + at), (500, at)):
             cov._walk.cache_clear()
-            if warm:
-                miss_probability(omega, 500)
-            interrupts[:] = [at]
+            if first:
+                miss_probability(omega, first)
+            interrupts[:] = [stop]
             with pytest.raises(KeyboardInterrupt):
                 expected_coverage(ells[-1], omega)
             walk = cov._walk(omega)
             assert len(walk.uncovered) == len(walk.full) == len(walk.rest)
-            assert [expected_coverage(ell, omega) for ell in ells] + [miss_probability(omega, 500)] == cold
+            assert [miss_probability(omega, 500)] + [expected_coverage(ell, omega) for ell in ells] == cold
 
     def test_refused_requests_leave_the_walk_alone(self, monkeypatch):
         expected_coverage(20, 10)
@@ -640,24 +643,33 @@ class TestWalkMemo:
         assert cov._walk.cache_info().currsize == 1
 
     def test_threads_share_one_walk(self):
+        # each thread asks in its own order, so R_m is asked at reads walked without it and the walk restarts
         omega, ells = 24, self.ELLS * 2
-        serial = _sweep(omega, ells)
+        serial = _sweep(omega, ells) + [miss_probability(omega, 3000)]
         cov._walk.cache_clear()
         start = threading.Barrier(4)
         results = [None] * 4
 
         def sweep(i):
             start.wait()
-            order = random.Random(i).sample(range(len(ells)), len(ells))
-            results[i] = {j: expected_coverage(ells[j], omega) for j in order}
+            order = random.Random(i).sample(range(len(ells) + 1), len(ells) + 1)
+            ask = [lambda ell=ell: expected_coverage(ell, omega) for ell in ells]
+            ask.append(lambda: miss_probability(omega, 3000))
+            results[i] = {j: ask[j]() for j in order}
 
-        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
         for got in results:
-            assert [got[j] for j in range(len(ells))] == serial
+            assert [got[j] for j in range(len(serial))] == serial
 
     @pytest.mark.parametrize("omega", [2, 3, 20, 60, 300])
     def test_entry_size_within_the_stated_bound(self, monkeypatch, omega):
