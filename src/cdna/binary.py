@@ -12,7 +12,7 @@ from math import comb
 from typing import Union
 
 from .codes import DEFAULT_MAX_ENUM, CompositeCode, _codes_per_group, _float_success
-from .model import UnsupportedRangeError, observed_grid_size
+from .model import UnsupportedRangeError, _checked_grid_size, _integer
 
 Number = Union[int, float, Fraction]
 
@@ -63,8 +63,7 @@ def binary4_beta(n: int) -> float:
 
     beta -> 4 as n grows, so the optimal code converges to {0, 1/5, 4/5, 1}.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _integer("n", n, 2)
     if n == 2:
         raise ValueError(
             "n=2 is degenerate: only 3 observed distributions exist, so every "
@@ -113,11 +112,7 @@ def optimize_binary4_grid(
     """
     if not 0.0 < grid_step <= 1e-3:
         raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    size = observed_grid_size(n, 2)
-    if size > max_enum:
-        raise UnsupportedRangeError(f"grid of n={n} exceeds the enumeration cap {max_enum}")
+    size = _checked_grid_size(n, 2, max_enum)
     # ceil(c) * size > max_enum exactly when c > max_enum // size; c may be inf
     if 0.5 / grid_step > max_enum // size:
         raise UnsupportedRangeError(

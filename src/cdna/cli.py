@@ -15,7 +15,6 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Optional
 
 import click
 
@@ -24,13 +23,13 @@ from .codes import (
     DEFAULT_MAX_ENUM,
     CompositeCode,
     _base_plus_uniform_success,
+    _grid_code_success,
     construct_base_plus_uniform,
     construct_distinct_support,
     construct_grid_code,
     custom_decoder_from_table,
     evaluate_code,
     mld_decoder,
-    self_decoding_probability,
 )
 from .coverage import (
     CoverageParams,
@@ -39,7 +38,7 @@ from .coverage import (
     expected_coverage_partial,
     random_access_expectation,
 )
-from .model import CompositeSymbol, UnsupportedRangeError, enumerate_observed
+from .model import CompositeSymbol, UnsupportedRangeError
 from .simulate import DEFAULT_MAX_TRANSMISSIONS, SimConfig, run_simulation
 
 EXIT_UNSUPPORTED_RANGE = 3
@@ -168,7 +167,7 @@ def _parse_parts(raw: str) -> list[tuple[int, ...]]:
     return parts
 
 
-def parse_code_spec(spec: str, max_enum: Optional[int] = None) -> CompositeCode:
+def parse_code_spec(spec: str) -> CompositeCode:
     """Parse a code specification string.
 
     Grammar:
@@ -180,8 +179,6 @@ def parse_code_spec(spec: str, max_enum: Optional[int] = None) -> CompositeCode:
     A malformed spec raises ``click.UsageError``; a family beyond the
     enumeration cap raises ``UnsupportedRangeError``.
     """
-    if max_enum is None:
-        max_enum = _max_enum()
     s = spec.strip()
     if not s:
         raise click.UsageError("code spec error at position 0: empty spec")
@@ -218,7 +215,7 @@ def parse_code_spec(spec: str, max_enum: Optional[int] = None) -> CompositeCode:
             if head == "qplus1":
                 return construct_base_plus_uniform(int(params["q"]))
             if head == "omega":
-                return construct_grid_code(int(params["n"]), int(params["q"]), max_enum=max_enum)
+                return construct_grid_code(int(params["n"]), int(params["q"]), max_enum=_max_enum())
             if head == "binary4":
                 return construct_binary4(int(params["n"]))
             return construct_distinct_support(
@@ -453,7 +450,7 @@ def code_eval(code_spec, n, decoder_spec, fmt) -> None:
     if os.path.isfile(code_spec):
         with open(code_spec, "r", encoding="utf-8") as fh:
             code_spec = fh.read().strip()
-    code = parse_code_spec(code_spec, max_enum=max_enum)
+    code = parse_code_spec(code_spec)
     if decoder_spec == "mld":
         decoder = mld_decoder(code)
     elif decoder_spec.startswith("table:"):
@@ -508,23 +505,17 @@ def design(family, q, n, parts, verify_grid, fmt) -> None:
     max_enum = _max_enum()
     if verify_grid is not None and family != "binary4":
         raise click.UsageError("--verify-grid applies to --family binary4 only")
+    alpha = None
     if family == "qplus1":
         if q is None:
             raise click.UsageError("--family qplus1 requires --q")
         code = construct_base_plus_uniform(q)
         f_min, f_avg = (None, None) if n is None else _base_plus_uniform_success(q, n)
-        alpha = None
     elif family == "omega":
         if q is None or n is None:
             raise click.UsageError("--family omega requires --q and --n")
         code = construct_grid_code(n, q, max_enum=max_enum)
-        betas = [
-            self_decoding_probability(theta)
-            for theta in enumerate_observed(n, q, max_size=max_enum)
-        ]
-        f_min = min(betas)
-        f_avg = sum(betas) / len(betas)
-        alpha = None
+        f_min, f_avg = _grid_code_success(n, q)
     elif family == "distinct":
         if q is None or parts is None:
             raise click.UsageError("--family distinct requires --q and --parts")
@@ -532,7 +523,6 @@ def design(family, q, n, parts, verify_grid, fmt) -> None:
         code = construct_distinct_support(q, len(groups), groups)
         f_min = 1
         f_avg = 1
-        alpha = None
     else:
         if n is None:
             raise click.UsageError("--family binary4 requires --n")

@@ -17,7 +17,9 @@ by block, with the libm calls :func:`prob_observed` makes; see
 ``_float_success``.  Exact codes are preselected from float scores within a
 certified margin; then integer likelihoods decide and weigh each point, and
 each symbol's integer total is divided once by ``D**n``, with ``D`` the lcm of
-the code's denominators; see ``_exact_success``.
+the code's denominators; see ``_exact_success``.  Both paths, and the figures of
+the grid code, read the grid in one form: integer count arrays, chunk by chunk,
+in the lexicographic order of ``model._compositions`` (``_grid_chunks``).
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -34,6 +36,7 @@ from .model import (
     ObservedDistribution,
     _checked_grid_size,
     _compositions,
+    _integer,
     base_symbol,
     enumerate_observed,
     multinomial_coefficient,
@@ -262,8 +265,7 @@ def custom_decoder_from_table(
     instances with ``n`` reads) to code symbols, given either as symbols or as
     0-based indices into the sorted code.  Override targets must be codewords.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer("n", n, 1)
     normalized = {}
     for key, value in overrides.items():
         if isinstance(key, ObservedDistribution):
@@ -354,7 +356,8 @@ def evaluate_code(
         decoder = mld_decoder(code)
     if decoder.code != code:
         raise ValueError("decoder belongs to a different code")
-    # the one refusal, ahead of any other work (n < 1 or q < 1 included)
+    # the refusals, ahead of any other work; a numpy n becomes an int, so D**n cannot wrap
+    n = _integer("n", n, 1)
     size = _checked_grid_size(n, code.q, max_enum)
     overrides = _override_rows(code, n, decoder)
     if code.is_exact:
@@ -375,54 +378,42 @@ def evaluate_code(
 _BLOCK_ELEMENTS = 4096
 
 
+def _grid_chunks(np, n: int, q: int, size: int, rows: int) -> Iterator[tuple[int, "np.ndarray"]]:
+    """The ``size`` points of the grid of ``n`` reads over ``q`` letters in the order of
+    ``model._compositions``, ``rows`` at a time: each chunk's first grid index and (points, q) counts."""
+    counts = chain.from_iterable(_compositions(n, q))
+    for start in range(0, size, rows):
+        yield start, np.fromiter(islice(counts, rows * q), dtype=np.int64).reshape(-1, q)
+
+
 class _GridChunk(NamedTuple):
-    """Consecutive points of one observation grid, in lexicographic count order,
-    with what the float path needs to decode and weigh them.
+    """One chunk of :func:`_grid_chunks` with what the float path needs to decode and weigh it.
 
     A NamedTuple rather than a frozen dataclass: it is built about 1 ms faster
     when the module is imported.
     """
 
     start: int  # grid index of the first point
-    counts: list  # count tuples
     k: "np.ndarray"  # (points, q) integer counts
-    fractions: "np.ndarray"  # (points, q) counts / n
-    coef: "np.ndarray"  # float multinomial coefficients; 0.0 where log_coef reaches the float limit
+    coef: "np.ndarray"  # float multinomial coefficients of the direct rows
     log_coef: "np.ndarray"  # log multinomial coefficients, as prob_observed computes them
     direct: "np.ndarray"  # the rows weighed with coef
     log_space: "np.ndarray"  # the rows weighed in log space, from log_coef
 
 
-def _grid_chunk(n: int, start: int, counts: list) -> _GridChunk:
-    import numpy as np
-
-    log_coef = [_log_coefficient(point, n) for point in counts]
-    direct = [r for r, lc in enumerate(log_coef) if lc < _LOG_COEF_FLOAT_LIMIT]
-    log_space = [r for r, lc in enumerate(log_coef) if lc >= _LOG_COEF_FLOAT_LIMIT]
-    k = np.array(counts)
+def _grid_chunk(np, n: int, start: int, k: "np.ndarray") -> _GridChunk:
+    # lgamma(n + 1) minus the columns' lgamma(k_i + 1) added in order from
+    # 0.0, as the sum in _log_coefficient adds them, so the bits match
+    log_coef = math.lgamma(n + 1) - sum(_mapped(np, math.lgamma, k + 1.0).T, 0.0)
+    direct = np.flatnonzero(log_coef < _LOG_COEF_FLOAT_LIMIT)
     return _GridChunk(
         start=start,
-        counts=counts,
         k=k,
-        fractions=k / n,  # k_i and n are exact in floats, so this rounds as k_i / n does
-        coef=np.array(
-            [
-                float(multinomial_coefficient(point)) if lc < _LOG_COEF_FLOAT_LIMIT else 0.0
-                for point, lc in zip(counts, log_coef)
-            ]
-        ),
-        log_coef=np.array(log_coef),
-        direct=np.array(direct, dtype=int),
-        log_space=np.array(log_space, dtype=int),
+        coef=np.array([float(multinomial_coefficient(point)) for point in k[direct].tolist()]),
+        log_coef=log_coef,
+        direct=direct,
+        log_space=np.flatnonzero(log_coef >= _LOG_COEF_FLOAT_LIMIT),
     )
-
-
-def _grid_chunks(n: int, q: int, size: int, rows: int) -> Iterator[tuple[int, list]]:
-    """The ``size`` points of the grid of ``n`` reads over ``q`` letters, ``rows`` at a time,
-    each chunk as the grid index of its first point and its count tuples."""
-    points = _compositions(n, q)
-    for start in range(0, size, rows):
-        yield start, list(islice(points, rows))
 
 
 def _grid_rank(counts: Sequence[int], n: int) -> int:
@@ -478,8 +469,9 @@ def _float_success(
     that a group's scores over one chunk of the grid fill at most
     ``_BLOCK_ELEMENTS`` (or one row).  That is several codes when the whole
     grid fits one chunk, which is then generated once; one code otherwise,
-    for which the grid is generated again, chunk by chunk.  For each group
-    the kernel yields a (codes, m) array of successes.  ``overrides`` (grid
+    for which the grid is generated again, chunk by chunk (the arrays of
+    :func:`_grid_chunks`, weighed by ``_grid_chunk``).  For each group the
+    kernel yields a (codes, m) array of successes.  ``overrides`` (grid
     index -> symbol index) and ``exact`` (indices of the exact symbols of a
     mixed code) apply to every code.
 
@@ -514,28 +506,25 @@ def _float_success(
         codes = np.array(block, dtype=float)
         _, m, q = codes.shape
         rows = _grid_rows(m, q)
-        grid = (_grid_chunk(n, start, counts) for start, counts in _grid_chunks(n, q, size, rows))
+        grid = (_grid_chunk(np, n, start, k) for start, k in _grid_chunks(np, n, q, size, rows))
         if chunks is None and size <= rows:
             chunks = list(grid)
         logs = _log_table(np, codes)
         success = np.zeros((len(codes), m))
         for chunk in chunks or grid:
-            decoded = _decode(np, logs, chunk.fractions)
+            decoded = _decode(np, logs, chunk.k / n)  # k_i and n are exact floats: rounds as k_i / n
             if overrides:
                 lo = bisect_left(override_rows, chunk.start)
-                hi = bisect_left(override_rows, chunk.start + len(chunk.counts))
+                hi = bisect_left(override_rows, chunk.start + len(chunk.k))
                 decoded[:, np.array(override_rows[lo:hi], dtype=int) - chunk.start] = override_symbols[lo:hi]
             mass = _float_masses(np, codes, logs, decoded, chunk)
             if exact:
-                weighed_exactly = np.zeros(decoded.shape, dtype=bool)
-                for j in exact:
-                    weighed_exactly |= decoded == j
-                for g, r in zip(*weighed_exactly.nonzero()):
-                    mass[g, r] = float(_exact_mass(block[g][decoded[g, r]], chunk.counts[r]))
+                for g, r in zip(*np.isin(decoded, list(exact)).nonzero()):
+                    mass[g, r] = float(_exact_mass(block[g][decoded[g, r]], chunk.k[r].tolist()))
             # per symbol, the masses decoded to it (0.0 elsewhere, which adds
             # nothing), summed in grid order after the running total
             weights = np.zeros(decoded.shape + (m,))
-            weights[np.arange(len(codes))[:, None], np.arange(len(chunk.counts)), decoded] = mass
+            weights[np.arange(len(codes))[:, None], np.arange(len(chunk.k)), decoded] = mass
             weights[:, 0] += success
             success = weights.cumsum(axis=1)[:, -1]
         yield success
@@ -590,7 +579,7 @@ def _float_masses(
         k = chunk.k[direct][None].repeat(len(p), axis=0)
         # float(c) ** k, libm's pow; a k = 0 factor is 1.0 and leaves the product as it is
         powers = _mapped(np, pow, p, k)
-        product = chunk.coef[direct]
+        product = chunk.coef
         for i in range(p.shape[2]):
             product = product * powers[:, :, i]
         mass[:, direct] = product
@@ -627,7 +616,10 @@ def _exact_success(
     ``s = sum_i (k_i / n) * max(0, max_j log b_ji)``.  Candidates are the
     symbols within ``(q + 8) * 2**-48 * s`` of the best score: eight times
     the two-sided error, which also covers the rounding of the margin itself,
-    so no true maximizer is left out.
+    so no true maximizer is left out.  Each chunk's margins are summed column
+    by column, in the order of the per-point sum they replace, so they keep
+    its bits (a matrix product would add about 150 kB to the peak resident
+    set on its first use).
 
     Integers then decide and weigh each point: among the candidates the first
     strict maximum of ``N_j`` wins, as in :func:`mld_decode`, and the decoded
@@ -641,20 +633,19 @@ def _exact_success(
     m, q = len(symbols), symbols[0].q
     lcm = math.lcm(*(c.denominator for s in symbols for c in s.probs))
     scaled = [[c.numerator * (lcm // c.denominator) for c in s.probs] for s in symbols]
-    logs = [math.log(b) if b else _LOG_ZERO for row in scaled for b in row]
-    scale = [max(0.0, *logs[i::q]) for i in range(q)]
-    logs = np.array(logs).reshape(m, q)
+    logs = np.array([math.log(b) if b else _LOG_ZERO for row in scaled for b in row]).reshape(m, q)
+    scale = np.maximum(logs.max(axis=0), 0.0)
     slack = (q + 8) * _MARGIN_UNIT / n
     totals = [0] * m
-    for start, points in _grid_chunks(n, q, size, _grid_rows(m, q)):
-        fractions = np.array(points) / n
-        scores = np.zeros((len(points), m))
+    for start, k in _grid_chunks(np, n, q, size, _grid_rows(m, q)):
+        fractions = k / n
+        scores, margins = np.zeros((len(k), m)), np.zeros(len(k))
         for i in range(q):
             scores += fractions[:, i, None] * logs[None, :, i]
-        best = scores.max(axis=1).tolist()
-        floor = [top - slack * sum(k * v for k, v in zip(point, scale)) for top, point in zip(best, points)]
-        candidates = (scores >= np.array(floor)[:, None]).tolist()
-        for r, point, row, top in zip(range(start, start + len(points)), points, candidates, best):
+            margins += k[:, i] * scale[i]
+        best = scores.max(axis=1)
+        candidates = (scores >= (best - slack * margins)[:, None]).tolist()
+        for r, point, row, top in zip(range(start, start + len(k)), k.tolist(), candidates, best.tolist()):
             if top < _IMPOSSIBLE:
                 continue  # every N_j is 0, so the point weighs 0 wherever it decodes
             # (N_j, j) per candidate, N_j = prod_i b_ji**k_i with 0**0 = 1
@@ -709,6 +700,7 @@ def construct_base_plus_uniform(q: int) -> CompositeCode:
     code collapses to one symbol, which always decodes: f_min = f_avg = 1.
     ``_base_plus_uniform_success`` gives both figures for every q.
     """
+    q = _integer("q", q, 1)
     symbols = {base_symbol(q, i) for i in range(1, q + 1)}
     symbols.add(uniform_symbol(q, exact=True))
     return CompositeCode(symbols)
@@ -745,5 +737,27 @@ def self_decoding_probability(theta: ObservedDistribution) -> Fraction:
     ``counts / n``, in integers over one denominator:
     ``C(n; k) * prod_i k_i**k_i / n**n``, returned exactly.
     """
-    counts, n = theta.counts, theta.n
-    return Fraction(multinomial_coefficient(counts) * math.prod(k**k for k in counts), n**n)
+    return Fraction(_self_mass(theta.counts), theta.n**theta.n)
+
+
+def _self_mass(counts: Sequence[int]) -> int:
+    """``n**n`` times the self-decoding probability of the grid point ``counts``."""
+    return multinomial_coefficient(counts) * math.prod(k**k for k in counts)
+
+
+def _grid_code_success(n: int, q: int) -> tuple[Fraction, Fraction]:
+    """Exact ``(f_min, f_avg)`` of ``construct_grid_code(n, q)`` at ``n`` reads.
+
+    Every grid point decodes to itself, so these are the minimum and the mean of the
+    points' :func:`self_decoding_probability`, kept in integer masses and divided once.
+    """
+    import numpy as np
+
+    size = _checked_grid_size(n, q)
+    whole = n**n  # no mass exceeds it: each is a probability times n**n
+    low, total = whole, 0
+    for _, k in _grid_chunks(np, n, q, size, _grid_rows(1, q)):
+        masses = list(map(_self_mass, k.tolist()))
+        low = min(low, *masses)
+        total += sum(masses)
+    return Fraction(low, whole), Fraction(total, whole * size)

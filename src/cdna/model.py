@@ -157,8 +157,7 @@ class ObservedDistribution:
 
 def uniform_symbol(q: int, exact: bool = False) -> CompositeSymbol:
     """The uniform composite symbol (1/q, ..., 1/q)."""
-    if not isinstance(q, int) or q < 1:
-        raise ValueError(f"invalid alphabet size q={q!r}; need an integer >= 1")
+    q = _integer("q", q, 1)
     if exact:
         return CompositeSymbol(Fraction(1, q) for _ in range(q))
     return CompositeSymbol(1.0 / q for _ in range(q))
@@ -166,8 +165,7 @@ def uniform_symbol(q: int, exact: bool = False) -> CompositeSymbol:
 
 def base_symbol(q: int, i: int) -> CompositeSymbol:
     """The indicator symbol with all mass on base symbol i (1-based)."""
-    if not isinstance(q, int) or q < 1:
-        raise ValueError(f"invalid alphabet size q={q!r}; need an integer >= 1")
+    q = _integer("q", q, 1)
     if not 1 <= i <= q:
         raise IndexError(f"symbol index {i} outside 1..{q}")
     return CompositeSymbol(Fraction(1 if j == i else 0) for j in range(1, q + 1))
@@ -175,8 +173,7 @@ def base_symbol(q: int, i: int) -> CompositeSymbol:
 
 def observed_grid_size(n: int, q: int) -> int:
     """Number of empirical distributions with denominator n: C(n+q-1, q-1)."""
-    if n < 1 or q < 1:
-        raise ValueError("need n >= 1 and q >= 1")
+    n, q = _integer("n", n, 1), _integer("q", q, 1)
     return math.comb(n + q - 1, q - 1)
 
 
@@ -207,4 +204,6 @@ def _checked_grid_size(n: int, q: int, max_size: Optional[int] = None) -> int:
         raise UnsupportedRangeError(
             f"|grid(n={n}, q={q})| = {size} exceeds the cap {max_size}; lower n or q"
         )
+    if n >= 2**63:  # the evaluators hold counts in int64 arrays
+        raise UnsupportedRangeError(f"n={n} exceeds the largest count of the grid, 2**63 - 1")
     return size

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cdna import cli, construct_grid_code, enumerate_observed, evaluate_code, self_decoding_probability
+from cdna import cli, codes, construct_grid_code, enumerate_observed, evaluate_code
 from cdna.cli import main
 from cdna.simulate import DEFAULT_MAX_TRANSMISSIONS
 
@@ -280,16 +280,18 @@ class TestDesignCommand:
         # self-decoding mass per point; evaluate_code would score all 5151
         # symbols at each of the 5151 points
         calls = []
+        mass = codes._self_mass
 
-        def counted(theta):
-            calls.append(theta.counts)
-            return self_decoding_probability(theta)
+        def counted(counts):
+            calls.append(tuple(counts))
+            return mass(counts)
 
         def refused(*args, **kwargs):
             raise AssertionError("the omega family does not evaluate its grid code")
 
-        monkeypatch.setattr(cli, "self_decoding_probability", counted)
+        monkeypatch.setattr(codes, "_self_mass", counted)
         monkeypatch.setattr(cli, "evaluate_code", refused)
+        monkeypatch.setattr(codes, "evaluate_code", refused)
         result = run_cli("design", "--family", "omega", "--q", "3", "--n", "100")
         assert result.exit_code == 0, result.output
         assert calls == [theta.counts for theta in enumerate_observed(100, 3)]

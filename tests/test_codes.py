@@ -12,7 +12,10 @@ from cdna import (
     ObservedDistribution,
     UnsupportedRangeError,
     base_symbol,
+    binary4_alpha,
+    binary4_beta,
     construct_base_plus_uniform,
+    construct_binary4,
     construct_distinct_support,
     construct_grid_code,
     custom_decoder_from_table,
@@ -21,6 +24,8 @@ from cdna import (
     evaluate_code,
     mld_decode,
     mld_decoder,
+    observed_grid_size,
+    optimize_binary4_grid,
     prob_observed,
     self_decoding_probability,
     uniform_symbol,
@@ -404,6 +409,110 @@ class TestArrayEvaluator:
         for n, q in ((1, 1), (4, 2), (5, 3), (3, 4)):
             for index, theta in enumerate(enumerate_observed(n, q)):
                 assert codes._grid_rank(theta.counts, n) == index
+
+
+#: (n, q) grids larger than one chunk of the default size, and the 1,201-point
+#: binary grid whose central rows are weighed in log space
+GRIDS = ((7, 1), (2100, 2), (60, 3), (20, 4), (12, 5), (1200, 2))
+
+
+def grid_chunks(n, q, rows):
+    return list(codes._grid_chunks(np, n, q, math.comb(n + q - 1, q - 1), rows))
+
+
+class TestGridArrays:
+    """The one array form of the grid against enumerate_observed and the per-point formulas."""
+
+    @pytest.mark.parametrize("n, q", GRIDS)
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_chunks_are_the_enumeration(self, n, q, rows):
+        rows = rows or codes._grid_rows(1, q)
+        chunks = grid_chunks(n, q, rows)
+        assert [start for start, _ in chunks] == list(range(0, math.comb(n + q - 1, q - 1), rows))
+        assert all(k.dtype == np.int64 and k.shape[1] == q and len(k) <= rows for _, k in chunks)
+        points = [tuple(point) for _, k in chunks for point in k.tolist()]
+        assert points == [theta.counts for theta in enumerate_observed(n, q)]
+
+    @pytest.mark.parametrize("n, q", GRIDS)
+    def test_weights_are_the_per_point_formulas(self, n, q):
+        for start, k in grid_chunks(n, q, 7 if n > 100 else codes._grid_rows(1, q)):
+            chunk = codes._grid_chunk(np, n, start, k)
+            points = k.tolist()
+            assert chunk.log_coef.tolist() == [codes._log_coefficient(point, n) for point in points]
+            limit = codes._LOG_COEF_FLOAT_LIMIT
+            assert chunk.direct.tolist() == [r for r, lc in enumerate(chunk.log_coef) if lc < limit]
+            assert chunk.log_space.tolist() == [r for r, lc in enumerate(chunk.log_coef) if lc >= limit]
+            assert chunk.coef.tolist() == [float(multinomial(points[r])) for r in chunk.direct]
+
+    @pytest.mark.parametrize("block", [1, 7, codes._BLOCK_ELEMENTS])
+    def test_grid_code_figures_are_the_self_decoding_loop(self, monkeypatch, block):
+        monkeypatch.setattr(codes, "_BLOCK_ELEMENTS", block)
+        for n, q in ((1, 1), (3, 1), (1, 3), (2, 2), (7, 2), (6, 3), (5, 4), (4, 5)):
+            betas = [self_decoding_probability(theta) for theta in enumerate_observed(n, q)]
+            assert codes._grid_code_success(n, q) == (min(betas), sum(betas) / len(betas))
+
+
+def multinomial(counts):
+    return math.factorial(sum(counts)) // math.prod(math.factorial(k) for k in counts)
+
+
+class TestIntegerArguments:
+    """Counts and alphabet sizes must be ints: a bool or a float is refused, never
+    taken for the int it looks like (each of these was accepted or raised another
+    error before)."""
+
+    CALLS = {
+        "evaluate_code(code, True)": lambda: evaluate_code(COUNTEREXAMPLE, True),
+        "evaluate_code(code, 3.0)": lambda: evaluate_code(COUNTEREXAMPLE, 3.0),
+        "evaluate_code(code, '3')": lambda: evaluate_code(COUNTEREXAMPLE, "3"),
+        "enumerate_observed(True, 2)": lambda: enumerate_observed(True, 2),
+        "enumerate_observed(2, 2.0)": lambda: enumerate_observed(2, 2.0),
+        "observed_grid_size(2.5, 2)": lambda: observed_grid_size(2.5, 2),
+        "observed_grid_size(2, True)": lambda: observed_grid_size(2, True),
+        "decoding_region(code, s, 2.5)": lambda: decoding_region(COUNTEREXAMPLE, COUNTEREXAMPLE.symbols[0], 2.5),
+        "decoding_region(code, s, True)": lambda: decoding_region(COUNTEREXAMPLE, COUNTEREXAMPLE.symbols[0], True),
+        "construct_grid_code(True, 2)": lambda: construct_grid_code(True, 2),
+        "construct_grid_code(2, 2.0)": lambda: construct_grid_code(2, 2.0),
+        "optimize_binary4_grid(True, 1e-3)": lambda: optimize_binary4_grid(True, 1e-3),
+        "optimize_binary4_grid(3.0, 1e-3)": lambda: optimize_binary4_grid(3.0, 1e-3),
+        "binary4_beta(3.0)": lambda: binary4_beta(3.0),
+        "binary4_alpha(3.0)": lambda: binary4_alpha(3.0),
+        "binary4_alpha(True)": lambda: binary4_alpha(True),
+        "construct_binary4(5.0)": lambda: construct_binary4(5.0),
+        "uniform_symbol(True)": lambda: uniform_symbol(True),
+        "uniform_symbol(2.0)": lambda: uniform_symbol(2.0),
+        "base_symbol(True, 1)": lambda: base_symbol(True, 1),
+        "base_symbol(2.0, 1)": lambda: base_symbol(2.0, 1),
+        "construct_base_plus_uniform(True)": lambda: construct_base_plus_uniform(True),
+        "construct_base_plus_uniform(2.0)": lambda: construct_base_plus_uniform(2.0),
+        "custom_decoder_from_table(code, 2.0, {})": lambda: custom_decoder_from_table(COUNTEREXAMPLE, 2.0, {}),
+        "custom_decoder_from_table(code, True, {})": lambda: custom_decoder_from_table(COUNTEREXAMPLE, True, {}),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_refused(self, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+    def test_counts_beyond_int64_are_refused(self):
+        # a one-letter grid has one point at any n; its count must fit the arrays
+        one = CompositeCode([(1,)])
+        assert evaluate_code(one, 2**63 - 1).f_min == 1
+        for call in (
+            lambda: evaluate_code(one, 2**63),
+            lambda: evaluate_code(one.as_float(), 10**30),
+            lambda: enumerate_observed(2**63, 1),
+            lambda: codes._grid_code_success(2**63, 1),
+        ):
+            with pytest.raises(UnsupportedRangeError, match="largest count"):
+                call()
+
+    def test_numpy_integers_are_ints(self):
+        # an int64 n once wrapped D**n to 0 on the exact path
+        for code, n in ((construct_base_plus_uniform(4), 40), (COUNTEREXAMPLE, 10)):
+            assert evaluate_code(code, np.int64(n)) == evaluate_code(code, n)
+        assert observed_grid_size(np.int64(5), np.int32(3)) == observed_grid_size(5, 3)
+        assert uniform_symbol(np.int64(3)) == uniform_symbol(3)
 
 
 class TestCustomDecoder:
