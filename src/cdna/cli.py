@@ -15,6 +15,7 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import click
 
@@ -38,7 +39,7 @@ from .coverage import (
     expected_coverage_partial,
     random_access_expectation,
 )
-from .model import CompositeSymbol, UnsupportedRangeError
+from .model import UnsupportedRangeError, _compositions
 from .simulate import DEFAULT_MAX_TRANSMISSIONS, SimConfig, run_simulation
 
 EXIT_UNSUPPORTED_RANGE = 3
@@ -61,18 +62,14 @@ def _max_enum() -> int:
 def _fmt_value(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, Fraction):
-        value = float(value)
-    if isinstance(value, float):
-        return f"{value:.12g}"
+    if isinstance(value, (float, Fraction)):
+        return f"{float(value):.12g}"
     return str(value)
 
 
 def _json_value(value):
-    if isinstance(value, Fraction):
-        value = float(value)
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
+    if isinstance(value, (float, Fraction)):
+        return float(_fmt_value(value))
     return value
 
 
@@ -99,14 +96,13 @@ format_option = click.option(
 )
 
 
-def _render_symbol(symbol: CompositeSymbol) -> str:
-    if symbol.q == 2:
-        return _fmt_value(symbol.probs[0])
-    return ":".join(_fmt_value(p) for p in symbol.probs)
+def _render_symbol(probs: Sequence) -> str:
+    """A symbol's probabilities, or the first one alone for a binary symbol."""
+    return ":".join(map(_fmt_value, probs[:1] if len(probs) == 2 else probs))
 
 
-def _render_code(code: CompositeCode) -> str:
-    return "|".join(_render_symbol(s) for s in code.symbols)
+def _render_code(symbols: Iterable[Sequence]) -> str:
+    return "|".join(map(_render_symbol, symbols))
 
 
 def _parse_range(spec: str) -> list[int]:
@@ -167,6 +163,21 @@ def _parse_parts(raw: str) -> list[tuple[int, ...]]:
     return parts
 
 
+#: Each code family: its constructor and the parameters it takes, in order.  A
+#: ``parts`` value is a partition such as ``1+2|3+4``; the others are integers.
+_FAMILIES = {
+    "qplus1": (construct_base_plus_uniform, ("q",)),
+    "omega": (lambda n, q: construct_grid_code(n, q, max_enum=_max_enum()), ("n", "q")),
+    "binary4": (construct_binary4, ("n",)),
+    "distinct": (lambda q, parts: construct_distinct_support(q, len(parts), parts), ("q", "parts")),
+}
+
+
+def _family_arguments(family: str, given: dict) -> list:
+    """``family``'s constructor arguments parsed from ``given``; KeyError names the first one missing."""
+    return [_parse_parts(given[p]) if p == "parts" else int(given[p]) for p in _FAMILIES[family][1]]
+
+
 def parse_code_spec(spec: str) -> CompositeCode:
     """Parse a code specification string.
 
@@ -209,20 +220,10 @@ def parse_code_spec(spec: str) -> CompositeCode:
         except ValueError as exc:
             raise click.UsageError(f"invalid code: {exc}")
     head, sep, body = s.partition(":")
-    if sep and head in ("qplus1", "omega", "binary4", "distinct"):
+    if sep and head in _FAMILIES:
         params = _parse_family_params(body, spec, len(head) + 1)
         try:
-            if head == "qplus1":
-                return construct_base_plus_uniform(int(params["q"]))
-            if head == "omega":
-                return construct_grid_code(int(params["n"]), int(params["q"]), max_enum=_max_enum())
-            if head == "binary4":
-                return construct_binary4(int(params["n"]))
-            return construct_distinct_support(
-                int(params["q"]),
-                len(_parse_parts(params["parts"])),
-                _parse_parts(params["parts"]),
-            )
+            return _FAMILIES[head][0](*_family_arguments(head, params))
         except KeyError as exc:
             raise click.UsageError(f"family {head!r} is missing parameter {exc.args[0]!r}")
         except UnsupportedRangeError:
@@ -458,7 +459,7 @@ def code_eval(code_spec, n, decoder_spec, fmt) -> None:
     else:
         raise click.UsageError(f"unknown decoder {decoder_spec!r}; use mld or table:<file>")
     result = evaluate_code(code, n, decoder=decoder, max_enum=max_enum)
-    rendered = _render_code(code)
+    rendered = _render_code(s.probs for s in code.symbols)
     rows = []
     for i, symbol in enumerate(code.symbols):
         rows.append(
@@ -469,7 +470,7 @@ def code_eval(code_spec, n, decoder_spec, fmt) -> None:
                 "code": rendered,
                 "decoder": decoder_spec,
                 "symbol_index": i,
-                "symbol": _render_symbol(symbol),
+                "symbol": _render_symbol(symbol.probs),
                 "p_succ": result.per_symbol_success[symbol],
                 "f_min": None,
                 "f_avg": None,
@@ -505,40 +506,37 @@ def design(family, q, n, parts, verify_grid, fmt) -> None:
     max_enum = _max_enum()
     if verify_grid is not None and family != "binary4":
         raise click.UsageError("--verify-grid applies to --family binary4 only")
+    options = {"q": q, "n": n, "parts": parts}
+    build, needed = _FAMILIES[family]
+    try:
+        arguments = _family_arguments(family, {k: v for k, v in options.items() if v is not None})
+    except KeyError:
+        raise click.UsageError(f"--family {family} requires " + " and ".join(f"--{k}" for k in options if k in needed))
     alpha = None
-    if family == "qplus1":
-        if q is None:
-            raise click.UsageError("--family qplus1 requires --q")
-        code = construct_base_plus_uniform(q)
-        f_min, f_avg = (None, None) if n is None else _base_plus_uniform_success(q, n)
-    elif family == "omega":
-        if q is None or n is None:
-            raise click.UsageError("--family omega requires --q and --n")
-        code = construct_grid_code(n, q, max_enum=max_enum)
-        f_min, f_avg = _grid_code_success(n, q)
-    elif family == "distinct":
-        if q is None or parts is None:
-            raise click.UsageError("--family distinct requires --q and --parts")
-        groups = _parse_parts(parts)
-        code = construct_distinct_support(q, len(groups), groups)
-        f_min = 1
-        f_avg = 1
+    if family == "omega":
+        # no code is built: its symbols are the grid points, and grid order is the code's sorted
+        # order; k / n of two ints rounds correctly, as the code's float(Fraction(k, n)) does
+        f_min, f_avg = _grid_code_success(n, q, max_enum)
+        symbols = ([k / n for k in counts] for counts in _compositions(n, q))
     else:
-        if n is None:
-            raise click.UsageError("--family binary4 requires --n")
-        code = construct_binary4(n)
-        alpha = binary4_alpha(n)
-        result = evaluate_code(code, n, max_enum=max_enum)
-        f_min = result.f_min
-        f_avg = result.f_avg
+        code = build(*arguments)
+        q, symbols = code.q, [s.probs for s in code.symbols]
+        if family == "qplus1":
+            f_min, f_avg = (None, None) if n is None else _base_plus_uniform_success(q, n)
+        elif family == "distinct":
+            f_min = f_avg = 1
+        else:
+            alpha = binary4_alpha(n)
+            result = evaluate_code(code, n, max_enum=max_enum)
+            f_min, f_avg = result.f_min, result.f_avg
     base = {
         "kind": "design",
         "provenance": "formula",
         "family": family,
-        "q": code.q,
+        "q": q,
         "n": n,
         "alpha": alpha,
-        "code": _render_code(code),
+        "code": _render_code(symbols),
         "f_min": f_min,
         "f_avg": f_avg,
         "grid_step": None,

@@ -20,6 +20,8 @@ each symbol's integer total is divided once by ``D**n``, with ``D`` the lcm of
 the code's denominators; see ``_exact_success``.  Both paths, and the figures of
 the grid code, read the grid in one form: integer count arrays, chunk by chunk,
 in the lexicographic order of ``model._compositions`` (``_grid_chunks``).
+The grid code's figures (``_grid_code_success``) need only those counts, so
+``cdna design --family omega`` builds no symbol per grid point.
 """
 from __future__ import annotations
 
@@ -480,7 +482,7 @@ def _float_success(
     order.  Only IEEE-exact elementwise operations (products, sums,
     comparisons) run in numpy: numpy's vectorized ``log``, ``exp`` and
     ``power`` round differently from libm on some builds and inputs, so the
-    log table (one ``math.log`` per distinct probability), the powers
+    log table (one ``math.log`` per probability), the powers
     ``p_i**k_i`` and the log-space ``math.exp`` come from Python's ``pow``,
     ``math.log`` and ``math.exp``, mapped over flat arrays.
 
@@ -493,7 +495,7 @@ def _float_success(
       exceeds ``_COEF_FLOAT_LIMIT``, ``exp(log_coef + sum_i k_i * log p_i)``.
       The exact symbols of a mixed code are weighed exactly, point by point.
     * Accumulate: each point's mass is added to its code's and symbol's
-      success in grid order, by a cumulative sum (a sequential scan), never a
+      success in grid order, one addition at a time (``np.add.at``), never a
       pairwise or compensated sum.
     """
     import numpy as np
@@ -521,12 +523,8 @@ def _float_success(
             if exact:
                 for g, r in zip(*np.isin(decoded, list(exact)).nonzero()):
                     mass[g, r] = float(_exact_mass(block[g][decoded[g, r]], chunk.k[r].tolist()))
-            # per symbol, the masses decoded to it (0.0 elsewhere, which adds
-            # nothing), summed in grid order after the running total
-            weights = np.zeros(decoded.shape + (m,))
-            weights[np.arange(len(codes))[:, None], np.arange(len(chunk.k)), decoded] = mass
-            weights[:, 0] += success
-            success = weights.cumsum(axis=1)[:, -1]
+            # unbuffered and in index order: each code's points in grid order
+            np.add.at(success, (np.arange(len(codes))[:, None], decoded), mass)
         yield success
 
 
@@ -541,12 +539,11 @@ def _codes_per_group(m: int, q: int, size: int) -> int:
 
 
 def _log_table(np, probs: "np.ndarray") -> "np.ndarray":
-    """``math.log`` of each probability, one call per distinct value; ``_LOG_ZERO`` for 0."""
-    values, inverse = np.unique(probs, return_inverse=True)
-    table = np.full(len(values), _LOG_ZERO)
-    positive = values[values > 0.0]
-    table[len(values) - len(positive) :] = _mapped(np, math.log, positive)
-    return table[inverse].reshape(probs.shape)
+    """``math.log`` of each probability; ``_LOG_ZERO`` for 0."""
+    table = np.full(probs.shape, _LOG_ZERO)
+    positive = probs > 0.0
+    table[positive] = _mapped(np, math.log, probs[positive])
+    return table
 
 
 def _mapped(np, function, *arrays: "np.ndarray") -> "np.ndarray":
@@ -663,9 +660,11 @@ def construct_distinct_support(q: int, m: int, partition: Sequence[Iterable[int]
     """Code of uniform symbols on ``m`` pairwise disjoint nonempty subsets of 1..q.
 
     Distinct supports make every observation attributable to exactly one
-    codeword, so the code decodes perfectly at every read count.
+    codeword, so the code decodes perfectly at every read count.  ``q``, ``m``
+    and the part entries must be ints.
     """
-    parts = [tuple(sorted(set(part))) for part in partition]
+    q, m = _integer("q", q), _integer("m", m)
+    parts = [tuple(sorted({_integer("part entry", i) for i in part})) for part in partition]
     if len(parts) != m:
         raise ValueError(f"expected m={m} parts, got {len(parts)}")
     if m < 1 or m > q:
@@ -710,8 +709,9 @@ def _base_plus_uniform_success(q: int, n: int) -> tuple[Fraction, Fraction]:
     """Exact ``(f_min, f_avg)`` of ``construct_base_plus_uniform(q)`` at ``n`` reads.
 
     Equal to the ``f_min`` and ``f_avg`` of :func:`evaluate_code` on that code,
-    from the closed forms; refuses q < 1 and n < 1 with ``ValueError``.
+    from the closed forms; refuses q < 1, n < 1 and non-int arguments with ``ValueError``.
     """
+    q, n = _integer("q", q), _integer("n", n)
     if q < 1 or n < 1:
         raise ValueError(f"need q >= 1 and n >= 1, got q={q}, n={n}")
     if q == 1:
@@ -745,15 +745,16 @@ def _self_mass(counts: Sequence[int]) -> int:
     return multinomial_coefficient(counts) * math.prod(k**k for k in counts)
 
 
-def _grid_code_success(n: int, q: int) -> tuple[Fraction, Fraction]:
-    """Exact ``(f_min, f_avg)`` of ``construct_grid_code(n, q)`` at ``n`` reads.
+def _grid_code_success(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> tuple[Fraction, Fraction]:
+    """Exact ``(f_min, f_avg)`` of ``construct_grid_code(n, q, max_enum)`` at ``n`` reads.
 
     Every grid point decodes to itself, so these are the minimum and the mean of the
     points' :func:`self_decoding_probability`, kept in integer masses and divided once.
+    Grids above ``max_enum`` points are refused as :func:`construct_grid_code` refuses them.
     """
     import numpy as np
 
-    size = _checked_grid_size(n, q)
+    size = _checked_grid_size(n, q, max_enum)
     whole = n**n  # no mass exceeds it: each is a probability times n**n
     low, total = whole, 0
     for _, k in _grid_chunks(np, n, q, size, _grid_rows(1, q)):

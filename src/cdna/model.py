@@ -27,12 +27,13 @@ class UnsupportedRangeError(ValueError):
     """A request exceeds a documented feasibility cap (not a usage mistake)."""
 
 
-def _integer(name: str, value, minimum: int) -> int:
+def _integer(name: str, value, minimum: Optional[int] = None) -> int:
     """``value`` as an ``int``, refused with ValueError unless it is an integer >= ``minimum``.
 
     Bools and floats are refused however integral they look: ``True`` would pass
     for 1 and ``2.0`` for 2, and a float count silently changes an answer.
-    Other integer types (numpy's, say) are taken through ``__index__``.
+    Other integer types (numpy's, say) are taken through ``__index__``.  Without
+    ``minimum`` only the type is checked, for callers that refuse their own range.
     """
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -40,7 +41,7 @@ def _integer(name: str, value, minimum: int) -> int:
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
 
@@ -165,7 +166,7 @@ def uniform_symbol(q: int, exact: bool = False) -> CompositeSymbol:
 
 def base_symbol(q: int, i: int) -> CompositeSymbol:
     """The indicator symbol with all mass on base symbol i (1-based)."""
-    q = _integer("q", q, 1)
+    q, i = _integer("q", q, 1), _integer("i", i)
     if not 1 <= i <= q:
         raise IndexError(f"symbol index {i} outside 1..{q}")
     return CompositeSymbol(Fraction(1 if j == i else 0) for j in range(1, q + 1))
@@ -178,13 +179,29 @@ def observed_grid_size(n: int, q: int) -> int:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All nonnegative integer vectors of the given length summing to total, lex order."""
+    """All nonnegative integer vectors of the given length summing to total, lex order.
+
+    An odometer over the first ``parts - 2`` counts, without recursion, so any
+    ``parts`` works; each prefix yields its last two counts from one ``range``.
+    """
     if parts == 1:
         yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    prefix = [0] * (parts - 2)
+    rest = total  # total minus the prefix's sum
+    while True:
+        yield from map(tuple(prefix).__add__, zip(range(rest + 1), range(rest, -1, -1)))
+        if rest and prefix:
+            prefix[-1] += 1
+            rest -= 1
+            continue
+        # the prefix sums to total (or is empty): zero its last nonzero count, carry one to the left
+        last = next((i for i in range(len(prefix) - 1, 0, -1) if prefix[i]), 0)
+        if last == 0:
+            return
+        rest += prefix[last] - 1
+        prefix[last] = 0
+        prefix[last - 1] += 1
 
 
 def enumerate_observed(n: int, q: int, max_size: Optional[int] = None) -> list[ObservedDistribution]:

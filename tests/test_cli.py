@@ -296,6 +296,29 @@ class TestDesignCommand:
         assert result.exit_code == 0, result.output
         assert calls == [theta.counts for theta in enumerate_observed(100, 3)]
 
+    def test_omega_family_builds_no_code(self, monkeypatch):
+        # the code column comes from the grid's counts: no symbol object per point
+        def refused(*args, **kwargs):
+            raise AssertionError("the omega family builds no code")
+
+        monkeypatch.setattr(cli, "construct_grid_code", refused)
+        monkeypatch.setattr(codes, "construct_grid_code", refused)
+        monkeypatch.setattr(codes.CompositeCode, "__init__", refused)
+        result = run_cli("design", "--family", "omega", "--q", "3", "--n", "100")
+        assert result.exit_code == 0, result.output
+        assert parse_csv(result.output)[0]["code"].count("|") == 5150
+
+    def test_omega_family_over_many_letters(self):
+        # the grid's generator once recursed once per letter: q = 1,200 raised RecursionError
+        result = run_cli("design", "--family", "omega", "--q", "1500", "--n", "1")
+        assert result.exit_code == 0
+        header, line = result.output.splitlines()  # the code column is beyond csv's field limit
+        row = dict(zip(header.split(","), line.split(",")))
+        assert (row["f_min"], row["f_avg"]) == ("1", "1")
+        symbols = row["code"].split("|")
+        assert len(symbols) == 1500
+        assert symbols[0] == ":".join(["0"] * 1499 + ["1"]) and symbols[-1] == ":".join(["1"] + ["0"] * 1499)
+
     def test_qplus1_family(self):
         rows = parse_csv(run_cli("design", "--family", "qplus1", "--q", "3", "--n", "2").output)
         assert float(rows[0]["f_min"]) == pytest.approx(1 - 1 / 3, abs=1e-12)

@@ -487,6 +487,19 @@ class TestIntegerArguments:
         "construct_base_plus_uniform(2.0)": lambda: construct_base_plus_uniform(2.0),
         "custom_decoder_from_table(code, 2.0, {})": lambda: custom_decoder_from_table(COUNTEREXAMPLE, 2.0, {}),
         "custom_decoder_from_table(code, True, {})": lambda: custom_decoder_from_table(COUNTEREXAMPLE, True, {}),
+        "construct_distinct_support(True, 1, [(1,)])": lambda: construct_distinct_support(True, 1, [(1,)]),
+        "construct_distinct_support(4.0, 2, parts)": lambda: construct_distinct_support(4.0, 2, [(1, 2), (3, 4)]),
+        "construct_distinct_support(4, 2.0, parts)": lambda: construct_distinct_support(4, 2.0, [(1, 2), (3, 4)]),
+        "construct_distinct_support(4, 2, [(1.0, 2), (3, 4)])": lambda: construct_distinct_support(
+            4, 2, [(1.0, 2), (3, 4)]
+        ),
+        "construct_distinct_support(4, 2, [(True, 2), (3, 4)])": lambda: construct_distinct_support(
+            4, 2, [(True, 2), (3, 4)]
+        ),
+        "base_symbol(3, True)": lambda: base_symbol(3, True),
+        "base_symbol(3, 1.0)": lambda: base_symbol(3, 1.0),
+        "_base_plus_uniform_success(True, 3)": lambda: codes._base_plus_uniform_success(True, 3),
+        "_base_plus_uniform_success(2, 2.5)": lambda: codes._base_plus_uniform_success(2, 2.5),
     }
 
     @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())

@@ -109,17 +109,19 @@ class TestEnumerateObserved:
         assert [t.counts for t in grid] == [(0, 2), (1, 1), (2, 0)]
 
     def test_single_read(self):
-        for q in range(1, 5):
+        # 1,500 letters: the grid's generator once recursed once per letter
+        for q in (*range(1, 5), 1500):
             grid = enumerate_observed(1, q)
             assert len(grid) == q
             assert all(sum(t.counts) == 1 for t in grid)
+            assert grid == sorted(grid)
 
     def test_three_three(self):
         assert len(enumerate_observed(3, 3)) == 10
 
     def test_size_and_uniqueness_grid(self):
         for n in range(1, 9):
-            for q in range(1, 5):
+            for q in range(1, 7):
                 grid = enumerate_observed(n, q)
                 assert len(grid) == observed_grid_size(n, q) == math.comb(n + q - 1, q - 1)
                 assert len(set(grid)) == len(grid)
