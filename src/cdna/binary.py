@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import comb
+from numbers import Real
 from typing import Union
 
 from .codes import DEFAULT_MAX_ENUM, CompositeCode, _codes_per_group, _float_success
@@ -110,8 +111,8 @@ def optimize_binary4_grid(
     reads above ``max_enum`` points, and a search whose candidates times grid
     points, ``ceil(0.5 / grid_step) * (n + 1)``, exceed ``max_enum``.
     """
-    if not 0.0 < grid_step <= 1e-3:
-        raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
+    if not (isinstance(grid_step, Real) and 0.0 < grid_step <= 1e-3):
+        raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step!r}")
     size = _checked_grid_size(n, 2, max_enum)
     # ceil(c) * size > max_enum exactly when c > max_enum // size; c may be inf
     if 0.5 / grid_step > max_enum // size:

@@ -30,6 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice
+from numbers import Integral
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -234,16 +235,44 @@ def mld_decode(code: CompositeCode, theta: ObservedDistribution) -> CompositeSym
 class Decoder:
     """A total decoding map from observed distributions to code symbols.
 
-    ``overrides`` pairs count vectors with the symbols they decode to;
-    every other observation decodes by maximum likelihood, so a decoder
-    without overrides is pure maximum likelihood.
+    ``overrides`` pairs observations with the codewords they decode to; every
+    other observation decodes by maximum likelihood.  A key is an
+    :class:`ObservedDistribution` or ``code.q`` int counts, not all zero (an
+    evaluation at ``n`` reads applies the keys that sum to ``n``); a target is
+    a codeword or its 0-based index.  Anything else is refused with
+    ``ValueError``.  This is the one check of the table: it is kept as
+    ``(counts, codeword)`` pairs sorted by counts, the last of equal keys winning.
     """
 
     code: CompositeCode
     overrides: tuple = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_table", dict(self.overrides))
+        symbols, table = self.code.symbols, {}
+        try:
+            for key, target in self.overrides:
+                if isinstance(key, ObservedDistribution):
+                    counts = key.counts
+                else:
+                    counts = tuple(_integer("override count", k, 0) for k in key)
+                if len(counts) != self.code.q:
+                    raise ValueError(f"override key {counts} has q={len(counts)}, code has q={self.code.q}")
+                if not any(counts):
+                    raise ValueError(f"override key {counts} has no reads")
+                if isinstance(target, Integral):
+                    index = _integer("override index", target)
+                    if not 0 <= index < len(symbols):
+                        raise ValueError(f"override index {index} outside 0..{len(symbols) - 1}")
+                else:
+                    target = _as_symbol(target)
+                    index = bisect_left(symbols, target)
+                    if symbols[index : index + 1] != (target,):
+                        raise ValueError(f"override target {target} is not a codeword")
+                table[counts] = symbols[index]
+        except TypeError as exc:  # a key that is not a sequence, a target that is not a distribution
+            raise ValueError(f"overrides must pair count vectors with codewords: {exc}") from None
+        object.__setattr__(self, "overrides", tuple(sorted(table.items())))
+        object.__setattr__(self, "_table", table)
 
     def __call__(self, theta: ObservedDistribution) -> CompositeSymbol:
         hit = self._table.get(theta.counts)
@@ -256,39 +285,18 @@ def mld_decoder(code: CompositeCode) -> Decoder:
     return Decoder(code=code)
 
 
-def custom_decoder_from_table(
-    code: CompositeCode,
-    n: int,
-    overrides: Mapping,
-) -> Decoder:
+def custom_decoder_from_table(code: CompositeCode, n: int, overrides: Mapping) -> Decoder:
     """Decoder equal to maximum likelihood except on explicitly overridden observations.
 
-    ``overrides`` maps count vectors (tuples or :class:`ObservedDistribution`
-    instances with ``n`` reads) to code symbols, given either as symbols or as
-    0-based indices into the sorted code.  Override targets must be codewords.
+    ``overrides`` maps observations of ``n`` reads to codewords, as the pairs of
+    :class:`Decoder` do; this adds only that every key sums to ``n``.
     """
     n = _integer("n", n, 1)
-    normalized = {}
-    for key, value in overrides.items():
-        if isinstance(key, ObservedDistribution):
-            counts = key.counts
-        else:
-            counts = tuple(int(k) for k in key)
-        probe = ObservedDistribution(counts)  # validates nonnegative integers
-        if probe.n != n:
-            raise ValueError(f"override key {counts} sums to {probe.n}, expected n={n}")
-        if probe.q != code.q:
-            raise ValueError(f"override key {counts} has q={probe.q}, code has q={code.q}")
-        if isinstance(value, int) and not isinstance(value, bool):
-            if not 0 <= value < code.m:
-                raise ValueError(f"override index {value} outside 0..{code.m - 1}")
-            symbol = code.symbols[value]
-        else:
-            symbol = _as_symbol(value)
-            if symbol not in code:
-                raise ValueError(f"override target {symbol} is not a codeword")
-        normalized[counts] = symbol
-    return Decoder(code=code, overrides=tuple(sorted(normalized.items())))
+    decoder = Decoder(code, tuple(overrides.items()))
+    for counts, _ in decoder.overrides:
+        if sum(counts) != n:
+            raise ValueError(f"override key {counts} sums to {sum(counts)}, expected n={n}")
+    return decoder
 
 
 def decoding_region(
@@ -419,31 +427,18 @@ def _grid_chunk(np, n: int, start: int, k: "np.ndarray") -> _GridChunk:
 
 
 def _grid_rank(counts: Sequence[int], n: int) -> int:
-    """Index of a count vector in the lexicographic enumeration of its grid."""
-    rank = 0
-    remaining = n
-    for i, k in enumerate(counts[:-1]):
-        rest = len(counts) - i - 1
-        rank += sum(math.comb(remaining - f + rest - 1, rest - 1) for f in range(k))
+    """Index of a count vector in the lexicographic order of its grid, one hockey-stick sum per position."""
+    rank, remaining = 0, n
+    for rest, k in zip(range(len(counts) - 1, 0, -1), counts):
+        rank += math.comb(remaining + rest, rest) - math.comb(remaining - k + rest, rest)
         remaining -= k
     return rank
 
 
 def _override_rows(code: CompositeCode, n: int, decoder: Decoder) -> dict[int, int]:
-    """The decoder's overrides as grid index -> index of the symbol decoded to.
-
-    Keys that are not points of the grid never match an observation and are
-    dropped.
-    """
-    index = {s: j for j, s in enumerate(code.symbols)}
-    rows = {}
-    for counts, symbol in decoder._table.items():
-        if symbol is None or len(counts) != code.q or sum(counts) != n:
-            continue
-        if any(k < 0 or k != int(k) for k in counts):
-            continue
-        rows[_grid_rank([int(k) for k in counts], n)] = index[symbol]
-    return rows
+    """The decoder's overrides of ``n``-read observations as grid index -> index of the codeword."""
+    symbols = code.symbols
+    return {_grid_rank(counts, n): bisect_left(symbols, s) for counts, s in decoder.overrides if sum(counts) == n}
 
 
 #: Finite stand-in for log(0) in the vectorized scores, so that a letter with

@@ -249,7 +249,7 @@ def _check_work(reads: int, per_read: int) -> None:
 def _truncation_target(tol: float, omega: int) -> float:
     """Truncation error a chain sum settles to: ``tol``, but at most ``omega * 2^-53``,
     below the float resolution of every answer (each is at least omega reads)."""
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+    if isinstance(tol, bool) or not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     return min(tol, omega * 2.0**-53)
 

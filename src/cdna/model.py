@@ -47,7 +47,7 @@ def _integer(name: str, value, minimum: Optional[int] = None) -> int:
 
 
 def _is_exact(value: Prob) -> bool:
-    return isinstance(value, Rational)
+    return isinstance(value, Rational) and not isinstance(value, bool)
 
 
 def multinomial_coefficient(counts: Sequence[int]) -> int:
@@ -80,7 +80,7 @@ class CompositeSymbol:
             raise ValueError("a composite symbol needs at least one entry")
         for p in probs:
             if not (_is_exact(p) or isinstance(p, float)):
-                raise TypeError(f"probability entries must be numbers, got {p!r}")
+                raise ValueError(f"probability entries must be numbers, got {p!r}")
             if isinstance(p, float) and not math.isfinite(p):
                 raise ValueError(f"non-finite probability entry {p!r}")
             if p < 0:
@@ -133,7 +133,7 @@ class ObservedDistribution:
         if not counts:
             raise ValueError("counts must be nonempty")
         for k in counts:
-            if not isinstance(k, int) or k < 0:
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ValueError(f"counts must be nonnegative integers, got {k!r}")
         total = sum(counts)
         if n is None:

@@ -164,6 +164,7 @@ class SimConfig:
     mode: str = "recovery"
 
     def __post_init__(self) -> None:
+        _integer("seed", self.seed)
         _integer("trials", self.trials, 1)
         _integer("max_transmissions", self.max_transmissions, 1)
         if self.mode not in ("recovery", "partial", "ra"):

@@ -9,6 +9,7 @@ from scipy import stats
 from cdna import (
     CompositeCode,
     CompositeSymbol,
+    Decoder,
     ObservedDistribution,
     UnsupportedRangeError,
     base_symbol,
@@ -406,9 +407,11 @@ class TestArrayEvaluator:
             assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
     def test_grid_rank(self):
-        for n, q in ((1, 1), (4, 2), (5, 3), (3, 4)):
+        for n, q in ((1, 1), (9, 1), (4, 2), (30, 2), (5, 3), (12, 3), (3, 4), (8, 4), (6, 5)):
             for index, theta in enumerate(enumerate_observed(n, q)):
                 assert codes._grid_rank(theta.counts, n) == index
+        # the last point of a grid no enumeration reaches, in closed form
+        assert codes._grid_rank((10**12, 0, 0), 10**12) == math.comb(10**12 + 2, 2) - 1
 
 
 #: (n, q) grids larger than one chunk of the default size, and the 1,201-point
@@ -507,6 +510,19 @@ class TestIntegerArguments:
         with pytest.raises(ValueError, match="must be an integer"):
             call()
 
+    #: Other scalars a bool or a string passed for: each was accepted or raised TypeError.
+    OTHER_CALLS = {
+        "ObservedDistribution((True, 9))": (lambda: ObservedDistribution((True, 9)), "nonnegative integers"),
+        "CompositeCode.binary([True, 0.5])": (lambda: CompositeCode.binary([True, 0.5]), "must be numbers"),
+        "optimize_binary4_grid(3, '1e-4')": (lambda: optimize_binary4_grid(3, "1e-4"), "grid_step"),
+        "optimize_binary4_grid(3, None)": (lambda: optimize_binary4_grid(3, None), "grid_step"),
+    }
+
+    @pytest.mark.parametrize("call, message", OTHER_CALLS.values(), ids=OTHER_CALLS.keys())
+    def test_other_scalars_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_counts_beyond_int64_are_refused(self):
         # a one-letter grid has one point at any n; its count must fit the arrays
         one = CompositeCode([(1,)])
@@ -560,6 +576,68 @@ class TestCustomDecoder:
             custom_decoder_from_table(COUNTEREXAMPLE, 10, {(0, 9): 1})
         with pytest.raises(ValueError):
             custom_decoder_from_table(COUNTEREXAMPLE, 10, {(0, 10): 7})
+
+    #: (key, target) overrides refused with ValueError, by the table constructor
+    #: and by a Decoder built directly: none is taken for the override it resembles.
+    HOSTILE = {
+        "float key": ((1.5, 9.0), 2),
+        "integral float key": ((0.0, 10.0), 1),
+        "string key": ("0,10", 1),
+        "string counts": (("0", "10"), 1),
+        "bool count": ((True, 9), 1),
+        "negative count": ((-1, 11), 1),
+        "non-iterable key": (10, 1),
+        "all-zero key": ((0, 0), 1),
+        "key of three letters": ((0, 5, 5), 1),
+        "target True": ((0, 10), True),
+        "target 1.0": ((0, 10), 1.0),
+        "target 'x'": ((0, 10), "x"),
+        "target None": ((0, 10), None),
+        "index past the code": ((0, 10), 3),
+        "negative index": ((0, 10), -1),
+        "target not a codeword": ((0, 10), CompositeSymbol((0.45, 0.55))),
+        "target of three letters": ((0, 10), (0.2, 0.3, 0.5)),
+    }
+
+    @pytest.mark.parametrize("key, target", HOSTILE.values(), ids=HOSTILE.keys())
+    def test_hostile_override_refused(self, key, target):
+        with pytest.raises(ValueError):
+            custom_decoder_from_table(COUNTEREXAMPLE, 10, {key: target})
+        with pytest.raises(ValueError):
+            Decoder(COUNTEREXAMPLE, ((key, target),))
+
+    #: overrides only a Decoder built directly can be handed
+    HOSTILE_PAIRS = {
+        "list key of floats": (([1.5, 8.5], 1),),
+        "pair without a target": (((0, 10),),),
+        "entry that is not a pair": (5,),
+        "no pairs at all": None,
+    }
+
+    @pytest.mark.parametrize("overrides", HOSTILE_PAIRS.values(), ids=HOSTILE_PAIRS.keys())
+    def test_hostile_pairs_refused(self, overrides):
+        with pytest.raises(ValueError):
+            Decoder(COUNTEREXAMPLE, overrides)
+
+    def test_direct_decoder_is_the_table_decoder(self):
+        # an index target once raised KeyError in evaluate_code and left its
+        # point outside every decoding region
+        direct = Decoder(COUNTEREXAMPLE, (((0, 10), 1),))
+        table = custom_decoder_from_table(COUNTEREXAMPLE, 10, {(0, 10): 1})
+        assert direct == table and direct.overrides == (((0, 10), COUNTEREXAMPLE.symbols[1]),)
+        result = evaluate_code(COUNTEREXAMPLE, 10, direct)
+        assert result == evaluate_code(COUNTEREXAMPLE, 10, table) and result.f_min == 0.2470703125
+        regions = [decoding_region(COUNTEREXAMPLE, s, 10, direct) for s in COUNTEREXAMPLE.symbols]
+        assert sorted(theta for region in regions for theta in region) == enumerate_observed(10, 2)
+        assert ObservedDistribution((0, 10)) in regions[1]
+        # every form of the same override is stored as the same pair
+        for pair in (
+            ([0, 10], 1),
+            (ObservedDistribution((0, 10)), COUNTEREXAMPLE.symbols[1]),
+            ((np.int64(0), np.int64(10)), np.int64(1)),
+            ((0, 10), (0.5, 0.5)),
+        ):
+            assert Decoder(COUNTEREXAMPLE, (pair,)) == direct
 
 
 class TestConstructions:

@@ -419,7 +419,7 @@ class TestPartialRecovery:
         with pytest.raises(ValueError):
             expected_coverage_partial(3, 2, 4)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan, "1e-12"])
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan, "1e-12", True])
     def test_rejects_bad_tol(self, tol):
         for r in (1, 3):  # partial recovery and the full-recovery case
             with pytest.raises(ValueError, match="tol"):

@@ -51,6 +51,12 @@ TEST_ONLY_EXPORTS = {
     # tests/properties.py uses it as the reflection map to check that binary
     # decoding regions mirror under x -> 1 - x
     "symmetric_reflect",
+    # conftest.reference_evaluate_code weighs each observation with it
+    "prob_observed",
+    # the tests compare it with brute_miss_probability and probe the walk memo with it
+    "miss_probability",
+    # the tests check it against brute-force enumeration
+    "covering_family_count",
 }
 
 
@@ -78,16 +84,16 @@ def _defined_names(node: ast.stmt) -> set[str]:
 
 def _uses() -> list[tuple[set[str], set[str]]]:
     """(names defined, names used) for each top-level statement of the library
-    modules, and for each demo, benchmark file and README as a whole."""
+    modules, and for each demo, benchmark file and README python block as a
+    whole.  Only identifiers in code count: a name in prose is not a use."""
     uses = []
     for path in sorted((ROOT / "src" / "cdna").glob("*.py")):
         if path.name != "__init__.py":
             body = ast.parse(path.read_text(encoding="utf-8")).body
             uses += [(_defined_names(node), _identifiers(node)) for node in body]
-    for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benchmark").rglob("*.py")):
-        uses.append((set(), _identifiers(ast.parse(path.read_text(encoding="utf-8")))))
-    for path in [ROOT / "README.md", *sorted((ROOT / "benchmark").rglob("*.md"))]:
-        uses.append((set(), set(re.findall(r"\w+", path.read_text(encoding="utf-8")))))
+    sources = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "benchmark").rglob("*.py"))]
+    for source in sources + list(_example_sources().values()):
+        uses.append((set(), _identifiers(ast.parse(source))))
     return uses
 
 

@@ -336,8 +336,10 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             SimConfig(CoverageParams(1, 2), trials=10, seed=0, mode="bogus")
 
-    @pytest.mark.parametrize("bad", [True, 2.0, 2.5])
+    @pytest.mark.parametrize("bad", [True, 2.0, 2.5, "7", None])
     def test_counts_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimConfig(CoverageParams(2, 2), trials=10, seed=bad)
         with pytest.raises(ValueError, match="trials must be an integer"):
             SimConfig(CoverageParams(2, 2), trials=bad, seed=1)
         with pytest.raises(ValueError, match="max_transmissions must be an integer"):
