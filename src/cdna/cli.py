@@ -421,10 +421,11 @@ def _load_table_decoder(code: CompositeCode, n: int, path: str):
         raise click.UsageError(f"table decoder {path!r} must hold a JSON object of count vectors")
     overrides = {}
     for key, value in raw.items():
-        try:
-            counts = tuple(int(tok) for tok in key.split(","))
-        except ValueError:
+        tokens = key.split(",")
+        # int() would also read " 0", "+10" and "1_0"; a count is ASCII digits only
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
             raise click.UsageError(f"bad count-vector key {key!r} in {path!r}")
+        counts = tuple(map(int, tokens))
         if not isinstance(value, int) or isinstance(value, bool):
             raise click.UsageError(f"table value for {key!r} must be a codeword index")
         overrides[counts] = value

@@ -384,8 +384,12 @@ def evaluate_code(
 
 #: The evaluator works in numpy blocks of at most this many scores (codes x
 #: points x symbols); only a code with more symbols than this widens a block to
-#: one row of scores.
-_BLOCK_ELEMENTS = 4096
+#: one row of scores.  A block pays about 40 numpy calls besides its libm
+#: work: at 16,384 the binary4 search of a ``code-design`` benchmark round
+#: runs 34 groups (129 at 4,096) and the benchmark's peak RSS is about 0.9 MB
+#: higher (2 CPUs, Python 3.11, numpy 2.4); 65,536 was no faster and added
+#: about 2 MB more.
+_BLOCK_ELEMENTS = 16384
 
 
 def _grid_chunks(np, n: int, q: int, size: int, rows: int) -> Iterator[tuple[int, "np.ndarray"]]:
@@ -479,7 +483,13 @@ def _float_success(
     ``power`` round differently from libm on some builds and inputs, so the
     log table (one ``math.log`` per probability), the powers
     ``p_i**k_i`` and the log-space ``math.exp`` come from Python's ``pow``,
-    ``math.log`` and ``math.exp``, mapped over flat arrays.
+    ``math.log`` and ``math.exp``, mapped over flat arrays.  Where Python
+    answers without libm, the kernel writes the answer and calls nothing: a
+    power with ``k_i = 0`` or ``p_i = 1.0`` is 1.0 (``float.__pow__`` returns
+    1.0 for both before it reaches C ``pow``), and the log of 1.0 is 0.0
+    (``math.log(1.0)`` is exactly 0.0).  Those factors keep their bits, so
+    libm sees only the powers with ``k_i > 0`` and ``p_i != 1.0`` and the
+    logs of ``0 < p_i < 1``.
 
     * Decode: per-read scores ``sum_i (k_i / n) * log p_i``; the first symbol
       within ``TIE_TOLERANCE`` of the best wins, a point no symbol can produce
@@ -534,10 +544,11 @@ def _codes_per_group(m: int, q: int, size: int) -> int:
 
 
 def _log_table(np, probs: "np.ndarray") -> "np.ndarray":
-    """``math.log`` of each probability; ``_LOG_ZERO`` for 0."""
+    """``math.log`` of each probability; ``_LOG_ZERO`` for 0 and ``0.0 = math.log(1.0)`` for 1."""
     table = np.full(probs.shape, _LOG_ZERO)
-    positive = probs > 0.0
-    table[positive] = _mapped(np, math.log, probs[positive])
+    table[probs == 1.0] = 0.0
+    inner = (probs > 0.0) & (probs != 1.0)
+    table[inner] = _mapped(np, math.log, probs[inner])
     return table
 
 
@@ -549,11 +560,14 @@ def _mapped(np, function, *arrays: "np.ndarray") -> "np.ndarray":
 
 def _decode(np, logs: "np.ndarray", fractions: "np.ndarray") -> "np.ndarray":
     """(codes, points) index of the symbol each code decodes each point to."""
-    scores = np.zeros((len(logs), len(fractions), logs.shape[1]))
+    # (symbols, codes, points): numpy reduces a leading axis in contiguous
+    # runs, but a trailing axis of a few symbols one short row at a time (the
+    # maximum of 4 symbols over 4,096 rows took 8 us this way, 220 us that way)
+    scores = np.zeros((logs.shape[1], len(logs), len(fractions)))
     for i in range(fractions.shape[1]):
-        scores += fractions[None, :, i, None] * logs[:, None, :, i]
-    best = scores.max(axis=2)
-    decoded = (scores >= (best - TIE_TOLERANCE)[:, :, None]).argmax(axis=2)
+        scores += fractions[None, None, :, i] * logs.T[i, :, :, None]
+    best = scores.max(axis=0)
+    decoded = (scores >= best - TIE_TOLERANCE).argmax(axis=0)
     # no symbol can produce the observation: all tie at -inf, the first wins
     decoded[best < _IMPOSSIBLE] = 0
     return decoded
@@ -569,8 +583,12 @@ def _float_masses(
     if len(direct):
         p = probs[code, decoded[:, direct]]
         k = chunk.k[direct][None].repeat(len(p), axis=0)
-        # float(c) ** k, libm's pow; a k = 0 factor is 1.0 and leaves the product as it is
-        powers = _mapped(np, pow, p, k)
+        # float(c) ** k, libm's pow where Python calls it: float.__pow__ returns
+        # 1.0 for k = 0 and for c = 1.0 without it, and a 1.0 factor leaves the
+        # product as the skipped factor does
+        powers = np.ones(p.shape)
+        called = (k > 0) & (p != 1.0)
+        powers[called] = _mapped(np, pow, p[called], k[called])
         product = chunk.coef
         for i in range(p.shape[2]):
             product = product * powers[:, :, i]
@@ -750,6 +768,8 @@ def _grid_code_success(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> tupl
     import numpy as np
 
     size = _checked_grid_size(n, q, max_enum)
+    if q == 1:  # the one point (n,) decodes to itself with probability 1
+        return Fraction(1), Fraction(1)
     whole = n**n  # no mass exceeds it: each is a probability times n**n
     low, total = whole, 0
     for _, k in _grid_chunks(np, n, q, size, _grid_rows(1, q)):

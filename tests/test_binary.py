@@ -152,6 +152,23 @@ class TestBinary4Grid:
         with pytest.raises(UnsupportedRangeError, match="enumeration cap"):
             optimize_binary4_grid(3, step, max_enum=work - 1)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_libm_calls_only_where_python_makes_them(self, monkeypatch, n):
+        # {0, x, 1-x, 1}: the interior points of x and 1-x take two powers each,
+        # (0, n) and (n, 0) decode to 0 and 1 and take none (p**0 and 1.0**n);
+        # the log table takes log(x) and log(1-x) twice, never log(1.0) or log(0.0)
+        mapped = {pow: 0, math.log: 0}
+        real = codes._mapped
+
+        def counted(np_, function, *arrays):
+            if function in mapped:
+                mapped[function] += arrays[0].size
+            return real(np_, function, *arrays)
+
+        monkeypatch.setattr(codes, "_mapped", counted)
+        optimize_binary4_grid(n, 1e-4)
+        assert mapped == {pow: 4999 * 2 * (n - 1), math.log: 4999 * 4}
+
     def test_memory_is_bounded_by_the_block(self):
         # 5,000 and 500,000 candidates: the traced peak is that of one block
         bound = 16 * 8 * codes._BLOCK_ELEMENTS

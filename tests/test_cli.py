@@ -212,6 +212,18 @@ class TestCodeEvalCommand:
         assert result.exit_code == 2
         assert "must hold a JSON object" in result.output
 
+    # the first seven once read as a count vector through int(), each as the
+    # override (0, 10) ("0,١٠" in Arabic-Indic digits); the rest were refused already
+    @pytest.mark.parametrize(
+        "key", ["0,1_0", " 0,10", "0,10 ", "0, 10", "+0,10", "0,+10", "0,١٠", "0,10.0", "0,,10", "", "0,-0,10"]
+    )
+    def test_table_key_must_be_ascii_digits(self, tmp_path, key):
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({key: 1}))
+        result = run_cli("code-eval", "--code", "0.4,0.5,0.6", "--n", "10", "--decoder", f"table:{table}")
+        assert result.exit_code == 2
+        assert "bad count-vector key" in result.output
+
     @pytest.mark.parametrize("value", ["true", "false"])
     def test_table_boolean_is_not_a_codeword_index(self, tmp_path, value):
         table = tmp_path / "t.json"

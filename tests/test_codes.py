@@ -254,6 +254,13 @@ class TestArrayEvaluator:
         assert not code.is_exact
         for n in (1, 2, 7, 12):
             assert_same_evaluation(code, n)
+        # exact base symbols beside float symbols that hold 0.0 and 1.0
+        code = CompositeCode(
+            [base_symbol(3, 1), base_symbol(3, 3), (0.0, 1.0, 0.0), (0.5, 0.5, 0.0), (0.25, 0.25, 0.5), uniform_symbol(3)]
+        )
+        for n in (1, 2, 5, 8):
+            assert_same_evaluation(code, n)
+            assert_same_evaluation(code, n, custom_decoder_from_table(code, n, {(n, 0, 0): 3, (0, n, 0): 0}))
 
     def test_zero_probabilities(self):
         # letter 3 is impossible for every symbol: those observations tie at -inf
@@ -264,6 +271,11 @@ class TestArrayEvaluator:
             # impossible points sent elsewhere still weigh nothing
             table = custom_decoder_from_table(code, 3, {(0, 0, 3): 1, (1, 1, 1): 2})
             assert_same_evaluation(code, 3, table)
+        # 0.0 and 1.0 entries, whose powers and logs the float kernel writes without libm
+        for q in (2, 3, 4):
+            code = construct_base_plus_uniform(q).as_float()
+            for n in range(1, 11):
+                assert_same_evaluation(code, n)
 
     def test_exact_ties(self):
         # (5, 5) of ten reads is equally likely under 0.4 and 0.6; the first symbol wins
@@ -314,7 +326,9 @@ class TestArrayEvaluator:
         assert_same_evaluation(CompositeCode.binary([0.1, 0.45, 0.5, 0.9]), n)
         assert_same_evaluation(CompositeCode.binary([0.0, 0.5, 1.0]), n)
 
-    def test_grid_larger_than_one_block(self, rng):
+    def test_grid_larger_than_one_block(self, monkeypatch, rng):
+        # at blocks of 4,096 scores the 1,891-point grid spans two chunks
+        monkeypatch.setattr(codes, "_BLOCK_ELEMENTS", 4096)
         n, q = 60, 3
         assert math.comb(n + q - 1, q - 1) * q > codes._BLOCK_ELEMENTS
         exact = CompositeCode(
@@ -338,11 +352,12 @@ class TestArrayEvaluator:
 
     def test_ties_on_binary_thresholds(self):
         # the 0.4/0.5/0.6 counterexample at n = 5, with and without a table; at
-        # even n the fraction 1/2 ties the inner pair of {0, x, 1-x, 1}
+        # even n the fraction 1/2 ties the inner pair of {0, x, 1-x, 1}, at odd n
+        # nothing ties
         for decoder in (None, custom_decoder_from_table(COUNTEREXAMPLE, 5, {(0, 5): 2})):
             assert_same_evaluation(COUNTEREXAMPLE, 5, decoder)
-        for x in (0.25, 0.2, 0.1 + 0.2, 1 / 3):
-            for n in (2, 4, 6, 10):
+        for x in (0.25, 0.2, 0.1 + 0.2, 1 / 3, 0.4, 0.0001):
+            for n in (1, 2, 3, 4, 5, 6, 9, 10, 31):
                 assert_same_evaluation(CompositeCode.binary([0.0, x, 1.0 - x, 1.0]), n)
 
     def test_log_space_mass_near_1200_reads(self):
@@ -356,6 +371,10 @@ class TestArrayEvaluator:
             assert_same_evaluation(CompositeCode.binary(values), 1000)
         code = CompositeCode([(Fraction(1, 5), Fraction(4, 5)), (0.5, 0.5), (0.9, 0.1)])
         assert_same_evaluation(code, n, custom_decoder_from_table(code, n, {(600, 600): 0, (0, 1200): 2}))
+        # 0.0 and 1.0 entries beside log-space rows
+        code = CompositeCode([(0.0, 1.0), (0.3, 0.7), (0.5, 0.5), (Fraction(1), Fraction(0))])
+        assert_same_evaluation(code, n)
+        assert_same_evaluation(code, n, custom_decoder_from_table(code, n, {(600, 600): 3, (0, 1200): 1}))
 
     def test_memory_does_not_grow_with_the_grid(self):
         # 2,001 and 60,001 grid points: the traced peak is that of a few blocks
@@ -447,12 +466,20 @@ class TestGridArrays:
             assert chunk.log_space.tolist() == [r for r, lc in enumerate(chunk.log_coef) if lc >= limit]
             assert chunk.coef.tolist() == [float(multinomial(points[r])) for r in chunk.direct]
 
-    @pytest.mark.parametrize("block", [1, 7, codes._BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("block", [1, 7, 4096, codes._BLOCK_ELEMENTS])
     def test_grid_code_figures_are_the_self_decoding_loop(self, monkeypatch, block):
         monkeypatch.setattr(codes, "_BLOCK_ELEMENTS", block)
         for n, q in ((1, 1), (3, 1), (1, 3), (2, 2), (7, 2), (6, 3), (5, 4), (4, 5)):
             betas = [self_decoding_probability(theta) for theta in enumerate_observed(n, q)]
             assert codes._grid_code_success(n, q) == (min(betas), sum(betas) / len(betas))
+
+    def test_one_letter_grid_weighs_no_point(self, monkeypatch):
+        # its one point (n,) decodes to itself with probability 1; n**n is never built
+        def refused(counts):
+            raise AssertionError("a one-letter grid needs no self-decoding mass")
+
+        monkeypatch.setattr(codes, "_self_mass", refused)
+        assert codes._grid_code_success(10**6, 1) == (Fraction(1), Fraction(1))
 
 
 def multinomial(counts):
