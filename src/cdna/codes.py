@@ -649,12 +649,13 @@ def _exact_success(
     totals = [0] * m
     for start, k in _grid_chunks(np, n, q, size, _grid_rows(m, q)):
         fractions = k / n
-        scores, margins = np.zeros((len(k), m)), np.zeros(len(k))
+        # (symbols, points), as in _decode: the maximum reduces a leading axis
+        scores, margins = np.zeros((m, len(k))), np.zeros(len(k))
         for i in range(q):
-            scores += fractions[:, i, None] * logs[None, :, i]
+            scores += logs[:, i, None] * fractions[None, :, i]
             margins += k[:, i] * scale[i]
-        best = scores.max(axis=1)
-        candidates = (scores >= (best - slack * margins)[:, None]).tolist()
+        best = scores.max(axis=0)
+        candidates = (scores >= best - slack * margins).T.tolist()
         for r, point, row, top in zip(range(start, start + len(k)), k.tolist(), candidates, best.tolist()):
             if top < _IMPOSSIBLE:
                 continue  # every N_j is 0, so the point weighs 0 wherever it decodes

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import random
 import sys
@@ -7,7 +8,8 @@ import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate
+from collections import Counter
+from itertools import accumulate, product
 from math import comb
 
 import numpy as np
@@ -137,8 +139,10 @@ class TestExpectedCoverage:
 
     def test_exact_matches_term_by_term_reference(self):
         # Term counts C(ell+omega-1, omega-1) - 1 that are not powers of two
-        # leave partial sums of different sizes for the final tail merges.
-        max_ell = {1: 5, 2: 40, 3: 24, 4: 12, 5: 8, 6: 6}
+        # leave partial sums of different sizes for the final tail merges;
+        # omega = 2 has ell terms, so it also reaches both sides of the
+        # _EXACT_BLOCK-term block edges.
+        max_ell = {1: 5, 2: 128, 3: 24, 4: 12, 5: 8, 6: 6}
         term_counts = set()
         for omega, top in max_ell.items():
             for ell in range(1, top + 1):
@@ -148,6 +152,29 @@ class TestExpectedCoverage:
                 assert got == reference_expected_coverage_exact(ell, omega), (ell, omega)
         assert any(n & (n - 1) for n in term_counts)
         assert {1, 2, 4, 8, 16, 32} <= term_counts
+        block = cov._EXACT_BLOCK
+        assert {block - 1, block, block + 1, 2 * block} <= term_counts
+
+    def test_exact_terms_are_the_lexicographic_expansion(self):
+        # the family order yields the terms of the lexicographic enumeration, each once
+        for omega, top in {1: 4, 2: 12, 3: 10, 4: 8, 5: 6, 6: 5}.items():
+            for ell in range(1, top + 1):
+                assert Counter(cov._exact_terms(ell, omega)) == Counter(_lexicographic_terms(ell, omega)), (ell, omega)
+
+    def test_exact_is_reduced_and_pinned(self):
+        # sha256 of numerator and denominator as big-endian bytes (str() of
+        # these integers exceeds the default 4,300-digit conversion limit)
+        pinned = {
+            (90, 3): (299297, 299293, "389d1a6a17041f7f91df7160b5711e17acbf9039d4b04b6af70b7e2c4560d1e3"),
+            (120, 3): (716802, 716798, "200ca54ad79ae6b264b1047db0d13b33f8c8b27409310901cbec071ec97fdb0d"),
+        }
+        for args, (num_bits, den_bits, digest) in pinned.items():
+            value = expected_coverage_exact(*args)
+            num, den = value.numerator, value.denominator
+            assert math.gcd(num, den) == 1
+            assert (num.bit_length(), den.bit_length()) == (num_bits, den_bits), args
+            as_bytes = num.to_bytes((num_bits + 7) // 8, "big") + b"/" + den.to_bytes((den_bits + 7) // 8, "big")
+            assert hashlib.sha256(as_bytes).hexdigest() == digest, args
 
     def test_within_float_resolution_of_exact(self):
         # the truncation settles below omega * 2^-53, under the answer's resolution
@@ -290,6 +317,13 @@ class TestCoverageBounds:
     def test_rejects_small_omega(self):
         with pytest.raises(ValueError):
             coverage_bounds(4, 1)
+
+    def test_upper_bound_holds_at_large_omega(self):
+        # E(2, omega) >= E(1, omega) = omega H_omega; d = log2(omega/(omega-1))
+        # taken directly loses its digits to cancellation at these omega
+        for omega in (10**15, 10**16, 10**18):
+            harmonic = math.log(omega) + 0.5772156649015329 + 1 / (2 * omega)
+            assert coverage_bounds(2, omega).upper >= omega * harmonic, omega
 
 
 class TestCoveringFamilyCount:
@@ -510,6 +544,24 @@ class TestIntegerArguments:
             with pytest.raises(UnsupportedRangeError, match="float range"):
                 coverage_bounds(10**400, omega)
             coverage_bounds(10**300, omega)
+        for omega in (10**306, 10**308, 10**400):  # an upper bound beyond the largest float
+            with pytest.raises(UnsupportedRangeError, match="float range"):
+                coverage_bounds(2, omega)
+        coverage_bounds(2, 10**305)
+
+
+def _lexicographic_terms(ell, omega):
+    """The expansion's terms, as pairs (numerator, denominator), over the multi-indices in lexicographic order."""
+    for k in product(range(ell + 1), repeat=omega):
+        if sum(k) != ell or k[0] == ell:
+            continue
+        coef = math.factorial(ell)
+        n = 1
+        for i, k_i in enumerate(k):
+            coef = coef // math.factorial(k_i) * ((-1) ** i * comb(omega, i)) ** k_i
+            n *= (omega - i) ** k_i if i else 1
+        s = ell - k[0]
+        yield -coef * n, omega**s - n
 
 
 def _remaining(states, w):
