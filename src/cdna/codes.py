@@ -35,6 +35,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .model import (
+    DEFAULT_MAX_ENUM,
     CompositeSymbol,
     ObservedDistribution,
     _checked_grid_size,
@@ -51,9 +52,6 @@ from .model import (
 # after the other modules either way).
 if TYPE_CHECKING:
     import numpy as np
-
-#: evaluate_code and decoding_region refuse grids larger than this.
-DEFAULT_MAX_ENUM = 2_000_000
 
 #: Two float log-likelihoods within this distance (per read) count as tied and
 #: fall back to the lexicographic tie-break.

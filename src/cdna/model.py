@@ -23,6 +23,18 @@ Prob = Union[int, float, Fraction]
 SUM_TOLERANCE = 1e-12
 
 
+#: evaluate_code and decoding_region refuse grids larger than this.
+DEFAULT_MAX_ENUM = 2_000_000
+
+#: A grid of ``size`` points over ``q`` letters holds ``size * q`` counts, 8
+#: bytes each in the evaluators' int64 arrays and in the slots of count tuples.
+#: A grid request is also refused above this many counts per point of its cap
+#: (``DEFAULT_MAX_ENUM`` when none is given): 8M counts, 64 MB, at the default.
+#: Every grid of q <= 4 under the point cap passes; (n, q) = (2, 1500), 1.1M
+#: points under the 2M cap but 1.7G counts (13.6 GB), does not.
+_COUNTS_PER_CAPPED_POINT = 4
+
+
 class UnsupportedRangeError(ValueError):
     """A request exceeds a documented feasibility cap (not a usage mistake)."""
 
@@ -208,18 +220,27 @@ def enumerate_observed(n: int, q: int, max_size: Optional[int] = None) -> list[O
     """All observed distributions of n reads over q symbols, in lexicographic count order.
 
     The result has exactly C(n+q-1, q-1) elements.  ``max_size`` (when given)
-    rejects enumerations larger than the caller is prepared to handle.
+    rejects enumerations larger than the caller is prepared to handle; grids of
+    more than 4 counts per point of ``max_size`` (of ``DEFAULT_MAX_ENUM``
+    when it is not given) are refused as well.
     """
     _checked_grid_size(n, q, max_size)
     return [ObservedDistribution(counts, n) for counts in _compositions(n, q)]
 
 
 def _checked_grid_size(n: int, q: int, max_size: Optional[int] = None) -> int:
-    """``observed_grid_size(n, q)``, refused with UnsupportedRangeError above ``max_size``."""
+    """``observed_grid_size(n, q)``, refused with UnsupportedRangeError above ``max_size``
+    points or ``_COUNTS_PER_CAPPED_POINT`` counts per point of that cap."""
     size = observed_grid_size(n, q)
     if max_size is not None and size > max_size:
         raise UnsupportedRangeError(
             f"|grid(n={n}, q={q})| = {size} exceeds the cap {max_size}; lower n or q"
+        )
+    max_counts = _COUNTS_PER_CAPPED_POINT * (DEFAULT_MAX_ENUM if max_size is None else max_size)
+    if size * q > max_counts:
+        raise UnsupportedRangeError(
+            f"grid(n={n}, q={q}) holds {size * q} counts ({size} points of {q}), beyond the "
+            f"cap of {max_counts} counts; lower n or q"
         )
     if n >= 2**63:  # the evaluators hold counts in int64 arrays
         raise UnsupportedRangeError(f"n={n} exceeds the largest count of the grid, 2**63 - 1")

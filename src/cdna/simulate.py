@@ -9,16 +9,18 @@ All three coverage settings are one process: read until ``r`` of ``ell``
 indices are covered, where each read belongs to the target sequence with
 probability ``1/k``.  Full recovery is ``r = ell, k = 1``, partial recovery is
 ``k = 1`` and random access is ``r = ell``; one loop, :func:`_reads_until`,
-runs all of them.  At ``k = 1`` the driver first draws the first block of
-many trials with the loop's own call and settles them at once
+runs all of them.  At every ``k`` the driver first draws the first block of
+many trials with the loop's own calls and settles them at once
 (:func:`_settle_first_block`), since on short sequences one trial costs far
 more in numpy calls than in draws; the trials that block leaves undecided run
 the loop.
 
 Memory per trial is O(max(``_CHUNK_DRAWS``, ``ell``)) elements whatever the
 block sizes: symbols are drawn at most ``_CHUNK_DRAWS`` at a time (one read
-of ``ell`` symbols when that is more), and the loop keeps observed sets only
-for indices not yet fully covered.
+of ``ell`` symbols when that is more, and such one-read chunks skip the
+running OR down the reads), and the loop keeps observed sets only for indices
+not yet fully covered.  :class:`SimConfig` refuses ``ell`` and ``trials``
+whose arrays would not fit in memory.
 
 Determinism contract: trial ``t`` of a run with master seed ``s`` consumes a
 private stream from a counter-based generator (Philox) keyed by ``(s, t)``.
@@ -45,6 +47,14 @@ _UONE = np.uint64(1)
 #: symbol draws per chunk, in the loop and in the batched first block.  Every
 #: draw array holds at most this many, or one read of ``ell`` when that is more.
 _CHUNK_DRAWS = 1 << 14
+#: The largest sequence and trial count a simulation accepts, so that no
+#: request asks for arrays it cannot hold.  A trial peaks at about 42 bytes
+#: per index (a read's 8-byte draws, the open indices' masks and columns, and
+#: their comparisons): 42 MB at ``ell = 10**6``.
+_MAX_ELL = 10**6
+#: Counts take 8 bytes per trial, and the list of trials left to the loop
+#: after the batched first block at most about 48 more: 0.56 GB at ``10**7``.
+_MAX_TRIALS = 10**7
 #: normal 97.5% quantile, for two-sided 95% confidence intervals
 _Z95 = 1.959963984540054
 
@@ -64,21 +74,31 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 class _TrialStreams:
-    """Reusable equivalent of :func:`trial_rng` that avoids per-trial object churn."""
+    """Reusable equivalent of :func:`trial_rng` that avoids per-trial object churn.
+
+    One Philox generator is reseeded per trial by assigning a state dict of
+    plain Python ints, in which only the trial's key word changes: the state
+    setter reads plain ints several times faster than numpy scalars.  The
+    state is that of a fresh ``Philox(key=(seed, trial))``: counter zero and
+    an empty buffer.
+    """
 
     def __init__(self, seed: int):
-        self._bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self._bg = np.random.Philox(key=0)
         self._rng = np.random.Generator(self._bg)
-        self._state = self._bg.state
-        self._state["state"]["key"][0] = np.uint64(seed & _MASK64)
+        self._key = [seed & _MASK64, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def trial(self, index: int) -> np.random.Generator:
-        st = self._state
-        st["state"]["key"][1] = np.uint64(index & _MASK64)
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        self._bg.state = st
+        self._key[1] = index & _MASK64
+        self._bg.state = self._state
         return self._rng
 
 
@@ -93,10 +113,13 @@ def _reads_until(
     at ``k > 1``.  A block's symbols are one sequential stream, drawn at most
     ``_CHUNK_DRAWS`` at a time (one read when ``ell`` is larger), so the count
     does not depend on the chunking and memory stays O(max(``_CHUNK_DRAWS``,
-    ``ell``)).  After each chunk, the fully covered indices drop out: the loop
-    keeps observed-set bitmasks for the open indices only and lowers ``r`` by
-    the number just finished.  Raises :class:`TrialTruncatedError` when
-    ``cap`` reads pass without stopping.
+    ``ell``)).  Each chunk is one flat int64 ``integers`` call viewed as
+    uint64: for ``omega <= 2**32`` numpy fills both dtypes with the same
+    bounded draws, so values and stream match ``dtype=np.uint64``, without
+    the cost of a shape tuple.  After each chunk, the fully covered indices
+    drop out: the loop keeps observed-set bitmasks for the open indices only
+    and lowers ``r`` by the number just finished.  Raises
+    :class:`TrialTruncatedError` when ``cap`` reads pass without stopping.
     """
     full = np.uint64((1 << omega) - 1)
     masks = np.zeros(ell, dtype=np.uint64)
@@ -113,10 +136,13 @@ def _reads_until(
         else:
             hits = np.flatnonzero(rng.integers(0, k, size=rows) == 0)
         for lo in range(0, hits.size, step):
-            symbols = rng.integers(0, omega, size=(min(step, hits.size - lo), ell), dtype=np.uint64)
+            n = min(step, hits.size - lo)
+            symbols = rng.integers(0, omega, size=n * ell).view(np.uint64).reshape(n, ell)
             if cols.size < ell:
-                symbols = symbols[:, cols]
-            acc = np.bitwise_or.accumulate(np.left_shift(_UONE, symbols, out=symbols), axis=0)
+                symbols = symbols.take(cols, axis=1)
+            acc = np.left_shift(_UONE, symbols, out=symbols)
+            if n > 1:
+                acc = np.bitwise_or.accumulate(acc, axis=0)
             np.bitwise_or(acc, masks, out=acc)
             covered = acc == full
             # covered only grows down the rows, so the last row tells whether
@@ -137,19 +163,38 @@ def _reads_until(
 
 
 def _settle_first_block(
-    streams: _TrialStreams, trials: range, rows: int, ell: int, omega: int, r: int
+    streams: _TrialStreams, trials: range, rows: int, ell: int, omega: int, r: int, k: int
 ) -> np.ndarray:
-    """Reads to stop for each trial its first ``rows`` reads decide at ``k == 1``, else 0.
+    """Reads to stop for each trial its first ``rows`` reads decide, else 0.
 
-    Each trial's first block is drawn by the same ``integers`` call as in
-    :func:`_reads_until`, so a settled count equals the loop's.
+    Each trial's first block is drawn by the same ``integers`` calls as in
+    :func:`_reads_until` (the read labels at ``k > 1``, then the target reads'
+    symbols), so a settled count equals the loop's.  The chunk is settled in
+    one array laid out (index, trial, read): a read that misses the target
+    adds no symbol bits, so the first read that meets the rule is a target
+    read and its row is the count.
     """
-    symbols = np.empty((len(trials), rows, ell), dtype=np.uint64)
+    symbols = np.zeros((len(trials), rows * ell), dtype=np.int64)
+    target = None if k == 1 else np.empty((len(trials), rows), dtype=bool)
     for i, t in enumerate(trials):
-        symbols[i] = streams.trial(t).integers(0, omega, size=(rows, ell), dtype=np.uint64)
-    acc = np.bitwise_or.accumulate(np.left_shift(_UONE, symbols), axis=1)
+        rng = streams.trial(t)
+        if k == 1:
+            symbols[i] = rng.integers(0, omega, size=rows * ell)
+        else:
+            target[i] = hit = rng.integers(0, k, size=rows) == 0
+            hits = np.count_nonzero(hit)
+            symbols[i, : hits * ell] = rng.integers(0, omega, size=hits * ell)
+    drawn = symbols.view(np.uint64).reshape(len(trials), rows, ell).transpose(2, 0, 1)
+    acc = np.left_shift(_UONE, drawn, out=np.empty(drawn.shape, dtype=np.uint64))
+    if k > 1:
+        # trial i's target reads are its first count_nonzero(target[i]) rows;
+        # move them to their reads and leave the other reads without bits
+        placed = np.zeros_like(acc)
+        placed[:, target] = acc[:, np.arange(rows) < target.sum(axis=1)[:, None]]
+        acc = placed
+    np.bitwise_or.accumulate(acc, axis=2, out=acc)
     covered = acc == np.uint64((1 << omega) - 1)
-    done = covered.all(axis=2) if r == ell else covered.sum(axis=2) >= r
+    done = covered.all(axis=0) if r == ell else covered.sum(axis=0) >= r
     return np.where(done.any(axis=1), done.argmax(axis=1) + 1, 0)
 
 
@@ -177,6 +222,16 @@ class SimConfig:
             raise ValueError(f"params.r applies to partial mode only, got r={self.params.r} in mode {self.mode!r}")
         if self.mode != "ra" and self.params.k is not None:
             raise ValueError(f"params.k applies to ra mode only, got k={self.params.k} in mode {self.mode!r}")
+        if self.params.ell > _MAX_ELL:
+            raise UnsupportedRangeError(
+                f"the simulator draws each read's symbols at once and supports ell <= {_MAX_ELL}, "
+                f"got ell={self.params.ell}; use expected_coverage for longer sequences"
+            )
+        if self.trials > _MAX_TRIALS:
+            raise UnsupportedRangeError(
+                f"the simulator keeps every trial's count and supports trials <= {_MAX_TRIALS}, "
+                f"got trials={self.trials}"
+            )
         if self.params.omega > 64:
             raise UnsupportedRangeError(
                 f"the simulator tracks observed sets as 64-bit masks and supports omega <= 64, "
@@ -229,16 +284,18 @@ def run_simulation(config: SimConfig) -> SimReport:
     streams = _TrialStreams(config.seed)
     counts = np.zeros(config.trials, dtype=np.float64)
     rows = min(_FIRST_BLOCK, cap)
-    if k == 1 and rows * params.ell <= _CHUNK_DRAWS:
+    if rows * params.ell <= _CHUNK_DRAWS:
         # Draw the first block of many trials as _reads_until would and settle
         # them at once; trials left at 0 run the loop below.  A batched trial
-        # costs about half a scalar one, so once a chunk settles fewer than
-        # half its trials the batch no longer pays and the rest skip it.
-        # Trials whose first block exceeds a chunk go straight to the loop.
+        # costs about half a scalar one (at k > 1 too: two integers calls
+        # against the loop's two and its bookkeeping), so once a chunk settles
+        # fewer than half its trials the batch no longer pays and the rest
+        # skip it.  Trials whose first block exceeds a chunk go straight to
+        # the loop.
         chunk = _CHUNK_DRAWS // (rows * params.ell)
         for start in range(0, config.trials, chunk):
             trials = range(start, min(start + chunk, config.trials))
-            settled = _settle_first_block(streams, trials, rows, params.ell, params.omega, r)
+            settled = _settle_first_block(streams, trials, rows, params.ell, params.omega, r, k)
             counts[start : trials.stop] = settled
             if 2 * np.count_nonzero(settled) < len(trials):
                 break

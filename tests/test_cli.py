@@ -168,6 +168,17 @@ class TestSimCommand:
         )
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize(
+        "size", [("--ell", "10000000000000", "--trials", "1"), ("--ell", "2", "--trials", "10000000000000")]
+    )
+    def test_arrays_beyond_the_simulator_caps_exit_code(self, size):
+        # refused before anything is allocated: the first once died with
+        # "Unable to allocate 72.8 TiB" and exit 1
+        result = run_cli("sim", "--mode", "recovery", *size, "--omega", "2", "--seed", "1")
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+
     def test_omega_beyond_bitmask_width_exit_code(self):
         result = run_cli("sim", "--ell", "1", "--omega", "65", "--trials", "1", "--seed", "0")
         assert result.exit_code == 3

@@ -212,6 +212,13 @@ class TestEvaluateCode:
         with pytest.raises(UnsupportedRangeError):
             evaluate_code(COUNTEREXAMPLE, 10, max_enum=5)
 
+    def test_wide_grid_refused_by_its_counts(self):
+        # (n, q) = (2, 1500): 1.1M points under the 2M point cap, 1.7G counts
+        wide = CompositeCode([uniform_symbol(1500, exact=True), base_symbol(1500, 1)])
+        for code in (wide, wide.as_float()):
+            with pytest.raises(UnsupportedRangeError, match="counts"):
+                evaluate_code(code, 2)
+
 
 def assert_same_evaluation(code, n, decoder=None):
     """evaluate_code equals the per-observation loop: same values, same types, same order."""

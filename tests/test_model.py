@@ -133,3 +133,18 @@ class TestEnumerateObserved:
         with pytest.raises(UnsupportedRangeError):
             enumerate_observed(100, 4, max_size=1000)
 
+    def test_counts_are_capped_too(self):
+        from cdna import DEFAULT_MAX_ENUM, UnsupportedRangeError
+        from cdna.model import _checked_grid_size
+
+        # 1.1M points pass the point cap but hold 1.7G counts; refused before any is made
+        with pytest.raises(UnsupportedRangeError, match="1688625000 counts"):
+            enumerate_observed(2, 1500)
+        # four counts per point of the cap: every grid of q <= 4 under the point cap passes
+        for q, n in ((2, DEFAULT_MAX_ENUM - 1), (3, 1998), (4, 226)):
+            assert _checked_grid_size(n, q, DEFAULT_MAX_ENUM) <= DEFAULT_MAX_ENUM
+            assert observed_grid_size(n + 1, q) > DEFAULT_MAX_ENUM
+        assert _checked_grid_size(1, 20, 100) == 20  # 400 counts, at the cap of 4 * 100
+        with pytest.raises(UnsupportedRangeError, match="441 counts"):
+            _checked_grid_size(1, 21, 100)
+

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -19,6 +20,8 @@ from cdna import simulate
 from cdna.simulate import (
     _CHUNK_DRAWS,
     _FIRST_BLOCK,
+    _MAX_ELL,
+    _MAX_TRIALS,
     DEFAULT_MAX_TRANSMISSIONS,
     _reads_until,
     _settle_first_block,
@@ -41,6 +44,14 @@ class TestTrialStreams:
             b = streams.trial(t).integers(0, 1000, size=32)
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 - 1])
+    def test_reseed_leaves_the_state_of_a_fresh_generator(self, seed):
+        streams = _TrialStreams(seed)
+        for t in (0, 1, 2**64 - 1):
+            fresh, reused = trial_rng(seed, t), streams.trial(t)
+            assert np.array_equal(fresh.integers(0, 7, size=50), reused.integers(0, 7, size=50))
+            assert repr(fresh.bit_generator.state) == repr(reused.bit_generator.state), (seed, t)
+
     def test_trials_are_distinct_streams(self):
         a = trial_rng(99, 0).integers(0, 1000, size=32)
         b = trial_rng(99, 1).integers(0, 1000, size=32)
@@ -55,10 +66,37 @@ class TestTrialStreams:
 class TestBatchedFirstBlock:
     @pytest.mark.parametrize("ell, omega, r", [(1, 2, 1), (3, 3, 3), (5, 4, 2), (8, 4, 8), (2, 7, 2)])
     def test_settled_trials_match_the_scalar_loop(self, ell, omega, r):
-        settled = _settle_first_block(_TrialStreams(17), range(300), _FIRST_BLOCK, ell, omega, r)
+        settled = _settle_first_block(_TrialStreams(17), range(300), _FIRST_BLOCK, ell, omega, r, 1)
         for t, count in enumerate(settled.tolist()):
             scalar = _reads_until(trial_rng(17, t), ell, omega, r, 1, CAP)
             assert count == scalar if count else scalar > _FIRST_BLOCK, (t, count, scalar)
+
+    @pytest.mark.parametrize(
+        "ell, omega, r, k, cap, trials",
+        [
+            (1, 2, 1, 1, CAP, 300),
+            (4, 3, 2, 1, CAP, 300),
+            (3, 1, 3, 2, CAP, 50),
+            (2, 2, 2, 2, CAP, 300),
+            (3, 3, 3, 5, CAP, 300),
+            (5, 4, 2, 5, CAP, 300),
+            (2, 64, 2, 2, CAP, 30),
+            (1, 64, 1, 1, CAP, 30),
+            (3, 2, 3, 2, 7, 200),
+            (4, 3, 4, 1, 31, 200),
+            (2, 2, 1, 5, 1, 100),
+            # 32 reads of 512 symbols fill one chunk exactly
+            (512, 2, 512, 1, CAP, 3),
+            (512, 3, 300, 2, CAP, 3),
+        ],
+    )
+    def test_settled_trials_match_the_loop_at_every_k(self, ell, omega, r, k, cap, trials):
+        seed = 1000 * ell + omega + k
+        rows = min(_FIRST_BLOCK, cap)
+        settled = _settle_first_block(_TrialStreams(seed), range(trials), rows, ell, omega, r, k)
+        for t, count in enumerate(settled.tolist()):
+            loop = _outcome(_reads_until, seed, t, ell, omega, r, k, cap)
+            assert count == loop if count else loop == "truncated" or loop > rows, (t, count, loop)
 
 
 def _scalar_report(config, reads_until=_reads_until):
@@ -211,6 +249,43 @@ GOLDEN_REPORTS = [
 ]
 
 
+#: (ell, omega, r, k, mode, trials, cap) in all three modes, with k > 1, caps
+#: below and above the first block, and ell up to 10,000; each runs with seed
+#: ell + 7 * omega.  REPORT_MATRIX_SHA256 is the sha256 of the reports' reprs,
+#: computed before the first block was batched at k > 1.
+REPORT_MATRIX = [
+    (1, 2, None, None, "recovery", 300, 10**6),
+    (4, 3, None, None, "recovery", 300, 10**6),
+    (8, 4, None, None, "recovery", 300, 31),
+    (3, 64, None, None, "recovery", 40, 10**6),
+    (512, 2, None, None, "recovery", 20, 10**6),
+    (10_000, 16, None, None, "recovery", 3, 10**6),
+    (5, 3, 2, None, "partial", 300, 10**6),
+    (6, 1, 4, None, "partial", 50, 10**6),
+    (4, 4, 3, None, "partial", 200, 9),
+    (10_000, 4, 9_000, None, "partial", 3, 10**6),
+    (1, 2, None, 2, "ra", 300, 10**6),
+    (3, 3, None, 5, "ra", 300, 10**6),
+    (2, 64, None, 2, "ra", 30, 10**6),
+    (8, 4, None, 3, "ra", 200, 40),
+    (1, 1, None, 5, "ra", 100, 33),
+    (10_000, 2, None, 3, "ra", 3, 10**6),
+    (512, 3, None, 2, "ra", 10, 10**6),
+    (512, 2, 300, None, "partial", 10, 10**6),
+    (2, 16, None, 2, "ra", 300, 20),
+]
+REPORT_MATRIX_SHA256 = "2c64fa31ab7fc64d411cb358f90e6a07e78040453cb6d0ca9cb00d743eba9da3"
+
+
+def test_report_matrix_hash_is_pinned():
+    digest = hashlib.sha256()
+    for ell, omega, r, k, mode, trials, cap in REPORT_MATRIX:
+        config = SimConfig(CoverageParams(ell, omega, r=r, k=k), trials, ell + 7 * omega, cap, mode)
+        report = run_simulation(config)
+        digest.update(repr((report.mean, report.std_error, report.ci95, report.truncated_trials)).encode())
+    assert digest.hexdigest() == REPORT_MATRIX_SHA256
+
+
 @pytest.mark.parametrize("case, expected", GOLDEN_REPORTS)
 def test_reports_are_pinned_per_seed(case, expected):
     ell, omega, r, k, mode, trials, seed, cap = case
@@ -357,6 +432,19 @@ class TestRunSimulation:
             SimConfig(CoverageParams(3, 2, r=1, k=2), trials=10, seed=0, mode="partial")
         SimConfig(CoverageParams(3, 2, r=1), trials=10, seed=0, mode="partial")
         SimConfig(CoverageParams(3, 2, k=2), trials=10, seed=0, mode="ra")
+
+    def test_array_sizes_are_capped_before_anything_is_allocated(self):
+        SimConfig(CoverageParams(_MAX_ELL, 2), trials=_MAX_TRIALS, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedRangeError, match="ell <= "):
+                SimConfig(CoverageParams(_MAX_ELL + 1, 2), trials=1, seed=0)
+            with pytest.raises(UnsupportedRangeError, match="trials <= "):
+                SimConfig(CoverageParams(2, 2), trials=_MAX_TRIALS + 1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bitmask_width_caps_omega(self):
         SimConfig(CoverageParams(1, 64), trials=1, seed=0)
