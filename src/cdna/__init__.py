@@ -35,7 +35,6 @@ from .codes import (
     evaluate_code,
     mld_decode,
     mld_decoder,
-    prob_observed,
     self_decoding_probability,
 )
 from .coverage import (
@@ -106,7 +105,6 @@ __all__ = [
     "mld_decoder",
     "observed_grid_size",
     "optimize_binary4_grid",
-    "prob_observed",
     "random_access_expectation",
     "run_simulation",
     "self_decoding_probability",

@@ -8,20 +8,24 @@ distribution and summing multinomial masses over decoding regions.
 Codes built from exact rationals evaluate exactly end to end; float codes
 evaluate in floats with a fixed tie tolerance.
 
-:func:`mld_decode`, :func:`prob_observed` and :func:`decoding_region` work one
-observation at a time.  :func:`evaluate_code` gives the same numbers, bit for
-bit, from an array evaluator: it decodes whole blocks of the grid in numpy
-(never more than ``_BLOCK_ELEMENTS`` scores per block, unless one row of a
-code's scores is longer).  Float codes are also weighed and accumulated block
-by block, with the libm calls :func:`prob_observed` makes; see
+Each numeric path has one decision rule, which works on arrays of counts:
+``_decode`` for float codes and ``_exact_rule`` for exact ones.
+:func:`evaluate_code` decodes whole blocks of the grid with it (never more
+than ``_BLOCK_ELEMENTS`` scores per block, unless one row of a code's scores is
+longer); :func:`decoding_region` decodes the same blocks, and
+:func:`mld_decode` one row.  Float codes are also weighed and accumulated block
+by block, with the libm calls a per-observation loop makes; see
 ``_float_success``.  Exact codes are preselected from float scores within a
 certified margin; then integer likelihoods decide and weigh each point, and
 each symbol's integer total is divided once by ``D**n``, with ``D`` the lcm of
-the code's denominators; see ``_exact_success``.  Both paths, and the figures of
-the grid code, read the grid in one form: integer count arrays, chunk by chunk,
-in the lexicographic order of ``model._compositions`` (``_grid_chunks``).
-The grid code's figures (``_grid_code_success``) need only those counts, so
-``cdna design --family omega`` builds no symbol per grid point.
+the code's denominators; see ``_exact_success``.  The results equal, bit for
+bit, those of the per-observation loop the tests keep as their reference
+(``reference_evaluate_code`` in ``tests/conftest.py``).  Both paths, and the
+figures of the grid code, read the grid in one form: integer count arrays,
+chunk by chunk, in the lexicographic order of ``model._compositions``
+(``_grid_chunks``).  The grid code's figures (``_grid_code_success``) need
+only those counts, so ``cdna design --family omega`` builds no symbol per grid
+point.
 """
 from __future__ import annotations
 
@@ -32,12 +36,13 @@ from fractions import Fraction
 from itertools import chain, compress, islice
 from numbers import Integral
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .model import (
     DEFAULT_MAX_ENUM,
     CompositeSymbol,
     ObservedDistribution,
+    UnsupportedRangeError,
     _checked_grid_size,
     _compositions,
     _integer,
@@ -57,10 +62,17 @@ if TYPE_CHECKING:
 #: fall back to the lexicographic tie-break.
 TIE_TOLERANCE = 1e-12
 
-#: Multinomial coefficients above this magnitude switch the float path of
-#: prob_observed to log-space evaluation to avoid overflow.
+#: Multinomial coefficients above this magnitude are weighed in log space, to
+#: avoid overflow, as the tests' per-observation reference weighs them.
 _COEF_FLOAT_LIMIT = 1e280
 _LOG_COEF_FLOAT_LIMIT = math.log(_COEF_FLOAT_LIMIT)
+
+#: Exact one-point decoding refuses ``n * D.bit_length()`` above this, with
+#: ``D`` the lcm of the code's denominators: each candidate's likelihood
+#: ``N_j`` has up to that many bits.  At the cap the code of denominators 10, 3
+#: and 2 decodes (n/3, 2n/3) in 0.64 s, and at twice the cap in 2.0 s (2 CPUs,
+#: Python 3.11, numpy 2.4); the cost grows faster than the bits.
+_MAX_POINT_BITS = 2**23
 
 SymbolLike = Union[CompositeSymbol, Sequence]
 
@@ -126,26 +138,13 @@ class CompositeCode:
         return isinstance(symbol, CompositeSymbol) and symbol in self.symbols
 
 
-def _check_same_q(code_q: int, theta: ObservedDistribution) -> None:
-    if theta.q != code_q:
-        raise ValueError(f"alphabet mismatch: code has q={code_q}, observation has q={theta.q}")
-
-
-def prob_observed(symbol: CompositeSymbol, theta: ObservedDistribution):
-    """Probability that ``theta.n`` reads of ``symbol`` show exactly ``theta``.
-
-    Multinomial mass ``C(n; k_1..k_q) * prod_i p_i^k_i`` with the convention
-    0^0 = 1, so symbols outside the observation's support contribute probability
-    zero and unused zero-probability letters are harmless.  Exact symbols give
-    an exact ``Fraction``; float symbols give a float.
-    """
-    symbol = _as_symbol(symbol)
-    _check_same_q(symbol.q, theta)
-    if symbol.is_exact:
-        return _exact_mass(symbol.probs, theta.counts)
-    log_coef = _log_coefficient(theta.counts, theta.n)
-    coef = float(multinomial_coefficient(theta.counts)) if log_coef < _LOG_COEF_FLOAT_LIMIT else None
-    return _float_mass(symbol.probs, theta.counts, coef, log_coef)
+def _check_observation(code: CompositeCode, theta: ObservedDistribution) -> None:
+    """Refuse an observation of another alphabet, and one of ``2**53`` reads or more: below
+    that every count fits int64 and ``k_i / n`` in floats is correctly rounded."""
+    if theta.q != code.q:
+        raise ValueError(f"alphabet mismatch: code has q={code.q}, observation has q={theta.q}")
+    if theta.n >= 2**53:
+        raise UnsupportedRangeError(f"n={theta.n} reads exceed one-point decoding's cap of 2**53 - 1")
 
 
 def _exact_mass(probs: Sequence, counts: Sequence[int]) -> Fraction:
@@ -154,46 +153,6 @@ def _exact_mass(probs: Sequence, counts: Sequence[int]) -> Fraction:
         if k:
             p *= Fraction(c) ** k
     return p
-
-
-def _log_coefficient(counts: Sequence[int], n: int) -> float:
-    return math.lgamma(n + 1) - sum(math.lgamma(k + 1) for k in counts)
-
-
-def _float_mass(probs: Sequence, counts: Sequence[int], coef: Optional[float], log_coef: float) -> float:
-    """``coef * prod p_i**k_i`` in floats, or in log space when ``coef`` is None."""
-    if coef is None:
-        return _log_space_mass(probs, counts, log_coef)
-    p = coef
-    for c, k in zip(probs, counts):
-        if k:
-            p *= float(c) ** k
-    return p
-
-
-def _log_space_mass(probs: Sequence, counts: Sequence[int], log_coef: float) -> float:
-    """Multinomial mass in log space, for coefficients too large for a float."""
-    log_p = log_coef
-    for c, k in zip(probs, counts):
-        if k:
-            c = float(c)
-            if c == 0.0:
-                return 0.0
-            log_p += k * math.log(c)
-    return math.exp(log_p)
-
-
-def _log_likelihood_per_read(symbol: CompositeSymbol, theta: ObservedDistribution) -> float:
-    """(1/n) log P[theta | symbol], with -inf when the observation leaves the support."""
-    total = 0.0
-    n = theta.n
-    for c, k in zip(symbol.probs, theta.counts):
-        if k:
-            c = float(c)
-            if c == 0.0:
-                return -math.inf
-            total += (k / n) * math.log(c)
-    return total
 
 
 def mld_decode(code: CompositeCode, theta: ObservedDistribution) -> CompositeSymbol:
@@ -205,28 +164,22 @@ def mld_decode(code: CompositeCode, theta: ObservedDistribution) -> CompositeSym
     reads produced a given empirical distribution.  Ties go to the symbol that
     comes first in lexicographic order of distributions.
 
-    Exact codes are compared in exact rational arithmetic; float codes compare
-    per-read log-likelihoods with tolerance ``TIE_TOLERANCE``.
+    Exact codes are compared in exact integer likelihoods; float codes compare
+    per-read log-likelihoods with tolerance ``TIE_TOLERANCE``.  The decision
+    is the one :func:`evaluate_code` makes, on one row of counts.  Refused with
+    ``UnsupportedRangeError``: ``n >= 2**53`` reads, and on an exact code
+    ``n * D.bit_length()`` above ``_MAX_POINT_BITS`` (``D`` the lcm of its
+    denominators), whose integer likelihoods would grow without bound.
     """
-    _check_same_q(code.q, theta)
-    if code.is_exact:
-        best = None
-        best_symbol = None
-        for s in code.symbols:
-            p = Fraction(1)
-            for c, k in zip(s.probs, theta.counts):
-                if k:
-                    p *= Fraction(c) ** k
-            if best is None or p > best:
-                best = p
-                best_symbol = s
-        return best_symbol
-    lls = [_log_likelihood_per_read(s, theta) for s in code.symbols]
-    best = max(lls)
-    for s, ll in zip(code.symbols, lls):
-        if ll >= best - TIE_TOLERANCE:
-            return s
-    raise AssertionError("unreachable: max not attained")
+    import numpy as np
+
+    _check_observation(code, theta)
+    bits = theta.n * _lcm(code.symbols).bit_length() if code.is_exact else 0
+    if bits > _MAX_POINT_BITS:
+        message = f"n={theta.n} reads give exact likelihoods of up to {bits} bits, beyond the cap of {_MAX_POINT_BITS}"
+        raise UnsupportedRangeError(f"{message}; one-point decoding refuses them")
+    [index] = _decider(np, code, theta.n)(np.array([theta.counts], dtype=np.int64))
+    return code.symbols[index]
 
 
 @dataclass(frozen=True)
@@ -273,10 +226,10 @@ class Decoder:
         object.__setattr__(self, "_table", table)
 
     def __call__(self, theta: ObservedDistribution) -> CompositeSymbol:
+        """The override of ``theta``, or its :func:`mld_decode`; refused as that refuses it."""
+        _check_observation(self.code, theta)
         hit = self._table.get(theta.counts)
-        if hit is not None:
-            return hit
-        return mld_decode(self.code, theta)
+        return mld_decode(self.code, theta) if hit is None else hit
 
 
 def mld_decoder(code: CompositeCode) -> Decoder:
@@ -304,20 +257,49 @@ def decoding_region(
     decoder: Optional[Decoder] = None,
     max_enum: int = DEFAULT_MAX_ENUM,
 ) -> tuple[ObservedDistribution, ...]:
-    """All observed distributions of ``n`` reads that decode to ``symbol``.
+    """All observed distributions of ``n`` reads that decode to ``symbol``, in grid order.
 
-    Regions over all codewords partition the full grid.  Refuses grids larger
-    than ``max_enum``.
+    Regions over all codewords partition the full grid.  The grid is decoded
+    chunk by chunk as :func:`evaluate_code` decodes it, and refused as that
+    refuses it; only the region's points become objects.
     """
+    import numpy as np
+
     symbol = _as_symbol(symbol)
     if symbol not in code:
         raise ValueError(f"{symbol} is not a codeword")
+    n, size, overrides = _grid_request(code, n, decoder, max_enum)
+    decide, override = _decider(np, code, n), _override_writer(np, overrides)
+    target, region = bisect_left(code.symbols, symbol), []
+    for start, k in _grid_chunks(np, n, code.q, size, _grid_rows(code.m, code.q)):
+        decoded = decide(k)
+        override(decoded, start)
+        region += (ObservedDistribution(point, n) for point in k[decoded == target].tolist())
+    return tuple(region)
+
+
+def _grid_request(code: CompositeCode, n: int, decoder: Optional[Decoder], max_enum: int) -> tuple[int, int, dict]:
+    """The refusals of a grid evaluation, ahead of any other work, then ``n`` as an int, the
+    grid's size and the decoder's overrides of ``n``-read observations as grid index -> codeword index."""
     if decoder is None:
         decoder = mld_decoder(code)
     if decoder.code != code:
         raise ValueError("decoder belongs to a different code")
-    grid = enumerate_observed(n, code.q, max_size=max_enum)
-    return tuple(theta for theta in grid if decoder(theta) == symbol)
+    # a numpy n becomes an int, so D**n cannot wrap
+    n = _integer("n", n, 1)
+    size = _checked_grid_size(n, code.q, max_enum)
+    overrides = {_grid_rank(k, n): bisect_left(code.symbols, s) for k, s in decoder.overrides if sum(k) == n}
+    return n, size, overrides
+
+
+def _decider(np, code: CompositeCode, n: int) -> Callable[["np.ndarray"], "np.ndarray"]:
+    """The decision rule of ``code`` at ``n`` reads, from (points, q) int64 counts to (points,)
+    codeword indices: ``_exact_rule`` for an exact code, ``_decode`` for any other."""
+    if code.is_exact:
+        decisions = _exact_rule(np, code.symbols, n)[2]
+        return lambda k: np.fromiter((j for j, _ in decisions(k)), dtype=np.intp, count=len(k))
+    logs = _log_table(np, np.array([[s.probs for s in code.symbols]], dtype=float))
+    return lambda k: _decode(np, logs, k / n)[0]  # k_i and n are exact floats: rounds as k_i / n
 
 
 @dataclass
@@ -344,12 +326,13 @@ def evaluate_code(
     ``_BLOCK_ELEMENTS`` scores (one row of scores when the code has more
     symbols than that), so memory does not grow with the grid; the grid itself
     is generated one block at a time, and no per-observation object is built.
-    The results equal, bit for bit, those of calling the decoder and
-    :func:`prob_observed` on each observation in turn.
+    The results equal, bit for bit, those of decoding each observation and
+    adding its multinomial mass in turn, the loop the tests keep as their
+    reference (``reference_evaluate_code`` in ``tests/conftest.py``).
 
     * Exact codes take the exact path and yield exact rationals.  Float
       log-likelihoods only preselect the symbols within a certified margin of
-      the best (see ``_exact_success``).  Integer likelihoods decide among
+      the best (see ``_exact_rule``).  Integer likelihoods decide among
       them, with ties going to the first symbol, and weigh the point: each
       symbol sums its points' integer masses, divided once by ``D**n``.
     * Other codes take the float path: per-read log-likelihoods within
@@ -360,14 +343,7 @@ def evaluate_code(
       and the grid-order sums run on whole blocks (see ``_float_success``),
       the kernel :func:`~cdna.binary.optimize_binary4_grid` shares.
     """
-    if decoder is None:
-        decoder = mld_decoder(code)
-    if decoder.code != code:
-        raise ValueError("decoder belongs to a different code")
-    # the refusals, ahead of any other work; a numpy n becomes an int, so D**n cannot wrap
-    n = _integer("n", n, 1)
-    size = _checked_grid_size(n, code.q, max_enum)
-    overrides = _override_rows(code, n, decoder)
+    n, size, overrides = _grid_request(code, n, decoder, max_enum)
     if code.is_exact:
         values = _exact_success(code.symbols, n, size, overrides)
     else:
@@ -408,14 +384,14 @@ class _GridChunk(NamedTuple):
     start: int  # grid index of the first point
     k: "np.ndarray"  # (points, q) integer counts
     coef: "np.ndarray"  # float multinomial coefficients of the direct rows
-    log_coef: "np.ndarray"  # log multinomial coefficients, as prob_observed computes them
+    log_coef: "np.ndarray"  # log multinomial coefficients: lgamma(n + 1) minus each lgamma(k_i + 1), in order
     direct: "np.ndarray"  # the rows weighed with coef
     log_space: "np.ndarray"  # the rows weighed in log space, from log_coef
 
 
 def _grid_chunk(np, n: int, start: int, k: "np.ndarray") -> _GridChunk:
     # lgamma(n + 1) minus the columns' lgamma(k_i + 1) added in order from
-    # 0.0, as the sum in _log_coefficient adds them, so the bits match
+    # 0.0, as a per-point sum adds them, so the bits match
     log_coef = math.lgamma(n + 1) - sum(_mapped(np, math.lgamma, k + 1.0).T, 0.0)
     direct = np.flatnonzero(log_coef < _LOG_COEF_FLOAT_LIMIT)
     return _GridChunk(
@@ -437,10 +413,17 @@ def _grid_rank(counts: Sequence[int], n: int) -> int:
     return rank
 
 
-def _override_rows(code: CompositeCode, n: int, decoder: Decoder) -> dict[int, int]:
-    """The decoder's overrides of ``n``-read observations as grid index -> index of the codeword."""
-    symbols = code.symbols
-    return {_grid_rank(counts, n): bisect_left(symbols, s) for counts, s in decoder.overrides if sum(counts) == n}
+def _override_writer(np, overrides: Mapping[int, int]) -> Callable[["np.ndarray", int], None]:
+    """A function that writes ``overrides`` (grid index -> codeword index) into the (..., points)
+    decisions of the chunk that starts at a given grid index."""
+    rows = sorted(overrides)
+    symbols = np.array([overrides[r] for r in rows], dtype=np.intp)
+
+    def write(decoded: "np.ndarray", start: int) -> None:
+        lo, hi = bisect_left(rows, start), bisect_left(rows, start + decoded.shape[-1])
+        decoded[..., np.array(rows[lo:hi], dtype=np.intp) - start] = symbols[lo:hi]
+
+    return write
 
 
 #: Finite stand-in for log(0) in the vectorized scores, so that a letter with
@@ -475,11 +458,12 @@ def _float_success(
     mixed code) apply to every code.
 
     Every number equals, bit for bit, that of decoding each point and adding
-    its :func:`prob_observed` mass to the decoded symbol's success in grid
-    order.  Only IEEE-exact elementwise operations (products, sums,
-    comparisons) run in numpy: numpy's vectorized ``log``, ``exp`` and
-    ``power`` round differently from libm on some builds and inputs, so the
-    log table (one ``math.log`` per probability), the powers
+    its multinomial mass to the decoded symbol's success in grid order, one
+    observation at a time (``reference_evaluate_code`` in
+    ``tests/conftest.py``).  Only IEEE-exact elementwise operations
+    (products, sums, comparisons) run in numpy: numpy's vectorized ``log``,
+    ``exp`` and ``power`` round differently from libm on some builds and
+    inputs, so the log table (one ``math.log`` per probability), the powers
     ``p_i**k_i`` and the log-space ``math.exp`` come from Python's ``pow``,
     ``math.log`` and ``math.exp``, mapped over flat arrays.  Where Python
     answers without libm, the kernel writes the answer and calls nothing: a
@@ -503,9 +487,7 @@ def _float_success(
     """
     import numpy as np
 
-    if overrides:
-        override_rows = sorted(overrides)
-        override_symbols = np.array([overrides[r] for r in override_rows])
+    override = _override_writer(np, overrides) if overrides else None
     chunks = None
     for block in blocks:
         codes = np.array(block, dtype=float)
@@ -518,10 +500,8 @@ def _float_success(
         success = np.zeros((len(codes), m))
         for chunk in chunks or grid:
             decoded = _decode(np, logs, chunk.k / n)  # k_i and n are exact floats: rounds as k_i / n
-            if overrides:
-                lo = bisect_left(override_rows, chunk.start)
-                hi = bisect_left(override_rows, chunk.start + len(chunk.k))
-                decoded[:, np.array(override_rows[lo:hi], dtype=int) - chunk.start] = override_symbols[lo:hi]
+            if override:
+                override(decoded, chunk.start)
             mass = _float_masses(np, codes, logs, decoded, chunk)
             if exact:
                 for g, r in zip(*np.isin(decoded, list(exact)).nonzero()):
@@ -607,14 +587,18 @@ def _float_masses(
 _MARGIN_UNIT = 2.0**-48
 
 
-def _exact_success(
-    symbols: Sequence[CompositeSymbol], n: int, size: int, overrides: Mapping[int, int]
-) -> list[Fraction]:
-    """Exact-path success of an exact code over the ``size`` points of its grid.
+def _lcm(symbols: Sequence[CompositeSymbol]) -> int:
+    return math.lcm(*(c.denominator for s in symbols for c in s.probs))
 
-    With ``D`` the lcm of all denominators, symbol ``j`` gives observation
-    ``k`` the likelihood ``N_j / D**n`` with the integer ``N_j = prod_i
-    b_ji**k_i``, ``b_ji = p_ji * D``, and the float score ``sum_i (k_i / n) *
+
+def _exact_rule(np, symbols: Sequence[CompositeSymbol], n: int) -> tuple[int, list, Callable]:
+    """The decision rule of an exact code at ``n`` reads: ``D``, the lcm of all
+    denominators, the integers ``b_ji = p_ji * D`` per symbol, and a function
+    that yields ``(j, N_j)`` for each row of a chunk's (points, q) counts: the
+    index of the symbol the point decodes to, and its integer likelihood.
+
+    Symbol ``j`` gives observation ``k`` the likelihood ``N_j / D**n`` with
+    ``N_j = prod_i b_ji**k_i``, and the float score ``sum_i (k_i / n) *
     math.log(b_ji)`` approximates ``log(N_j) / n``.  ``math.log`` of a
     positive integer is within ``2**-50`` of the true value, relatively (a
     rounding to float or a frexp split, then a log within one ulp); the
@@ -629,23 +613,17 @@ def _exact_success(
     its bits (a matrix product would add about 150 kB to the peak resident
     set on its first use).
 
-    Integers then decide and weigh each point: among the candidates the first
-    strict maximum of ``N_j`` wins, as in :func:`mld_decode`, and the decoded
-    symbol's (after overrides) ``C(n; k) * N_j`` joins its integer total.  A
-    point no symbol can produce (every ``N_j`` is 0) adds nothing.  Each
-    success is its total over ``D**n``, one exact division per symbol, which
-    equals the sum of the points' :func:`prob_observed` masses.
+    Integers then decide: among the candidates the first strict maximum of
+    ``N_j`` wins.  A point no symbol can produce (every ``N_j`` is 0) gives
+    ``(0, 0)``: all tie, and the first symbol wins.
     """
-    import numpy as np
-
-    m, q = len(symbols), symbols[0].q
-    lcm = math.lcm(*(c.denominator for s in symbols for c in s.probs))
+    m, q, lcm = len(symbols), symbols[0].q, _lcm(symbols)
     scaled = [[c.numerator * (lcm // c.denominator) for c in s.probs] for s in symbols]
     logs = np.array([math.log(b) if b else _LOG_ZERO for row in scaled for b in row]).reshape(m, q)
     scale = np.maximum(logs.max(axis=0), 0.0)
     slack = (q + 8) * _MARGIN_UNIT / n
-    totals = [0] * m
-    for start, k in _grid_chunks(np, n, q, size, _grid_rows(m, q)):
+
+    def decisions(k: "np.ndarray") -> Iterator[tuple[int, int]]:
         fractions = k / n
         # (symbols, points), as in _decode: the maximum reduces a leading axis
         scores, margins = np.zeros((m, len(k))), np.zeros(len(k))
@@ -654,16 +632,39 @@ def _exact_success(
             margins += k[:, i] * scale[i]
         best = scores.max(axis=0)
         candidates = (scores >= best - slack * margins).T.tolist()
-        for r, point, row, top in zip(range(start, start + len(k)), k.tolist(), candidates, best.tolist()):
+        for point, row, top in zip(k.tolist(), candidates, best.tolist()):
             if top < _IMPOSSIBLE:
-                continue  # every N_j is 0, so the point weighs 0 wherever it decodes
-            # (N_j, j) per candidate, N_j = prod_i b_ji**k_i with 0**0 = 1
-            likelihoods = ((math.prod(map(pow, scaled[j], point)), j) for j in compress(range(m), row))
-            weight, decoded = max(likelihoods, key=itemgetter(0))  # the first of equal maxima wins
+                yield 0, 0
+                continue
+            # (j, N_j) per candidate, N_j = prod_i b_ji**k_i with 0**0 = 1
+            likelihoods = ((j, math.prod(map(pow, scaled[j], point))) for j in compress(range(m), row))
+            yield max(likelihoods, key=itemgetter(1))  # the first of equal maxima wins
+
+    return lcm, scaled, decisions
+
+
+def _exact_success(
+    symbols: Sequence[CompositeSymbol], n: int, size: int, overrides: Mapping[int, int]
+) -> list[Fraction]:
+    """Exact-path success of an exact code over the ``size`` points of its grid.
+
+    Each point is decoded by ``_exact_rule``, then overridden; the
+    decoded symbol's ``C(n; k) * N_j`` joins its integer total.  A point no
+    symbol can produce (every ``N_j`` is 0) adds nothing.  Each success is its
+    total over ``D**n``, one exact division per symbol, which equals the sum
+    of the points' exact multinomial masses.
+    """
+    import numpy as np
+
+    lcm, scaled, decisions = _exact_rule(np, symbols, n)
+    totals = [0] * len(symbols)
+    for start, k in _grid_chunks(np, n, symbols[0].q, size, _grid_rows(len(symbols), symbols[0].q)):
+        for r, point, (decoded, weight) in zip(range(start, start + len(k)), k.tolist(), decisions(k)):
             if overrides and overrides.get(r, decoded) != decoded:
                 decoded = overrides[r]
                 weight = math.prod(map(pow, scaled[decoded], point))
-            totals[decoded] += multinomial_coefficient(point) * weight
+            if weight:
+                totals[decoded] += multinomial_coefficient(point) * weight
     denominator = lcm**n
     return [Fraction(total, denominator) for total in totals]
 

@@ -6,7 +6,9 @@ of the series or from a float covered-count Markov chain, covering-family
 counts from brute-force subset enumeration, and random codes are built as
 exact rational grid points so comparisons need no tolerances.  Where the library
 evaluates a formula by a faster route, the formula as written lives here as the
-reference it must match exactly.
+reference it must match exactly: the code evaluator's is a loop that decodes and
+weighs one observation at a time, and imports no decision or mass code from
+``cdna`` (``tests/test_public_api.py`` checks its imports).
 """
 from __future__ import annotations
 
@@ -21,14 +23,14 @@ import numpy as np
 import pytest
 
 from cdna import (
+    TIE_TOLERANCE,
     CompositeCode,
     CompositeSymbol,
     enumerate_observed,
     expected_coverage_exact,
     mld_decoder,
-    prob_observed,
 )
-from cdna.codes import DEFAULT_MAX_ENUM, CodeEvaluation
+from cdna.codes import _COEF_FLOAT_LIMIT, DEFAULT_MAX_ENUM, CodeEvaluation
 from cdna.simulate import _FIRST_BLOCK, _MAX_BLOCK, TrialTruncatedError
 
 
@@ -162,17 +164,107 @@ def exact_expected_coverage_partial(ell: int, omega: int, r: int) -> Fraction:
     )
 
 
+def reference_multinomial(counts) -> int:
+    """n! / (k_1! ... k_q!) as a product of binomials."""
+    out, total = 1, 0
+    for k in counts:
+        total += k
+        out *= comb(total, k)
+    return out
+
+
+def reference_log_coefficient(counts, n: int) -> float:
+    """log n! - sum_i log k_i!, each term from math.lgamma, added in order from 0.0."""
+    return math.lgamma(n + 1) - sum(math.lgamma(k + 1) for k in counts)
+
+
+def _check_same_q(q: int, theta) -> None:
+    if theta.q != q:
+        raise ValueError(f"alphabet mismatch: q={q}, observation has q={theta.q}")
+
+
+def reference_prob_observed(symbol, theta):
+    """Probability that ``theta.n`` reads of ``symbol`` show exactly ``theta``.
+
+    Multinomial mass ``C(n; k_1..k_q) * prod_i p_i^k_i`` with the convention
+    0^0 = 1.  Exact symbols give an exact ``Fraction``; float symbols give a
+    float: ``coef * p_1**k_1 * ...`` multiplied left to right over the letters
+    with k_i > 0, or, where the coefficient exceeds ``_COEF_FLOAT_LIMIT``,
+    ``exp(log_coef + sum_i k_i * log p_i)``.
+    """
+    _check_same_q(symbol.q, theta)
+    counts = theta.counts
+    if symbol.is_exact:
+        p = Fraction(reference_multinomial(counts))
+        for c, k in zip(symbol.probs, counts):
+            if k:
+                p *= Fraction(c) ** k
+        return p
+    log_coef = reference_log_coefficient(counts, theta.n)
+    if log_coef >= math.log(_COEF_FLOAT_LIMIT):
+        for c, k in zip(symbol.probs, counts):
+            if k:
+                c = float(c)
+                if c == 0.0:
+                    return 0.0
+                log_coef += k * math.log(c)
+        return math.exp(log_coef)
+    p = float(reference_multinomial(counts))
+    for c, k in zip(symbol.probs, counts):
+        if k:
+            p *= float(c) ** k
+    return p
+
+
+def reference_mld_decode(code, theta):
+    """Maximum-likelihood decoding of one observation, symbol by symbol.
+
+    Exact codes compare ``prod_i p_i**k_i`` as Fractions, the first strict
+    maximum winning; float codes compare per-read log-likelihoods
+    ``sum_i (k_i / n) log p_i`` over the letters with k_i > 0 (-inf off the
+    support), the first symbol within ``TIE_TOLERANCE`` of the best winning.
+    """
+    _check_same_q(code.q, theta)
+    if code.is_exact:
+        best = None
+        best_symbol = None
+        for s in code.symbols:
+            p = Fraction(1)
+            for c, k in zip(s.probs, theta.counts):
+                if k:
+                    p *= Fraction(c) ** k
+            if best is None or p > best:
+                best = p
+                best_symbol = s
+        return best_symbol
+    lls = []
+    for s in code.symbols:
+        total = 0.0
+        for c, k in zip(s.probs, theta.counts):
+            if k:
+                c = float(c)
+                if c == 0.0:
+                    total = -math.inf
+                    break
+                total += (k / theta.n) * math.log(c)
+        lls.append(total)
+    best = max(lls)
+    return next(s for s, ll in zip(code.symbols, lls) if ll >= best - TIE_TOLERANCE)
+
+
 def reference_evaluate_code(code, n, decoder=None, max_enum=DEFAULT_MAX_ENUM):
-    """evaluate_code as a loop over observations: decode each one, add its mass in grid order."""
+    """evaluate_code as a loop over observations: decode each one (the decoder's
+    overrides as a plain dict, maximum likelihood elsewhere), add its mass in grid order."""
     if decoder is None:
         decoder = mld_decoder(code)
     if decoder.code != code:
         raise ValueError("decoder belongs to a different code")
+    overrides = dict(decoder.overrides)
     zero = Fraction(0) if code.is_exact else 0.0
     success = {s: zero for s in code.symbols}
     for theta in enumerate_observed(n, code.q, max_size=max_enum):
-        decoded = decoder(theta)
-        success[decoded] += prob_observed(decoded, theta)
+        decoded = overrides.get(theta.counts) or reference_mld_decode(code, theta)
+        success[decoded] += reference_prob_observed(decoded, theta)
     f_min = min(success.values())
     f_avg = sum(success.values()) / code.m
     return CodeEvaluation(per_symbol_success=success, f_min=f_min, f_avg=f_avg, n=n)

@@ -14,11 +14,11 @@ from cdna import (
     construct_binary4,
     evaluate_code,
     optimize_binary4_grid,
-    prob_observed,
     symmetric_reflect,
 )
 from cdna import binary, codes
 from cdna.model import CompositeSymbol, UnsupportedRangeError
+from conftest import reference_prob_observed
 import properties
 
 
@@ -43,7 +43,7 @@ class TestBinaryThreshold:
             for n in (1, 7, 30):
                 for i in range(n + 1):
                     theta = ObservedDistribution((i, n - i), n)
-                    diff = prob_observed(sx, theta) - prob_observed(sy, theta)
+                    diff = reference_prob_observed(sx, theta) - reference_prob_observed(sy, theta)
                     if i / n < t_star:
                         assert diff > 0
                     elif i / n > t_star:

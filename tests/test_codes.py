@@ -27,12 +27,18 @@ from cdna import (
     mld_decoder,
     observed_grid_size,
     optimize_binary4_grid,
-    prob_observed,
     self_decoding_probability,
     uniform_symbol,
 )
 from cdna import codes
-from conftest import random_exact_code, random_float_binary_code, reference_evaluate_code
+from conftest import (
+    random_exact_code,
+    random_float_binary_code,
+    reference_evaluate_code,
+    reference_log_coefficient,
+    reference_mld_decode,
+    reference_prob_observed,
+)
 import properties
 
 COUNTEREXAMPLE = CompositeCode.binary([0.4, 0.5, 0.6])
@@ -61,32 +67,34 @@ class TestCompositeCode:
 
 
 class TestProbObserved:
+    """The multinomial mass of the tests' reference against closed forms and scipy."""
+
     def test_fair_coin_half_half(self):
         theta = ObservedDistribution((5, 5), 10)
-        assert prob_observed(CompositeSymbol((0.5, 0.5)), theta) == pytest.approx(
+        assert reference_prob_observed(CompositeSymbol((0.5, 0.5)), theta) == pytest.approx(
             math.comb(10, 5) / 2**10, abs=1e-15
         )
 
     def test_fair_coin_exact(self):
         theta = ObservedDistribution((5, 5), 10)
         sym = CompositeSymbol((Fraction(1, 2), Fraction(1, 2)))
-        assert prob_observed(sym, theta) == Fraction(63, 256)
+        assert reference_prob_observed(sym, theta) == Fraction(63, 256)
 
     def test_deterministic_symbol(self):
         theta = ObservedDistribution((4, 0, 0), 4)
-        assert prob_observed(base_symbol(3, 1), theta) == 1
+        assert reference_prob_observed(base_symbol(3, 1), theta) == 1
 
     def test_all_first_symbol(self):
         theta = ObservedDistribution((10, 0), 10)
-        assert prob_observed(CompositeSymbol((0.4, 0.6)), theta) == pytest.approx(0.4**10, rel=1e-12)
+        assert reference_prob_observed(CompositeSymbol((0.4, 0.6)), theta) == pytest.approx(0.4**10, rel=1e-12)
 
     def test_zero_prob_letter_with_zero_count(self):
         theta = ObservedDistribution((3, 0), 3)
-        assert prob_observed(CompositeSymbol((1.0, 0.0)), theta) == 1.0
+        assert reference_prob_observed(CompositeSymbol((1.0, 0.0)), theta) == 1.0
 
     def test_outside_support_is_zero(self):
         theta = ObservedDistribution((2, 1), 3)
-        assert prob_observed(base_symbol(2, 1), theta) == 0
+        assert reference_prob_observed(base_symbol(2, 1), theta) == 0
 
     def test_matches_scipy(self, rng):
         for _ in range(25):
@@ -97,15 +105,11 @@ class TestProbObserved:
             sym = CompositeSymbol(probs / probs.sum())
             theta = ObservedDistribution(tuple(int(c) for c in counts), n)
             expected = stats.multinomial(n, [float(p) for p in sym.probs]).pmf(counts)
-            assert prob_observed(sym, theta) == pytest.approx(float(expected), rel=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            prob_observed(CompositeSymbol((0.5, 0.5)), ObservedDistribution((1, 1, 1), 3))
+            assert reference_prob_observed(sym, theta) == pytest.approx(float(expected), rel=1e-9)
 
     def test_huge_n_log_path(self):
         theta = ObservedDistribution((1_500_000, 1_500_000), 3_000_000)
-        p = prob_observed(CompositeSymbol((0.5, 0.5)), theta)
+        p = reference_prob_observed(CompositeSymbol((0.5, 0.5)), theta)
         # central term of Bin(3e6, 1/2) ~ sqrt(2 / (pi n))
         assert p == pytest.approx(math.sqrt(2 / (math.pi * 3e6)), rel=1e-3)
 
@@ -167,6 +171,97 @@ class TestDecodingRegion:
         with pytest.raises(UnsupportedRangeError):
             decoding_region(COUNTEREXAMPLE, CompositeSymbol((0.4, 0.6)), 10, max_enum=5)
 
+    def test_regions_are_the_reference_partition(self, rng):
+        mixed = CompositeCode(
+            [(Fraction(1, 3), Fraction(2, 3)), (0.5, 0.5), (Fraction(3, 4), Fraction(1, 4)), (0.9, 0.1)]
+        )
+        zeros = CompositeCode([(Fraction(1, 2), Fraction(1, 2), 0), (1, 0, 0), (0, 1, 0)])
+        cases = [(mixed, 7), (mixed, 12), (zeros, 4), (zeros.as_float(), 4), (COUNTEREXAMPLE, 10)]
+        for _ in range(6):
+            q = int(rng.integers(2, 4))
+            code = random_exact_code(rng, int(rng.integers(2, 5)), q)
+            cases += [(code, int(rng.integers(1, 7))), (code.as_float(), int(rng.integers(1, 7)))]
+        for code, n in cases:
+            assert_regions_are_the_reference(code, n)
+            assert_regions_are_the_reference(code, n, random_table_decoder(rng, code, n, 3))
+
+    @pytest.mark.parametrize("block", [64, 4096])
+    def test_regions_over_several_chunks(self, monkeypatch, rng, block):
+        monkeypatch.setattr(codes, "_BLOCK_ELEMENTS", block)
+        n, q = 60, 3
+        assert math.comb(n + q - 1, q - 1) * q > block
+        exact = CompositeCode(
+            [(Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+             (0, Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3),) * 3]
+        )
+        mixed = CompositeCode([*exact.symbols[:2], *exact.as_float().symbols[2:]])
+        for code in (exact, exact.as_float(), mixed):
+            assert_regions_are_the_reference(code, n, random_table_decoder(rng, code, n, 40))
+        assert_regions_are_the_reference(exact, n)
+
+
+def assert_regions_are_the_reference(code, n, decoder=None):
+    """decoding_region over every codeword is the partition of the grid that the
+    reference decoder gives, each region in grid order; so is the decoder point by point."""
+    overrides = dict(decoder.overrides) if decoder else {}
+    want = {s: [] for s in code.symbols}
+    for theta in enumerate_observed(n, code.q):
+        want[overrides.get(theta.counts) or reference_mld_decode(code, theta)].append(theta)
+    call = decoder or mld_decoder(code)
+    for s in code.symbols:
+        assert decoding_region(code, s, n, decoder) == tuple(want[s]), (code, n, s)
+        assert all(call(theta) == s for theta in want[s])
+
+
+class TestOnePointDecoding:
+    """mld_decode and Decoder.__call__ refuse what one row of counts cannot decode in
+    bounded time, and an observation of another alphabet, as decoding_region refuses
+    a symbol of another alphabet."""
+
+    MISMATCH = {
+        "mld_decode, float code": lambda: mld_decode(COUNTEREXAMPLE, ObservedDistribution((1, 1, 1))),
+        "mld_decode, exact code": lambda: mld_decode(construct_base_plus_uniform(2), ObservedDistribution((1, 2, 0))),
+        "Decoder.__call__": lambda: mld_decoder(COUNTEREXAMPLE)(ObservedDistribution((1, 1, 1))),
+        "table Decoder.__call__": lambda: custom_decoder_from_table(COUNTEREXAMPLE, 3, {(0, 3): 1})(
+            ObservedDistribution((0, 3, 0))
+        ),
+        "decoding_region, float code": lambda: decoding_region(COUNTEREXAMPLE, (0.2, 0.3, 0.5), 3),
+        "decoding_region, exact code": lambda: decoding_region(construct_base_plus_uniform(2), base_symbol(3, 1), 3),
+    }
+
+    @pytest.mark.parametrize("call", MISMATCH.values(), ids=MISMATCH.keys())
+    def test_alphabet_mismatch_refused(self, call):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError
+
+    def test_reads_cap(self):
+        code = CompositeCode.binary([0.25, 0.75])
+        table = custom_decoder_from_table(code, 2**53, {(2**53, 0): 0})
+        inside = (ObservedDistribution((2**53 - 1, 0)), ObservedDistribution((2**52, 2**52 - 1)))
+        for decode in (lambda theta: mld_decode(code, theta), mld_decoder(code), table):
+            assert [decode(theta) for theta in inside] == [reference_mld_decode(code, theta) for theta in inside]
+            for theta in (ObservedDistribution((2**53, 0)), ObservedDistribution((10**30, 1))):
+                with pytest.raises(UnsupportedRangeError, match="2\\*\\*53"):
+                    decode(theta)
+
+    def test_exact_likelihood_bits_cap(self):
+        cap = codes._MAX_POINT_BITS
+        # D = 1: one bit per read, and each likelihood N_j is 0 or 1, so the call at the cap is quick
+        base = CompositeCode([(1, 0), (0, 1)])
+        # D = 3: two bits per read
+        thirds = CompositeCode.binary([Fraction(1, 3), Fraction(2, 3)])
+        for code, n in ((base, cap), (thirds, cap // 2)):
+            for decode in (lambda theta: mld_decode(code, theta), mld_decoder(code)):
+                assert decode(ObservedDistribution((n, 0))) == code.symbols[-1]
+                for counts in ((n + 1, 0), (n // 2 + 1, n // 2 + 1)):
+                    with pytest.raises(UnsupportedRangeError, match="bits, beyond the cap"):
+                        decode(ObservedDistribution(counts))
+                with pytest.raises(UnsupportedRangeError):
+                    decode(ObservedDistribution((10**30, 0)))
+        # a float code decodes those observations
+        assert mld_decode(thirds.as_float(), ObservedDistribution((cap, 0))) == thirds.as_float().symbols[-1]
+
 
 class TestEvaluateCode:
     def test_counterexample_golden(self):
@@ -218,6 +313,8 @@ class TestEvaluateCode:
         for code in (wide, wide.as_float()):
             with pytest.raises(UnsupportedRangeError, match="counts"):
                 evaluate_code(code, 2)
+            with pytest.raises(UnsupportedRangeError, match="counts"):
+                decoding_region(code, code.symbols[0], 2)
 
 
 def assert_same_evaluation(code, n, decoder=None):
@@ -467,7 +564,7 @@ class TestGridArrays:
         for start, k in grid_chunks(n, q, 7 if n > 100 else codes._grid_rows(1, q)):
             chunk = codes._grid_chunk(np, n, start, k)
             points = k.tolist()
-            assert chunk.log_coef.tolist() == [codes._log_coefficient(point, n) for point in points]
+            assert chunk.log_coef.tolist() == [reference_log_coefficient(point, n) for point in points]
             limit = codes._LOG_COEF_FLOAT_LIMIT
             assert chunk.direct.tolist() == [r for r, lc in enumerate(chunk.log_coef) if lc < limit]
             assert chunk.log_space.tolist() == [r for r, lc in enumerate(chunk.log_coef) if lc >= limit]

@@ -51,8 +51,6 @@ TEST_ONLY_EXPORTS = {
     # tests/properties.py uses it as the reflection map to check that binary
     # decoding regions mirror under x -> 1 - x
     "symmetric_reflect",
-    # conftest.reference_evaluate_code weighs each observation with it
-    "prob_observed",
     # the tests compare it with brute_miss_probability and probe the walk memo with it
     "miss_probability",
     # the tests check it against brute-force enumeration
@@ -113,3 +111,41 @@ def test_every_export_is_used_outside_the_tests():
         unused = found
     assert sorted(unused - TEST_ONLY_EXPORTS) == []
     assert TEST_ONLY_EXPORTS <= unused, "an exempt export gained a use; drop its exemption"
+
+
+#: All that ``tests/conftest.py`` may import from the package: types, code
+#: constructors, the grid, the default decoder and the constants its loops
+#: share with the library, and the coverage and simulator names its other
+#: oracles need.  No decision or mass function is on it, so the per-observation
+#: reference of the code evaluator stays independent of the code it checks.
+CONFTEST_IMPORTS = {
+    "CodeEvaluation",
+    "CompositeCode",
+    "CompositeSymbol",
+    "DEFAULT_MAX_ENUM",
+    "ObservedDistribution",
+    "TIE_TOLERANCE",
+    "_COEF_FLOAT_LIMIT",
+    "construct_base_plus_uniform",
+    "construct_distinct_support",
+    "construct_grid_code",
+    "enumerate_observed",
+    "mld_decoder",
+    # oracles of cdna.coverage and cdna.simulate
+    "expected_coverage_exact",
+    "_FIRST_BLOCK",
+    "_MAX_BLOCK",
+    "TrialTruncatedError",
+}
+
+
+def test_conftest_imports_only_the_allowlist():
+    tree = ast.parse((ROOT / "tests" / "conftest.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "cdna"], "import cdna binds every name"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cdna":
+            imported.update(alias.name for alias in node.names)
+    assert "enumerate_observed" in imported
+    assert sorted(imported - CONFTEST_IMPORTS) == []
