@@ -8,17 +8,18 @@ distribution and summing multinomial masses over decoding regions.
 Codes built from exact rationals evaluate exactly end to end; float codes
 evaluate in floats with a fixed tie tolerance.
 
-Each numeric path has one decision rule, which works on arrays of counts:
-``_decode`` for float codes and ``_exact_rule`` for exact ones.
-:func:`evaluate_code` decodes whole blocks of the grid with it (never more
-than ``_BLOCK_ELEMENTS`` scores per block, unless one row of a code's scores is
-longer); :func:`decoding_region` decodes the same blocks, and
-:func:`mld_decode` one row.  Float codes are also weighed and accumulated block
-by block, with the libm calls a per-observation loop makes; see
-``_float_success``.  Exact codes are preselected from float scores within a
-certified margin; then integer likelihoods decide and weigh each point, and
-each symbol's integer total is divided once by ``D**n``, with ``D`` the lcm of
-the code's denominators; see ``_exact_success``.  The results equal, bit for
+Both numeric paths decide with one kernel, ``_decode``, on arrays of counts:
+the first symbol within a slack of the best float score wins, the slack being
+``TIE_TOLERANCE`` for float codes and a certified margin for exact ones, whose
+near-ties integer likelihoods then settle (``_exact_rule``).  Overrides are
+written by one step, ``_override_writer``.  :func:`evaluate_code` decodes
+whole blocks of the grid (never more than ``_BLOCK_ELEMENTS`` scores per
+block, unless one row of a code's scores is longer); :func:`decoding_region`
+decodes the same blocks, and :func:`mld_decode` one row.  Float codes are
+weighed and accumulated block by block, with the libm calls a per-observation
+loop makes (``_float_success``); exact codes weigh each point's decoded symbol
+in integers and divide each symbol's total once by ``D**n``, with ``D`` the lcm
+of the code's denominators (``_exact_success``).  The results equal, bit for
 bit, those of the per-observation loop the tests keep as their reference
 (``reference_evaluate_code`` in ``tests/conftest.py``).  Both paths, and the
 figures of the grid code, read the grid in one form: integer count arrays,
@@ -33,9 +34,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from numbers import Integral
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .model import (
@@ -296,10 +296,9 @@ def _decider(np, code: CompositeCode, n: int) -> Callable[["np.ndarray"], "np.nd
     """The decision rule of ``code`` at ``n`` reads, from (points, q) int64 counts to (points,)
     codeword indices: ``_exact_rule`` for an exact code, ``_decode`` for any other."""
     if code.is_exact:
-        decisions = _exact_rule(np, code.symbols, n)[2]
-        return lambda k: np.fromiter((j for j, _ in decisions(k)), dtype=np.intp, count=len(k))
+        return _exact_rule(np, code.symbols, n)[2]
     logs = _log_table(np, np.array([[s.probs for s in code.symbols]], dtype=float))
-    return lambda k: _decode(np, logs, k / n)[0]  # k_i and n are exact floats: rounds as k_i / n
+    return lambda k: _decode(np, logs, k / n, TIE_TOLERANCE)[0][0]  # k_i and n are exact floats: rounds as k_i / n
 
 
 @dataclass
@@ -330,11 +329,11 @@ def evaluate_code(
     adding its multinomial mass in turn, the loop the tests keep as their
     reference (``reference_evaluate_code`` in ``tests/conftest.py``).
 
-    * Exact codes take the exact path and yield exact rationals.  Float
-      log-likelihoods only preselect the symbols within a certified margin of
-      the best (see ``_exact_rule``).  Integer likelihoods decide among
-      them, with ties going to the first symbol, and weigh the point: each
-      symbol sums its points' integer masses, divided once by ``D**n``.
+    * Exact codes take the exact path and yield exact rationals.  A point
+      with one symbol within a certified margin of the best float score
+      decodes to it; integer likelihoods settle the near-ties, the first
+      strict maximum winning (see ``_exact_rule``).  Each symbol sums its
+      points' integer masses, divided once by ``D**n``.
     * Other codes take the float path: per-read log-likelihoods within
       ``TIE_TOLERANCE`` of the best tie and go to the first symbol.  The mass
       is ``coef * p_1**k_1 * ...`` in floats, in log space where the
@@ -440,7 +439,7 @@ def _float_success(
     blocks: Iterable,
     n: int,
     size: int,
-    overrides: Optional[Mapping[int, int]] = None,
+    overrides: Mapping[int, int] = {},  # read only
     exact: frozenset = frozenset(),
 ) -> Iterator["np.ndarray"]:
     """Float-path success of codes over the ``size`` points of one grid.
@@ -487,7 +486,7 @@ def _float_success(
     """
     import numpy as np
 
-    override = _override_writer(np, overrides) if overrides else None
+    override = _override_writer(np, overrides)
     chunks = None
     for block in blocks:
         codes = np.array(block, dtype=float)
@@ -499,9 +498,8 @@ def _float_success(
         logs = _log_table(np, codes)
         success = np.zeros((len(codes), m))
         for chunk in chunks or grid:
-            decoded = _decode(np, logs, chunk.k / n)  # k_i and n are exact floats: rounds as k_i / n
-            if override:
-                override(decoded, chunk.start)
+            decoded = _decode(np, logs, chunk.k / n, TIE_TOLERANCE)[0]  # k_i and n are exact floats: rounds as k_i / n
+            override(decoded, chunk.start)
             mass = _float_masses(np, codes, logs, decoded, chunk)
             if exact:
                 for g, r in zip(*np.isin(decoded, list(exact)).nonzero()):
@@ -536,8 +534,11 @@ def _mapped(np, function, *arrays: "np.ndarray") -> "np.ndarray":
     return np.fromiter(map(function, *flat), dtype=float, count=len(flat[0])).reshape(arrays[0].shape)
 
 
-def _decode(np, logs: "np.ndarray", fractions: "np.ndarray") -> "np.ndarray":
-    """(codes, points) index of the symbol each code decodes each point to."""
+def _decode(np, logs: "np.ndarray", fractions: "np.ndarray", slack) -> tuple["np.ndarray", "np.ndarray"]:
+    """The decision kernel: from the scores ``sum_i fractions_i * logs_ji``, the (codes, points)
+    index of the first symbol within ``slack`` (a float, or one per point) of each point's best
+    score, and the (symbols, codes, points) mask of the symbols within it.  A point no symbol
+    can produce has an empty mask and goes to symbol 0: all tie at -inf, and the first wins."""
     # (symbols, codes, points): numpy reduces a leading axis in contiguous
     # runs, but a trailing axis of a few symbols one short row at a time (the
     # maximum of 4 symbols over 4,096 rows took 8 us this way, 220 us that way)
@@ -545,10 +546,8 @@ def _decode(np, logs: "np.ndarray", fractions: "np.ndarray") -> "np.ndarray":
     for i in range(fractions.shape[1]):
         scores += fractions[None, None, :, i] * logs.T[i, :, :, None]
     best = scores.max(axis=0)
-    decoded = (scores >= best - TIE_TOLERANCE).argmax(axis=0)
-    # no symbol can produce the observation: all tie at -inf, the first wins
-    decoded[best < _IMPOSSIBLE] = 0
-    return decoded
+    within = (scores >= best - slack) & (best >= _IMPOSSIBLE)
+    return within.argmax(axis=0), within
 
 
 def _float_masses(
@@ -591,11 +590,16 @@ def _lcm(symbols: Sequence[CompositeSymbol]) -> int:
     return math.lcm(*(c.denominator for s in symbols for c in s.probs))
 
 
+def _likelihood(scaled: Sequence[int], point: Sequence[int]) -> int:
+    """``N_j = prod_i b_ji**k_i`` of one symbol's integers ``b_ji`` at the point ``k``, with ``0**0 = 1``."""
+    return math.prod(map(pow, scaled, point))
+
+
 def _exact_rule(np, symbols: Sequence[CompositeSymbol], n: int) -> tuple[int, list, Callable]:
     """The decision rule of an exact code at ``n`` reads: ``D``, the lcm of all
     denominators, the integers ``b_ji = p_ji * D`` per symbol, and a function
-    that yields ``(j, N_j)`` for each row of a chunk's (points, q) counts: the
-    index of the symbol the point decodes to, and its integer likelihood.
+    from a chunk's (points, q) counts to the (points,) index of the symbol each
+    point decodes to.
 
     Symbol ``j`` gives observation ``k`` the likelihood ``N_j / D**n`` with
     ``N_j = prod_i b_ji**k_i``, and the float score ``sum_i (k_i / n) *
@@ -605,7 +609,7 @@ def _exact_rule(np, symbols: Sequence[CompositeSymbol], n: int) -> tuple[int, li
     quotient ``k_i / n``, each product and each of the at most ``q - 1``
     additions add at most ``2**-53`` each, relatively.  So a score is within
     ``(q + 8) * 2**-52 * s`` of ``log(N_j) / n``, where the row's scale is
-    ``s = sum_i (k_i / n) * max(0, max_j log b_ji)``.  Candidates are the
+    ``s = sum_i (k_i / n) * max(0, max_j log b_ji)``.  ``_decode`` keeps the
     symbols within ``(q + 8) * 2**-48 * s`` of the best score: eight times
     the two-sided error, which also covers the rounding of the margin itself,
     so no true maximizer is left out.  Each chunk's margins are summed column
@@ -613,34 +617,28 @@ def _exact_rule(np, symbols: Sequence[CompositeSymbol], n: int) -> tuple[int, li
     its bits (a matrix product would add about 150 kB to the peak resident
     set on its first use).
 
-    Integers then decide: among the candidates the first strict maximum of
-    ``N_j`` wins.  A point no symbol can produce (every ``N_j`` is 0) gives
-    ``(0, 0)``: all tie, and the first symbol wins.
+    A point with one symbol within the margin decodes to it; at a near-tie
+    (two or more) the first strict maximum of their integers ``N_j`` wins.
+    A point no symbol can produce goes to symbol 0, as ``_decode`` sends it.
     """
     m, q, lcm = len(symbols), symbols[0].q, _lcm(symbols)
     scaled = [[c.numerator * (lcm // c.denominator) for c in s.probs] for s in symbols]
-    logs = np.array([math.log(b) if b else _LOG_ZERO for row in scaled for b in row]).reshape(m, q)
-    scale = np.maximum(logs.max(axis=0), 0.0)
+    logs = np.array([math.log(b) if b else _LOG_ZERO for row in scaled for b in row]).reshape(1, m, q)
+    scale = np.maximum(logs[0].max(axis=0), 0.0)
     slack = (q + 8) * _MARGIN_UNIT / n
 
-    def decisions(k: "np.ndarray") -> Iterator[tuple[int, int]]:
-        fractions = k / n
-        # (symbols, points), as in _decode: the maximum reduces a leading axis
-        scores, margins = np.zeros((m, len(k))), np.zeros(len(k))
+    def decide(k: "np.ndarray") -> "np.ndarray":
+        margins = np.zeros(len(k))
         for i in range(q):
-            scores += logs[:, i, None] * fractions[None, :, i]
             margins += k[:, i] * scale[i]
-        best = scores.max(axis=0)
-        candidates = (scores >= best - slack * margins).T.tolist()
-        for point, row, top in zip(k.tolist(), candidates, best.tolist()):
-            if top < _IMPOSSIBLE:
-                yield 0, 0
-                continue
-            # (j, N_j) per candidate, N_j = prod_i b_ji**k_i with 0**0 = 1
-            likelihoods = ((j, math.prod(map(pow, scaled[j], point))) for j in compress(range(m), row))
-            yield max(likelihoods, key=itemgetter(1))  # the first of equal maxima wins
+        [decoded], within = _decode(np, logs, k / n, slack * margins)
+        for r in np.flatnonzero(within.sum(axis=0)[0] > 1).tolist():
+            point = k[r].tolist()
+            # max keeps the first of equal maxima
+            decoded[r] = max(np.flatnonzero(within[:, 0, r]).tolist(), key=lambda j: _likelihood(scaled[j], point))
+        return decoded
 
-    return lcm, scaled, decisions
+    return lcm, scaled, decide
 
 
 def _exact_success(
@@ -648,23 +646,25 @@ def _exact_success(
 ) -> list[Fraction]:
     """Exact-path success of an exact code over the ``size`` points of its grid.
 
-    Each point is decoded by ``_exact_rule``, then overridden; the
-    decoded symbol's ``C(n; k) * N_j`` joins its integer total.  A point no
-    symbol can produce (every ``N_j`` is 0) adds nothing.  Each success is its
-    total over ``D**n``, one exact division per symbol, which equals the sum
-    of the points' exact multinomial masses.
+    Each chunk is decoded by ``_exact_rule`` and overridden by
+    ``_override_writer``, as on the float path; each point then adds
+    ``C(n; k) * N_j`` of its decoded symbol ``j`` to that symbol's integer
+    total (nothing where ``N_j`` is 0).  Each success is its total over
+    ``D**n``, one exact division per symbol, which equals the sum of the
+    points' exact multinomial masses.
     """
     import numpy as np
 
-    lcm, scaled, decisions = _exact_rule(np, symbols, n)
+    lcm, scaled, decide = _exact_rule(np, symbols, n)
+    override = _override_writer(np, overrides)
     totals = [0] * len(symbols)
     for start, k in _grid_chunks(np, n, symbols[0].q, size, _grid_rows(len(symbols), symbols[0].q)):
-        for r, point, (decoded, weight) in zip(range(start, start + len(k)), k.tolist(), decisions(k)):
-            if overrides and overrides.get(r, decoded) != decoded:
-                decoded = overrides[r]
-                weight = math.prod(map(pow, scaled[decoded], point))
+        decoded = decide(k)
+        override(decoded, start)
+        for point, j in zip(k.tolist(), decoded.tolist()):
+            weight = _likelihood(scaled[j], point)
             if weight:
-                totals[decoded] += multinomial_coefficient(point) * weight
+                totals[j] += multinomial_coefficient(point) * weight
     denominator = lcm**n
     return [Fraction(total, denominator) for total in totals]
 

@@ -26,6 +26,24 @@ def parse_csv(output):
     return rows
 
 
+def run_range_in_subprocess(spec, **env_vars):
+    """``cdna coverage --range SPEC`` in a subprocess, under a timeout and a 512 MB
+    address-space limit, so that a sweep that never ends or grows without bound fails fast."""
+    import resource
+
+    limit = 512 << 20
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env_vars)
+    return subprocess.run(
+        [sys.executable, "-m", "cdna.cli", "coverage", "--range", spec, "--omega", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 class TestCoverageCommand:
     def test_single_value(self):
         result = run_cli("coverage", "--ell", "1", "--omega", "2")
@@ -47,6 +65,34 @@ class TestCoverageCommand:
     def test_arithmetic_range(self):
         result = run_cli("coverage", "--range", "1:5:2", "--omega", "2")
         assert [r["ell"] for r in parse_csv(result.output)] == ["1", "3", "5"]
+
+    @pytest.mark.parametrize(
+        "spec, code",
+        [
+            ("0:8:*2", 2),
+            ("-1:8:*2", 2),
+            ("0:5:1", 2),
+            ("1:1000000000000:1", 3),
+            (f"1:{10**30}:1", 3),
+            ("1:10001:1", 3),
+            (f"1:{10**4000}:*2", 3),
+        ],
+    )
+    def test_range_refusals_return(self, spec, code):
+        # each grew a list without end or built the whole sweep first
+        proc = run_range_in_subprocess(spec)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == ""
+
+    def test_geometric_range_stops_past_the_cap(self):
+        # with no limit on int digits, END may have 100,001 digits: about 332,000 doublings,
+        # whose growing ints would fill the memory limit if the loop ran to END
+        proc = run_range_in_subprocess(f"1:1{'0' * 100000}:*2", PYTHONINTMAXSTRDIGITS="0")
+        assert proc.returncode == 3, proc.stderr
+
+    def test_range_of_the_most_lengths(self):
+        assert len(cli._parse_range(f"1:{cli._MAX_RANGE_LENGTHS}:1")) == cli._MAX_RANGE_LENGTHS
+        assert len(cli._parse_range(f"1:{2 ** (cli._MAX_RANGE_LENGTHS - 1)}:*2")) == cli._MAX_RANGE_LENGTHS
 
     def test_requires_exactly_one_selector(self):
         assert run_cli("coverage", "--omega", "2").exit_code == 2

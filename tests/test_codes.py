@@ -537,6 +537,50 @@ class TestArrayEvaluator:
         assert codes._grid_rank((10**12, 0, 0), 10**12) == math.comb(10**12 + 2, 2) - 1
 
 
+class TestExactDecisions:
+    """The exact rule computes integer likelihoods only at near-ties, and all three
+    consumers of a decision (the exact and float successes, decoding_region) apply
+    a table's overrides the same way."""
+
+    @staticmethod
+    def count_likelihoods(monkeypatch):
+        points, likelihood = [], codes._likelihood
+        monkeypatch.setattr(codes, "_likelihood", lambda scaled, point: points.append(point) or likelihood(scaled, point))
+        return points
+
+    def test_only_near_ties_compute_likelihoods(self, monkeypatch):
+        points = self.count_likelihoods(monkeypatch)
+        # every point of this grid has one symbol within the margin
+        code = random_exact_code(np.random.default_rng(5), 4, 3, denom=97)
+        for s in code.symbols:
+            decoding_region(code, s, 30)
+        assert points == []
+        # (1, 1) ties 1/3 and 2/3 exactly: its two candidates, once per call
+        thirds = CompositeCode.binary([Fraction(1, 3), Fraction(2, 3)])
+        for s in thirds.symbols:
+            decoding_region(thirds, s, 2)
+        assert points == [[1, 1]] * 4
+        assert mld_decode(thirds, ObservedDistribution((1, 1))) == thirds.symbols[0]
+        assert mld_decode(thirds, ObservedDistribution((2, 0))) == thirds.symbols[1]
+        assert points == [[1, 1]] * 6
+
+    def test_overrides_on_ties_impossible_rows_and_later_chunks(self, monkeypatch):
+        monkeypatch.setattr(codes, "_BLOCK_ELEMENTS", 7)  # two points per chunk
+        n, third = 12, Fraction(1, 3)
+        # (k, k, 0) ties the last two symbols, which the table overrides to either
+        # other one; no symbol produces a point with every letter
+        exact = CompositeCode([(third, 2 * third, 0), (2 * third, third, 0), (0, 0, 1)])
+        mixed = CompositeCode([exact.symbols[0], *exact.as_float().symbols[1:]])
+        tables = ({(6, 6, 0): 2, (4, 4, 4): 1, (12, 0, 0): 0}, {(6, 6, 0): 0, (1, 1, 10): 2, (3, 9, 0): 2})
+        for key in (k for table in tables for k in table):
+            assert codes._grid_rank(key, n) >= codes._grid_rows(3, 3)
+        for code in (exact, mixed):
+            for table in tables:
+                decoder = custom_decoder_from_table(code, n, table)
+                assert_same_evaluation(code, n, decoder)
+                assert_regions_are_the_reference(code, n, decoder)
+
+
 #: (n, q) grids larger than one chunk of the default size, and the 1,201-point
 #: binary grid whose central rows are weighed in log space
 GRIDS = ((7, 1), (2100, 2), (60, 3), (20, 4), (12, 5), (1200, 2))
