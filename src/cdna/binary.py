@@ -99,13 +99,13 @@ def optimize_binary4_grid(
     maximum-likelihood decoding for every grid point x = i * grid_step in
     (0, 0.5) and returns the first maximizer together with its objective
     value.  This is the independent check for :func:`construct_binary4`; it
-    makes no use of the closed forms.  The candidates are generated as arrays,
-    one group at a time (as many codes as fill one block of at most
-    ``codes._BLOCK_ELEMENTS`` scores over the grid), and stream through the
-    float kernel of :func:`~cdna.codes.evaluate_code`, which decodes, weighs
-    and sums a whole group at once.  So each objective value equals
-    ``evaluate_code(code, n).f_min`` bit for bit, and memory does not grow
-    with the number of candidates.
+    makes no use of the closed forms.  The candidates are built as arrays, one
+    group at a time (as many codes as fill one block of at most
+    ``codes._BLOCK_ELEMENTS`` scores over the grid), and each group goes
+    through one call of the float kernel of :func:`~cdna.codes.evaluate_code`,
+    which decodes, weighs and sums the whole group at once.  So each objective
+    value equals ``evaluate_code(code, n).f_min`` bit for bit, and memory does
+    not grow with the number of candidates.
 
     Refuses with ``UnsupportedRangeError``, before any work, a grid of ``n``
     reads above ``max_enum`` points, and a search whose candidates times grid
@@ -128,28 +128,21 @@ def optimize_binary4_grid(
     while stop * grid_step < 0.5:
         stop += 1
 
-    def candidates():
-        import numpy as np
+    import numpy as np
 
-        # The symbols of CompositeCode.binary([0.0, x, 1.0 - x, 1.0]) in its
-        # sorted order, the order of the values for 0 < x < 0.5.  Their
-        # probabilities are (v, 1 - v) as given: v + (1 - v) rounds to exactly
-        # 1 for every float v in [0, 1], so CompositeSymbol never renormalizes.
-        group = _codes_per_group(4, 2, size)
-        for first in range(1, stop, group):
-            x = np.arange(first, min(first + group, stop), dtype=float) * grid_step
-            v = np.stack([np.zeros_like(x), x, 1.0 - x, np.ones_like(x)], axis=1)
-            yield np.stack([v, 1 - v], axis=2)
-
-    best_i = None
-    best_f = None
-    done = 0
-    for success in _float_success(candidates(), n, size):
-        f_min = success.min(axis=1)
+    # The symbols of CompositeCode.binary([0.0, x, 1.0 - x, 1.0]) in its sorted
+    # order, the order of the values for 0 < x < 0.5.  Their probabilities are
+    # (v, 1 - v) as given: v + (1 - v) rounds to exactly 1 for every float v in
+    # [0, 1], so CompositeSymbol never renormalizes.
+    group = _codes_per_group(4, 2, size)
+    best_i = best_f = None
+    for first in range(1, stop, group):
+        x = np.arange(first, min(first + group, stop), dtype=float) * grid_step
+        v = np.stack([np.zeros_like(x), x, 1.0 - x, np.ones_like(x)], axis=1)
+        f_min = _float_success(np.stack([v, 1 - v], axis=2), n, size).min(axis=1)
         i = int(f_min.argmax())  # the first maximizer of the group
         if best_f is None or f_min[i] > best_f:
-            best_i, best_f = done + i + 1, float(f_min[i])
-        done += len(f_min)
+            best_i, best_f = first + i, float(f_min[i])
     return best_i * grid_step, best_f
 
 

@@ -16,8 +16,9 @@ written by one step, ``_override_writer``.  :func:`evaluate_code` decodes
 whole blocks of the grid (never more than ``_BLOCK_ELEMENTS`` scores per
 block, unless one row of a code's scores is longer); :func:`decoding_region`
 decodes the same blocks, and :func:`mld_decode` one row.  Float codes are
-weighed and accumulated block by block, with the libm calls a per-observation
-loop makes (``_float_success``); exact codes weigh each point's decoded symbol
+decoded, weighed and accumulated block by block, with the libm calls a
+per-observation loop makes, by one function of a group of codes
+(``_float_success``); exact codes weigh each point's decoded symbol
 in integers and divide each symbol's total once by ``D**n``, with ``D`` the lcm
 of the code's denominators (``_exact_success``).  The results equal, bit for
 bit, those of the per-observation loop the tests keep as their reference
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from numbers import Integral
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
     DEFAULT_MAX_ENUM,
@@ -347,8 +348,7 @@ def evaluate_code(
         values = _exact_success(code.symbols, n, size, overrides)
     else:
         exact = frozenset(j for j, s in enumerate(code.symbols) if s.is_exact)
-        [success] = _float_success([[[s.probs for s in code.symbols]]], n, size, overrides, exact)
-        values = success[0].tolist()
+        values = _float_success([[s.probs for s in code.symbols]], n, size, overrides, exact)[0].tolist()
     success = dict(zip(code.symbols, values))
     f_min = min(success.values())
     f_avg = sum(success.values()) / code.m
@@ -371,36 +371,6 @@ def _grid_chunks(np, n: int, q: int, size: int, rows: int) -> Iterator[tuple[int
     counts = chain.from_iterable(_compositions(n, q))
     for start in range(0, size, rows):
         yield start, np.fromiter(islice(counts, rows * q), dtype=np.int64).reshape(-1, q)
-
-
-class _GridChunk(NamedTuple):
-    """One chunk of :func:`_grid_chunks` with what the float path needs to decode and weigh it.
-
-    A NamedTuple rather than a frozen dataclass: it is built about 1 ms faster
-    when the module is imported.
-    """
-
-    start: int  # grid index of the first point
-    k: "np.ndarray"  # (points, q) integer counts
-    coef: "np.ndarray"  # float multinomial coefficients of the direct rows
-    log_coef: "np.ndarray"  # log multinomial coefficients: lgamma(n + 1) minus each lgamma(k_i + 1), in order
-    direct: "np.ndarray"  # the rows weighed with coef
-    log_space: "np.ndarray"  # the rows weighed in log space, from log_coef
-
-
-def _grid_chunk(np, n: int, start: int, k: "np.ndarray") -> _GridChunk:
-    # lgamma(n + 1) minus the columns' lgamma(k_i + 1) added in order from
-    # 0.0, as a per-point sum adds them, so the bits match
-    log_coef = math.lgamma(n + 1) - sum(_mapped(np, math.lgamma, k + 1.0).T, 0.0)
-    direct = np.flatnonzero(log_coef < _LOG_COEF_FLOAT_LIMIT)
-    return _GridChunk(
-        start=start,
-        k=k,
-        coef=np.array([float(multinomial_coefficient(point)) for point in k[direct].tolist()]),
-        log_coef=log_coef,
-        direct=direct,
-        log_space=np.flatnonzero(log_coef >= _LOG_COEF_FLOAT_LIMIT),
-    )
 
 
 def _grid_rank(counts: Sequence[int], n: int) -> int:
@@ -436,25 +406,23 @@ _IMPOSSIBLE = -1e6
 
 
 def _float_success(
-    blocks: Iterable,
+    block: Sequence,
     n: int,
     size: int,
     overrides: Mapping[int, int] = {},  # read only
     exact: frozenset = frozenset(),
-) -> Iterator["np.ndarray"]:
-    """Float-path success of codes over the ``size`` points of one grid.
+) -> "np.ndarray":
+    """Float-path success of one group of codes over the ``size`` points of one grid.
 
-    ``blocks`` yields groups of codes, each array-like of shape (codes, m, q):
-    every code's symbol probabilities in code order, with one ``m`` and ``q``
-    for all, and at most ``_codes_per_group(m, q, size)`` codes per group, so
-    that a group's scores over one chunk of the grid fill at most
-    ``_BLOCK_ELEMENTS`` (or one row).  That is several codes when the whole
-    grid fits one chunk, which is then generated once; one code otherwise,
-    for which the grid is generated again, chunk by chunk (the arrays of
-    :func:`_grid_chunks`, weighed by ``_grid_chunk``).  For each group the
-    kernel yields a (codes, m) array of successes.  ``overrides`` (grid
-    index -> symbol index) and ``exact`` (indices of the exact symbols of a
-    mixed code) apply to every code.
+    ``block`` is array-like of shape (codes, m, q): every code's symbol
+    probabilities in code order.  It holds at most ``_codes_per_group(m, q,
+    size)`` codes, so that its scores over one chunk of the grid fill at most
+    ``_BLOCK_ELEMENTS`` (or one row): several codes when the whole grid fits
+    one chunk, one code otherwise.  The kernel reads the grid chunk by chunk
+    (:func:`_grid_chunks`), decodes, overrides, weighs and accumulates each
+    chunk where it reads it, and returns the (codes, m) array of successes.
+    ``overrides`` (grid index -> symbol index) and ``exact`` (indices of the
+    exact symbols of a mixed code) apply to every code.
 
     Every number equals, bit for bit, that of decoding each point and adding
     its multinomial mass to the decoded symbol's success in grid order, one
@@ -475,38 +443,33 @@ def _float_success(
     * Decode: per-read scores ``sum_i (k_i / n) * log p_i``; the first symbol
       within ``TIE_TOLERANCE`` of the best wins, a point no symbol can produce
       goes to symbol 0, and overrides apply last.
-    * Weigh: the decoded symbol's mass ``coef * p_1**k_1 * p_2**k_2 ...``,
-      multiplied left to right (a ``k = 0`` factor is ``p**0 = 1.0``, which
-      leaves the product as the skipped factor does); where the coefficient
-      exceeds ``_COEF_FLOAT_LIMIT``, ``exp(log_coef + sum_i k_i * log p_i)``.
-      The exact symbols of a mixed code are weighed exactly, point by point.
+    * Weigh (``_float_masses``): the decoded symbol's mass ``coef * p_1**k_1
+      * p_2**k_2 ...``, multiplied left to right (a ``k = 0`` factor is
+      ``p**0 = 1.0``, which leaves the product as the skipped factor does);
+      where the coefficient exceeds ``_COEF_FLOAT_LIMIT``, ``exp(log_coef +
+      sum_i k_i * log p_i)``.  The exact symbols of a mixed code are weighed
+      exactly, point by point.
     * Accumulate: each point's mass is added to its code's and symbol's
       success in grid order, one addition at a time (``np.add.at``), never a
       pairwise or compensated sum.
     """
     import numpy as np
 
+    codes = np.array(block, dtype=float)
+    _, m, q = codes.shape
     override = _override_writer(np, overrides)
-    chunks = None
-    for block in blocks:
-        codes = np.array(block, dtype=float)
-        _, m, q = codes.shape
-        rows = _grid_rows(m, q)
-        grid = (_grid_chunk(np, n, start, k) for start, k in _grid_chunks(np, n, q, size, rows))
-        if chunks is None and size <= rows:
-            chunks = list(grid)
-        logs = _log_table(np, codes)
-        success = np.zeros((len(codes), m))
-        for chunk in chunks or grid:
-            decoded = _decode(np, logs, chunk.k / n, TIE_TOLERANCE)[0]  # k_i and n are exact floats: rounds as k_i / n
-            override(decoded, chunk.start)
-            mass = _float_masses(np, codes, logs, decoded, chunk)
-            if exact:
-                for g, r in zip(*np.isin(decoded, list(exact)).nonzero()):
-                    mass[g, r] = float(_exact_mass(block[g][decoded[g, r]], chunk.k[r].tolist()))
-            # unbuffered and in index order: each code's points in grid order
-            np.add.at(success, (np.arange(len(codes))[:, None], decoded), mass)
-        yield success
+    logs = _log_table(np, codes)
+    success = np.zeros((len(codes), m))
+    for start, k in _grid_chunks(np, n, q, size, _grid_rows(m, q)):
+        decoded = _decode(np, logs, k / n, TIE_TOLERANCE)[0]  # k_i and n are exact floats: rounds as k_i / n
+        override(decoded, start)
+        mass = _float_masses(np, n, codes, logs, decoded, k)
+        if exact:
+            for g, r in zip(*np.isin(decoded, list(exact)).nonzero()):
+                mass[g, r] = float(_exact_mass(block[g][decoded[g, r]], k[r].tolist()))
+        # unbuffered and in index order: each code's points in grid order
+        np.add.at(success, (np.arange(len(codes))[:, None], decoded), mass)
+    return success
 
 
 def _grid_rows(m: int, q: int) -> int:
@@ -551,32 +514,38 @@ def _decode(np, logs: "np.ndarray", fractions: "np.ndarray", slack) -> tuple["np
 
 
 def _float_masses(
-    np, probs: "np.ndarray", logs: "np.ndarray", decoded: "np.ndarray", chunk: _GridChunk
+    np, n: int, probs: "np.ndarray", logs: "np.ndarray", decoded: "np.ndarray", k: "np.ndarray"
 ) -> "np.ndarray":
-    """(codes, points) float mass of each point under the symbol it decodes to."""
+    """(codes, points) float mass of each point of a chunk's (points, q) counts ``k`` under the
+    symbol it decodes to: from the float multinomial coefficient where the log coefficient is
+    below ``_LOG_COEF_FLOAT_LIMIT``, in log space elsewhere."""
     mass = np.empty(decoded.shape)
     code = np.arange(len(decoded))[:, None]
-    direct, log_space = chunk.direct, chunk.log_space
+    # lgamma(n + 1) minus the columns' lgamma(k_i + 1) added in order from
+    # 0.0, as a per-point sum adds them, so the bits match
+    log_coef = math.lgamma(n + 1) - sum(_mapped(np, math.lgamma, k + 1.0).T, 0.0)
+    direct = np.flatnonzero(log_coef < _LOG_COEF_FLOAT_LIMIT)
+    log_space = np.flatnonzero(log_coef >= _LOG_COEF_FLOAT_LIMIT)
     if len(direct):
         p = probs[code, decoded[:, direct]]
-        k = chunk.k[direct][None].repeat(len(p), axis=0)
+        exponents = k[direct][None].repeat(len(p), axis=0)
         # float(c) ** k, libm's pow where Python calls it: float.__pow__ returns
         # 1.0 for k = 0 and for c = 1.0 without it, and a 1.0 factor leaves the
         # product as the skipped factor does
         powers = np.ones(p.shape)
-        called = (k > 0) & (p != 1.0)
-        powers[called] = _mapped(np, pow, p[called], k[called])
-        product = chunk.coef
+        called = (exponents > 0) & (p != 1.0)
+        powers[called] = _mapped(np, pow, p[called], exponents[called])
+        product = np.array([float(multinomial_coefficient(point)) for point in k[direct].tolist()])
         for i in range(p.shape[2]):
             product = product * powers[:, :, i]
         mass[:, direct] = product
     if len(log_space):
-        log_p = chunk.log_coef[log_space]
+        log_p = log_coef[log_space]
         log_c = logs[code, decoded[:, log_space]]
-        k = chunk.k[log_space]
+        log_k = k[log_space]
         for i in range(log_c.shape[2]):
             # a zero probability adds k * _LOG_ZERO and so gives exp(...) = 0.0
-            log_p = log_p + k[:, i] * log_c[:, :, i]
+            log_p = log_p + log_k[:, i] * log_c[:, :, i]
         mass[:, log_space] = _mapped(np, math.exp, log_p)
     return mass
 
@@ -739,6 +708,7 @@ def construct_grid_code(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> Com
     Every observation decodes to itself, so the per-symbol success probability
     equals that grid point's self-decoding probability.
     """
+    _checked_grid_size(n, q, max_enum)  # refuses a max_enum of None, which enumerate_observed takes
     grid = enumerate_observed(n, q, max_size=max_enum)
     return CompositeCode(theta.as_symbol(exact=True) for theta in grid)
 

@@ -222,21 +222,33 @@ def enumerate_observed(n: int, q: int, max_size: Optional[int] = None) -> list[O
     The result has exactly C(n+q-1, q-1) elements.  ``max_size`` (when given)
     rejects enumerations larger than the caller is prepared to handle; grids of
     more than 4 counts per point of ``max_size`` (of ``DEFAULT_MAX_ENUM``
-    when it is not given) are refused as well.
+    when it is not given) are refused as well.  A ``max_size`` other than
+    ``None`` or an int >= 1 is refused with ValueError, as the evaluators
+    refuse such a ``max_enum``.
     """
-    _checked_grid_size(n, q, max_size)
+    if max_size is None:
+        _checked_grid_size(n, q, DEFAULT_MAX_ENUM, cap_points=False)
+    else:
+        _checked_grid_size(n, q, max_size)
     return [ObservedDistribution(counts, n) for counts in _compositions(n, q)]
 
 
-def _checked_grid_size(n: int, q: int, max_size: Optional[int] = None) -> int:
-    """``observed_grid_size(n, q)``, refused with UnsupportedRangeError above ``max_size``
-    points or ``_COUNTS_PER_CAPPED_POINT`` counts per point of that cap."""
+def _checked_grid_size(n: int, q: int, max_enum: int, cap_points: bool = True) -> int:
+    """``observed_grid_size(n, q)``, refused with UnsupportedRangeError above ``max_enum``
+    points (unless ``cap_points`` is false) or ``_COUNTS_PER_CAPPED_POINT`` counts per point
+    of that cap.
+
+    Every grid entry point calls this first.  A ``max_enum`` that is not an int >= 1 is
+    refused with ValueError: NaN or an infinity would lift both caps, ``None`` the point
+    cap, and a bool or a float would pass for a number it only resembles.
+    """
+    max_enum = _integer("max_enum", max_enum, 1)
     size = observed_grid_size(n, q)
-    if max_size is not None and size > max_size:
+    if cap_points and size > max_enum:
         raise UnsupportedRangeError(
-            f"|grid(n={n}, q={q})| = {size} exceeds the cap {max_size}; lower n or q"
+            f"|grid(n={n}, q={q})| = {size} exceeds the cap {max_enum}; lower n or q"
         )
-    max_counts = _COUNTS_PER_CAPPED_POINT * (DEFAULT_MAX_ENUM if max_size is None else max_size)
+    max_counts = _COUNTS_PER_CAPPED_POINT * max_enum
     if size * q > max_counts:
         raise UnsupportedRangeError(
             f"grid(n={n}, q={q}) holds {size * q} counts ({size} points of {q}), beyond the "

@@ -605,14 +605,30 @@ class TestGridArrays:
 
     @pytest.mark.parametrize("n, q", GRIDS)
     def test_weights_are_the_per_point_formulas(self, n, q):
-        for start, k in grid_chunks(n, q, 7 if n > 100 else codes._grid_rows(1, q)):
-            chunk = codes._grid_chunk(np, n, start, k)
+        # two codes of the same symbols, in opposite orders: a 1.0 and a 0.0
+        # entry, the uniform symbol and uneven weights; each point decodes to
+        # the symbol of its row index, modulo m
+        symbols = [CompositeSymbol([1.0] + [0.0] * (q - 1))]
+        if q > 1:
+            symbols += [uniform_symbol(q), CompositeSymbol([(i + 1) / (q * (q + 1) / 2) for i in range(q)])]
+        probs = np.array([[s.probs for s in symbols], [s.probs for s in reversed(symbols)]])
+        logs = codes._log_table(np, probs)
+        limit = codes._LOG_COEF_FLOAT_LIMIT
+        log_space = 0
+        for _, k in grid_chunks(n, q, 7 if n > 100 else codes._grid_rows(1, q)):
             points = k.tolist()
-            assert chunk.log_coef.tolist() == [reference_log_coefficient(point, n) for point in points]
-            limit = codes._LOG_COEF_FLOAT_LIMIT
-            assert chunk.direct.tolist() == [r for r, lc in enumerate(chunk.log_coef) if lc < limit]
-            assert chunk.log_space.tolist() == [r for r, lc in enumerate(chunk.log_coef) if lc >= limit]
-            assert chunk.coef.tolist() == [float(multinomial(points[r])) for r in chunk.direct]
+            decoded = np.arange(len(points)) % len(symbols)
+            decoded = np.stack([decoded, len(symbols) - 1 - decoded])
+            masses = codes._float_masses(np, n, probs, logs, decoded, k).tolist()
+            for g, order in enumerate((symbols, symbols[::-1])):
+                expected = [
+                    reference_prob_observed(order[j], ObservedDistribution(point, n))
+                    for j, point in zip(decoded[g].tolist(), points)
+                ]
+                assert masses[g] == expected
+            log_space += sum(reference_log_coefficient(point, n) >= limit for point in points)
+        # the large binary grids weigh some of their points in log space
+        assert (log_space > 0) == (n >= 1200)
 
     @pytest.mark.parametrize("block", [1, 7, 4096, codes._BLOCK_ELEMENTS])
     def test_grid_code_figures_are_the_self_decoding_loop(self, monkeypatch, block):
@@ -628,10 +644,6 @@ class TestGridArrays:
 
         monkeypatch.setattr(codes, "_self_mass", refused)
         assert codes._grid_code_success(10**6, 1) == (Fraction(1), Fraction(1))
-
-
-def multinomial(counts):
-    return math.factorial(sum(counts)) // math.prod(math.factorial(k) for k in counts)
 
 
 class TestIntegerArguments:

@@ -148,3 +148,66 @@ class TestEnumerateObserved:
         with pytest.raises(UnsupportedRangeError, match="441 counts"):
             _checked_grid_size(1, 21, 100)
 
+
+
+class TestEnumerationCap:
+    """An enumeration cap must be an int >= 1: every grid entry point refuses anything else
+    with ValueError before any grid work (NaN and the infinities once lifted both caps,
+    ``None`` the point cap, ``True`` passed for 1 and ``2.5`` for a float cap)."""
+
+    @staticmethod
+    def entry_points():
+        from cdna import (
+            CompositeCode,
+            construct_grid_code,
+            decoding_region,
+            evaluate_code,
+            optimize_binary4_grid,
+        )
+        from cdna.codes import _grid_code_success
+        from cdna.model import _checked_grid_size
+
+        float_code = CompositeCode.binary([0.1, 0.5, 0.9])
+        exact_code = CompositeCode.binary([Fraction(1, 5), Fraction(4, 5)])
+        return {
+            "_checked_grid_size": lambda cap: _checked_grid_size(300, 4, cap),
+            "evaluate_code float": lambda cap: evaluate_code(float_code, 5, max_enum=cap),
+            "evaluate_code exact": lambda cap: evaluate_code(exact_code, 5, max_enum=cap),
+            "decoding_region": lambda cap: decoding_region(float_code, float_code.symbols[0], 5, max_enum=cap),
+            "construct_grid_code": lambda cap: construct_grid_code(3, 2, max_enum=cap),
+            "_grid_code_success": lambda cap: _grid_code_success(3, 2, cap),
+            "optimize_binary4_grid": lambda cap: optimize_binary4_grid(3, 1e-3, max_enum=cap),
+            "enumerate_observed": lambda cap: enumerate_observed(3, 2, max_size=cap),
+        }
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, None, "5", True, False, 2.5, 1e6, 0, -3])
+    def test_refused_everywhere(self, monkeypatch, cap):
+        from cdna import model
+
+        def no_grid(*args):
+            raise AssertionError("grid work before the cap was checked")
+
+        monkeypatch.setattr(model, "observed_grid_size", no_grid)
+        for name, call in self.entry_points().items():
+            if cap is None and name == "enumerate_observed":
+                continue  # max_size=None means no point cap there
+            with pytest.raises(ValueError, match="max_enum") as refused:
+                call(cap)
+            assert type(refused.value) is ValueError, name
+
+    def test_int_caps_keep_their_meaning(self):
+        import numpy as np
+
+        from cdna import UnsupportedRangeError
+        from cdna.model import _checked_grid_size
+
+        for cap in (1001, np.int64(1001), 10**400):
+            assert _checked_grid_size(1000, 2, cap) == 1001
+            assert len(enumerate_observed(1000, 2, max_size=cap)) == 1001
+        for cap in (1000, np.int64(1000), np.uint8(3)):
+            with pytest.raises(UnsupportedRangeError, match="exceeds the cap"):
+                _checked_grid_size(1000, 2, cap)
+        # no point cap: 4M points of two letters are 8M counts, the counts cap of the default
+        assert len(enumerate_observed(3, 2, max_size=None)) == 4
+        with pytest.raises(UnsupportedRangeError, match="counts"):
+            enumerate_observed(4_000_000, 2)
