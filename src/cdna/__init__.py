@@ -19,7 +19,6 @@ from .binary import (
     binary_threshold,
     construct_binary4,
     optimize_binary4_grid,
-    symmetric_reflect,
 )
 from .codes import (
     DEFAULT_MAX_ENUM,
@@ -41,12 +40,10 @@ from .coverage import (
     BoundPair,
     CoverageParams,
     coverage_bounds,
-    covering_family_count,
     expected_coverage,
     expected_coverage_closed_pairs,
     expected_coverage_exact,
     expected_coverage_partial,
-    miss_probability,
     random_access_expectation,
 )
 from .model import (
@@ -91,7 +88,6 @@ __all__ = [
     "construct_distinct_support",
     "construct_grid_code",
     "coverage_bounds",
-    "covering_family_count",
     "custom_decoder_from_table",
     "decoding_region",
     "enumerate_observed",
@@ -100,7 +96,6 @@ __all__ = [
     "expected_coverage_closed_pairs",
     "expected_coverage_exact",
     "expected_coverage_partial",
-    "miss_probability",
     "mld_decode",
     "mld_decoder",
     "observed_grid_size",
@@ -108,7 +103,6 @@ __all__ = [
     "random_access_expectation",
     "run_simulation",
     "self_decoding_probability",
-    "symmetric_reflect",
     "trial_rng",
     "uniform_symbol",
 ]

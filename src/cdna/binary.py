@@ -145,16 +145,3 @@ def optimize_binary4_grid(
             best_i, best_f = first + i, float(f_min[i])
     return best_i * grid_step, best_f
 
-
-def symmetric_reflect(code: CompositeCode) -> CompositeCode:
-    """The binary code with every value x replaced by 1-x, re-sorted.
-
-    A code equal to its reflection is symmetric.  Reflection mirrors decoding
-    regions and per-symbol success probabilities exactly, except at observation
-    points where two codewords are precisely tied (the lexicographic tie-break
-    favors the smaller codeword on both sides); generic codes have no such
-    points.
-    """
-    if code.q != 2:
-        raise ValueError("reflection is defined for binary codes only")
-    return CompositeCode(tuple(reversed(s.probs)) for s in code.symbols)

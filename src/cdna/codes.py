@@ -11,23 +11,27 @@ evaluate in floats with a fixed tie tolerance.
 Both numeric paths decide with one kernel, ``_decode``, on arrays of counts:
 the first symbol within a slack of the best float score wins, the slack being
 ``TIE_TOLERANCE`` for float codes and a certified margin for exact ones, whose
-near-ties integer likelihoods then settle (``_exact_rule``).  Overrides are
-written by one step, ``_override_writer``.  :func:`evaluate_code` decodes
-whole blocks of the grid (never more than ``_BLOCK_ELEMENTS`` scores per
-block, unless one row of a code's scores is longer); :func:`decoding_region`
-decodes the same blocks, and :func:`mld_decode` one row.  Float codes are
-decoded, weighed and accumulated block by block, with the libm calls a
-per-observation loop makes, by one function of a group of codes
-(``_float_success``); exact codes weigh each point's decoded symbol
-in integers and divide each symbol's total once by ``D**n``, with ``D`` the lcm
-of the code's denominators (``_exact_success``).  The results equal, bit for
+near-ties integer likelihoods then settle (``_exact_rule``).  One grid pass,
+``_decisions``, reads the grid as integer count arrays, chunk by chunk, in the
+lexicographic order of ``model._compositions``; it decides each chunk and
+writes the decoder's overrides.  A chunk holds at most ``_BLOCK_ELEMENTS``
+scores, unless one row of a code's scores is longer.  :func:`evaluate_code`
+and :func:`decoding_region` iterate that pass, and :func:`mld_decode` decides
+one row.  Float codes are decoded, weighed and accumulated chunk by chunk,
+with the libm calls a per-observation loop makes, by one function of a group
+of codes (``_float_success``).
+
+Every exact weight is one integer mass, ``_integer_mass(b, k) = C(n; k) *
+prod_i b_i**k_i``, where ``b`` holds a symbol's probabilities times ``D``, the
+lcm of the denominators; it is 0, with no coefficient computed, where the
+symbol cannot produce ``k``.  An exact code sums each symbol's masses and
+divides once by ``D**n`` (``_exact_success``).  The exact symbols of a mixed
+code divide each point's mass by ``D**n``, one correctly rounded int division.
+The grid code weighs each point under itself (``b = k``, ``D = n``), so its
+figures need only the counts (``_grid_code_success``) and ``cdna design
+--family omega`` builds no symbol per grid point.  The results equal, bit for
 bit, those of the per-observation loop the tests keep as their reference
-(``reference_evaluate_code`` in ``tests/conftest.py``).  Both paths, and the
-figures of the grid code, read the grid in one form: integer count arrays,
-chunk by chunk, in the lexicographic order of ``model._compositions``
-(``_grid_chunks``).  The grid code's figures (``_grid_code_success``) need
-only those counts, so ``cdna design --family omega`` builds no symbol per grid
-point.
+(``reference_evaluate_code`` in ``tests/conftest.py``).
 """
 from __future__ import annotations
 
@@ -48,7 +52,6 @@ from .model import (
     _compositions,
     _integer,
     base_symbol,
-    enumerate_observed,
     multinomial_coefficient,
     uniform_symbol,
 )
@@ -148,14 +151,6 @@ def _check_observation(code: CompositeCode, theta: ObservedDistribution) -> None
         raise UnsupportedRangeError(f"n={theta.n} reads exceed one-point decoding's cap of 2**53 - 1")
 
 
-def _exact_mass(probs: Sequence, counts: Sequence[int]) -> Fraction:
-    p = Fraction(multinomial_coefficient(counts))
-    for c, k in zip(probs, counts):
-        if k:
-            p *= Fraction(c) ** k
-    return p
-
-
 def mld_decode(code: CompositeCode, theta: ObservedDistribution) -> CompositeSymbol:
     """Maximum-likelihood decoding of an observed distribution.
 
@@ -175,7 +170,7 @@ def mld_decode(code: CompositeCode, theta: ObservedDistribution) -> CompositeSym
     import numpy as np
 
     _check_observation(code, theta)
-    bits = theta.n * _lcm(code.symbols).bit_length() if code.is_exact else 0
+    bits = theta.n * _integers(code.symbols)[0].bit_length() if code.is_exact else 0
     if bits > _MAX_POINT_BITS:
         message = f"n={theta.n} reads give exact likelihoods of up to {bits} bits, beyond the cap of {_MAX_POINT_BITS}"
         raise UnsupportedRangeError(f"{message}; one-point decoding refuses them")
@@ -270,11 +265,8 @@ def decoding_region(
     if symbol not in code:
         raise ValueError(f"{symbol} is not a codeword")
     n, size, overrides = _grid_request(code, n, decoder, max_enum)
-    decide, override = _decider(np, code, n), _override_writer(np, overrides)
     target, region = bisect_left(code.symbols, symbol), []
-    for start, k in _grid_chunks(np, n, code.q, size, _grid_rows(code.m, code.q)):
-        decoded = decide(k)
-        override(decoded, start)
+    for k, decoded in _decisions(np, _decider(np, code, n), n, code.m, code.q, size, overrides):
         region += (ObservedDistribution(point, n) for point in k[decoded == target].tolist())
     return tuple(region)
 
@@ -347,8 +339,10 @@ def evaluate_code(
     if code.is_exact:
         values = _exact_success(code.symbols, n, size, overrides)
     else:
-        exact = frozenset(j for j, s in enumerate(code.symbols) if s.is_exact)
-        values = _float_success([[s.probs for s in code.symbols]], n, size, overrides, exact)[0].tolist()
+        exact = [j for j, s in enumerate(code.symbols) if s.is_exact]
+        lcm, scaled = _integers([code.symbols[j] for j in exact])
+        weights = {j: (b, lcm**n) for j, b in zip(exact, scaled)}
+        values = _float_success([[s.probs for s in code.symbols]], n, size, overrides, weights)[0].tolist()
     success = dict(zip(code.symbols, values))
     f_min = min(success.values())
     f_avg = sum(success.values()) / code.m
@@ -365,12 +359,21 @@ def evaluate_code(
 _BLOCK_ELEMENTS = 16384
 
 
-def _grid_chunks(np, n: int, q: int, size: int, rows: int) -> Iterator[tuple[int, "np.ndarray"]]:
-    """The ``size`` points of the grid of ``n`` reads over ``q`` letters in the order of
-    ``model._compositions``, ``rows`` at a time: each chunk's first grid index and (points, q) counts."""
-    counts = chain.from_iterable(_compositions(n, q))
+def _decisions(
+    np, decide: Callable, n: int, m: int, q: int, size: int, overrides: Mapping[int, int]
+) -> Iterator[tuple["np.ndarray", "np.ndarray"]]:
+    """The one pass over the ``size`` points of the grid of ``n`` reads over ``q`` letters, in
+    the order of ``model._compositions``, for codes of ``m`` symbols: each chunk's (points, q)
+    int64 counts and the (..., points) codeword indices that ``decide`` gives them, with
+    ``overrides`` (grid index -> codeword index) written in."""
+    counts, rows, keys = chain.from_iterable(_compositions(n, q)), _grid_rows(m, q), sorted(overrides)
+    targets = np.array([overrides[key] for key in keys], dtype=np.intp)
     for start in range(0, size, rows):
-        yield start, np.fromiter(islice(counts, rows * q), dtype=np.int64).reshape(-1, q)
+        k = np.fromiter(islice(counts, rows * q), dtype=np.int64).reshape(-1, q)
+        decoded = decide(k)
+        lo, hi = bisect_left(keys, start), bisect_left(keys, start + len(k))
+        decoded[..., np.array(keys[lo:hi], dtype=np.intp) - start] = targets[lo:hi]
+        yield k, decoded
 
 
 def _grid_rank(counts: Sequence[int], n: int) -> int:
@@ -380,19 +383,6 @@ def _grid_rank(counts: Sequence[int], n: int) -> int:
         rank += math.comb(remaining + rest, rest) - math.comb(remaining - k + rest, rest)
         remaining -= k
     return rank
-
-
-def _override_writer(np, overrides: Mapping[int, int]) -> Callable[["np.ndarray", int], None]:
-    """A function that writes ``overrides`` (grid index -> codeword index) into the (..., points)
-    decisions of the chunk that starts at a given grid index."""
-    rows = sorted(overrides)
-    symbols = np.array([overrides[r] for r in rows], dtype=np.intp)
-
-    def write(decoded: "np.ndarray", start: int) -> None:
-        lo, hi = bisect_left(rows, start), bisect_left(rows, start + decoded.shape[-1])
-        decoded[..., np.array(rows[lo:hi], dtype=np.intp) - start] = symbols[lo:hi]
-
-    return write
 
 
 #: Finite stand-in for log(0) in the vectorized scores, so that a letter with
@@ -410,7 +400,7 @@ def _float_success(
     n: int,
     size: int,
     overrides: Mapping[int, int] = {},  # read only
-    exact: frozenset = frozenset(),
+    exact: Mapping[int, tuple[Sequence[int], int]] = {},  # read only
 ) -> "np.ndarray":
     """Float-path success of one group of codes over the ``size`` points of one grid.
 
@@ -418,11 +408,12 @@ def _float_success(
     probabilities in code order.  It holds at most ``_codes_per_group(m, q,
     size)`` codes, so that its scores over one chunk of the grid fill at most
     ``_BLOCK_ELEMENTS`` (or one row): several codes when the whole grid fits
-    one chunk, one code otherwise.  The kernel reads the grid chunk by chunk
-    (:func:`_grid_chunks`), decodes, overrides, weighs and accumulates each
-    chunk where it reads it, and returns the (codes, m) array of successes.
-    ``overrides`` (grid index -> symbol index) and ``exact`` (indices of the
-    exact symbols of a mixed code) apply to every code.
+    one chunk, one code otherwise.  The kernel takes each chunk's decisions,
+    overrides written, from the grid pass (:func:`_decisions`), weighs and
+    accumulates them, and returns the (codes, m) array of successes.
+    ``overrides`` (grid index -> symbol index) and ``exact`` apply to every
+    code; ``exact`` maps the index of each exact symbol of a mixed code to
+    its integers ``b`` and ``D**n``.
 
     Every number equals, bit for bit, that of decoding each point and adding
     its multinomial mass to the decoded symbol's success in grid order, one
@@ -447,8 +438,9 @@ def _float_success(
       * p_2**k_2 ...``, multiplied left to right (a ``k = 0`` factor is
       ``p**0 = 1.0``, which leaves the product as the skipped factor does);
       where the coefficient exceeds ``_COEF_FLOAT_LIMIT``, ``exp(log_coef +
-      sum_i k_i * log p_i)``.  The exact symbols of a mixed code are weighed
-      exactly, point by point.
+      sum_i k_i * log p_i)``.  A point decoded to an exact symbol of a mixed
+      code weighs ``_integer_mass(b, k) / D**n``: one int true division,
+      correctly rounded as ``float(Fraction)`` is.
     * Accumulate: each point's mass is added to its code's and symbol's
       success in grid order, one addition at a time (``np.add.at``), never a
       pairwise or compensated sum.
@@ -457,16 +449,18 @@ def _float_success(
 
     codes = np.array(block, dtype=float)
     _, m, q = codes.shape
-    override = _override_writer(np, overrides)
     logs = _log_table(np, codes)
     success = np.zeros((len(codes), m))
-    for start, k in _grid_chunks(np, n, q, size, _grid_rows(m, q)):
-        decoded = _decode(np, logs, k / n, TIE_TOLERANCE)[0]  # k_i and n are exact floats: rounds as k_i / n
-        override(decoded, start)
+
+    def decide(k: "np.ndarray") -> "np.ndarray":
+        return _decode(np, logs, k / n, TIE_TOLERANCE)[0]  # k_i and n are exact floats: rounds as k_i / n
+
+    for k, decoded in _decisions(np, decide, n, m, q, size, overrides):
         mass = _float_masses(np, n, codes, logs, decoded, k)
         if exact:
             for g, r in zip(*np.isin(decoded, list(exact)).nonzero()):
-                mass[g, r] = float(_exact_mass(block[g][decoded[g, r]], k[r].tolist()))
+                b, whole = exact[decoded[g, r]]
+                mass[g, r] = _integer_mass(b, k[r].tolist()) / whole
         # unbuffered and in index order: each code's points in grid order
         np.add.at(success, (np.arange(len(codes))[:, None], decoded), mass)
     return success
@@ -555,13 +549,22 @@ def _float_masses(
 _MARGIN_UNIT = 2.0**-48
 
 
-def _lcm(symbols: Sequence[CompositeSymbol]) -> int:
-    return math.lcm(*(c.denominator for s in symbols for c in s.probs))
+def _integers(symbols: Sequence[CompositeSymbol]) -> tuple[int, list[list[int]]]:
+    """``D``, the lcm of the exact ``symbols``' denominators, and each one's integers ``b_ji = p_ji * D``."""
+    lcm = math.lcm(*(c.denominator for s in symbols for c in s.probs))
+    return lcm, [[c.numerator * (lcm // c.denominator) for c in s.probs] for s in symbols]
 
 
 def _likelihood(scaled: Sequence[int], point: Sequence[int]) -> int:
     """``N_j = prod_i b_ji**k_i`` of one symbol's integers ``b_ji`` at the point ``k``, with ``0**0 = 1``."""
     return math.prod(map(pow, scaled, point))
+
+
+def _integer_mass(scaled: Sequence[int], point: Sequence[int]) -> int:
+    """``C(n; k) * N_j``: the mass of the point ``k`` under a symbol of integers ``b_ji``, times
+    ``D**n``.  Where the likelihood ``N_j`` is 0 this is 0, and ``C(n; k)`` is not computed."""
+    likelihood = _likelihood(scaled, point)
+    return likelihood and multinomial_coefficient(point) * likelihood
 
 
 def _exact_rule(np, symbols: Sequence[CompositeSymbol], n: int) -> tuple[int, list, Callable]:
@@ -590,8 +593,7 @@ def _exact_rule(np, symbols: Sequence[CompositeSymbol], n: int) -> tuple[int, li
     (two or more) the first strict maximum of their integers ``N_j`` wins.
     A point no symbol can produce goes to symbol 0, as ``_decode`` sends it.
     """
-    m, q, lcm = len(symbols), symbols[0].q, _lcm(symbols)
-    scaled = [[c.numerator * (lcm // c.denominator) for c in s.probs] for s in symbols]
+    m, q, (lcm, scaled) = len(symbols), symbols[0].q, _integers(symbols)
     logs = np.array([math.log(b) if b else _LOG_ZERO for row in scaled for b in row]).reshape(1, m, q)
     scale = np.maximum(logs[0].max(axis=0), 0.0)
     slack = (q + 8) * _MARGIN_UNIT / n
@@ -615,25 +617,20 @@ def _exact_success(
 ) -> list[Fraction]:
     """Exact-path success of an exact code over the ``size`` points of its grid.
 
-    Each chunk is decoded by ``_exact_rule`` and overridden by
-    ``_override_writer``, as on the float path; each point then adds
-    ``C(n; k) * N_j`` of its decoded symbol ``j`` to that symbol's integer
-    total (nothing where ``N_j`` is 0).  Each success is its total over
-    ``D**n``, one exact division per symbol, which equals the sum of the
-    points' exact multinomial masses.
+    The grid pass (:func:`_decisions`) decides each chunk by ``_exact_rule``
+    and writes the overrides, as on the float path; each point then adds its
+    integer mass under its decoded symbol (``_integer_mass``) to that
+    symbol's total.  Each success is its total over ``D**n``, one exact
+    division per symbol, which equals the sum of the points' exact
+    multinomial masses.
     """
     import numpy as np
 
     lcm, scaled, decide = _exact_rule(np, symbols, n)
-    override = _override_writer(np, overrides)
     totals = [0] * len(symbols)
-    for start, k in _grid_chunks(np, n, symbols[0].q, size, _grid_rows(len(symbols), symbols[0].q)):
-        decoded = decide(k)
-        override(decoded, start)
+    for k, decoded in _decisions(np, decide, n, len(symbols), symbols[0].q, size, overrides):
         for point, j in zip(k.tolist(), decoded.tolist()):
-            weight = _likelihood(scaled[j], point)
-            if weight:
-                totals[j] += multinomial_coefficient(point) * weight
+            totals[j] += _integer_mass(scaled[j], point)
     denominator = lcm**n
     return [Fraction(total, denominator) for total in totals]
 
@@ -708,9 +705,9 @@ def construct_grid_code(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> Com
     Every observation decodes to itself, so the per-symbol success probability
     equals that grid point's self-decoding probability.
     """
-    _checked_grid_size(n, q, max_enum)  # refuses a max_enum of None, which enumerate_observed takes
-    grid = enumerate_observed(n, q, max_size=max_enum)
-    return CompositeCode(theta.as_symbol(exact=True) for theta in grid)
+    n = _integer("n", n)  # Fraction(k, n) would keep a numpy n's type
+    _checked_grid_size(n, q, max_enum)
+    return CompositeCode(CompositeSymbol(Fraction(k, n) for k in counts) for counts in _compositions(n, q))
 
 
 def self_decoding_probability(theta: ObservedDistribution) -> Fraction:
@@ -720,12 +717,7 @@ def self_decoding_probability(theta: ObservedDistribution) -> Fraction:
     ``counts / n``, in integers over one denominator:
     ``C(n; k) * prod_i k_i**k_i / n**n``, returned exactly.
     """
-    return Fraction(_self_mass(theta.counts), theta.n**theta.n)
-
-
-def _self_mass(counts: Sequence[int]) -> int:
-    """``n**n`` times the self-decoding probability of the grid point ``counts``."""
-    return multinomial_coefficient(counts) * math.prod(k**k for k in counts)
+    return Fraction(_integer_mass(theta.counts, theta.counts), theta.n**theta.n)
 
 
 def _grid_code_success(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> tuple[Fraction, Fraction]:
@@ -735,15 +727,12 @@ def _grid_code_success(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> tupl
     points' :func:`self_decoding_probability`, kept in integer masses and divided once.
     Grids above ``max_enum`` points are refused as :func:`construct_grid_code` refuses them.
     """
-    import numpy as np
-
     size = _checked_grid_size(n, q, max_enum)
     if q == 1:  # the one point (n,) decodes to itself with probability 1
         return Fraction(1), Fraction(1)
     whole = n**n  # no mass exceeds it: each is a probability times n**n
     low, total = whole, 0
-    for _, k in _grid_chunks(np, n, q, size, _grid_rows(1, q)):
-        masses = list(map(_self_mass, k.tolist()))
-        low = min(low, *masses)
-        total += sum(masses)
+    for k in _compositions(n, q):
+        mass = _integer_mass(k, k)
+        low, total = min(low, mass), total + mass
     return Fraction(low, whole), Fraction(total, whole * size)

@@ -446,20 +446,6 @@ def coverage_bounds(ell: int, omega: int) -> BoundPair:
     return BoundPair(lower, upper)
 
 
-def covering_family_count(m: int, r: int, j: int) -> int:
-    """Number of j-element sets of distinct r-subsets of an m-set covering the whole set.
-
-    Standard inclusion-exclusion over the elements left uncovered:
-
-        sum_{i=0..m} (-1)^i C(m, i) C(C(m-i, r), j)
-
-    Exact integer arithmetic throughout; validated against brute-force subset
-    enumeration in the test suite.
-    """
-    m, r, j = _integer("m", m, 1), _integer("r", r, 1), _integer("j", j, 1)
-    return sum((-1) ** i * comb(m, i) * comb(comb(m - i, r), j) for i in range(m + 1))
-
-
 def expected_coverage_partial(ell: int, omega: int, r: int, tol: float = 1e-12) -> float:
     """Expected reads until at least ``r`` of the ``ell`` indices are recovered.
 

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own derivations: coverage
 expectations come from exact surjection counts, from the rational expansion
 of the series or from a float covered-count Markov chain, covering-family
-counts from brute-force subset enumeration, and random codes are built as
+counts from brute-force subset enumeration (against the inclusion-exclusion
+form, ``covering_family_count``), and random codes are built as
 exact rational grid points so comparisons need no tolerances.  Where the library
 evaluates a formula by a faster route, the formula as written lives here as the
 reference it must match exactly: the code evaluator's is a loop that decodes and
@@ -71,6 +72,18 @@ def brute_covering_count(m: int, r: int, j: int) -> int:
         if len(union) == m:
             count += 1
     return count
+
+
+def covering_family_count(m: int, r: int, j: int) -> int:
+    """Number of j-element sets of distinct r-subsets of an m-set covering the whole set.
+
+    Standard inclusion-exclusion over the elements left uncovered:
+
+        sum_{i=0..m} (-1)^i C(m, i) C(C(m-i, r), j)
+
+    Exact integer arithmetic throughout; checked against brute_covering_count.
+    """
+    return sum((-1) ** i * comb(m, i) * comb(comb(m - i, r), j) for i in range(m + 1))
 
 
 def brute_miss_probability(w: int, m: int) -> Fraction:

@@ -22,9 +22,22 @@ from cdna import (
     mld_decode,
     observed_grid_size,
     self_decoding_probability,
-    symmetric_reflect,
 )
 from conftest import random_exact_code
+
+
+def symmetric_reflect(code: CompositeCode) -> CompositeCode:
+    """The binary code with every value x replaced by 1-x, re-sorted.
+
+    A code equal to its reflection is symmetric.  Reflection mirrors decoding
+    regions and per-symbol success probabilities exactly, except at observation
+    points where two codewords are precisely tied (the lexicographic tie-break
+    favors the smaller codeword on both sides); generic codes have no such
+    points.
+    """
+    if code.q != 2:
+        raise ValueError("reflection is defined for binary codes only")
+    return CompositeCode(tuple(reversed(s.probs)) for s in code.symbols)
 
 
 def check_region_partition(code: CompositeCode, n: int) -> None:

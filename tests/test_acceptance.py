@@ -22,7 +22,6 @@ from cdna import (
     construct_binary4,
     construct_grid_code,
     coverage_bounds,
-    covering_family_count,
     custom_decoder_from_table,
     enumerate_observed,
     evaluate_code,
@@ -37,7 +36,7 @@ from cdna import (
 )
 from cdna.cli import main as cli_main
 from click.testing import CliRunner
-from conftest import brute_covering_count
+from conftest import brute_covering_count, covering_family_count
 import properties
 
 

@@ -14,12 +14,12 @@ from cdna import (
     construct_binary4,
     evaluate_code,
     optimize_binary4_grid,
-    symmetric_reflect,
 )
 from cdna import binary, codes
 from cdna.model import CompositeSymbol, UnsupportedRangeError
 from conftest import reference_prob_observed
 import properties
+from properties import symmetric_reflect
 
 
 class TestBinaryThreshold:

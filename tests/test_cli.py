@@ -349,16 +349,16 @@ class TestDesignCommand:
         # self-decoding mass per point; evaluate_code would score all 5151
         # symbols at each of the 5151 points
         calls = []
-        mass = codes._self_mass
+        mass = codes._integer_mass
 
-        def counted(counts):
-            calls.append(tuple(counts))
-            return mass(counts)
+        def counted(scaled, point):
+            calls.append(tuple(point))
+            return mass(scaled, point)
 
         def refused(*args, **kwargs):
             raise AssertionError("the omega family does not evaluate its grid code")
 
-        monkeypatch.setattr(codes, "_self_mass", counted)
+        monkeypatch.setattr(codes, "_integer_mass", counted)
         monkeypatch.setattr(cli, "evaluate_code", refused)
         monkeypatch.setattr(codes, "evaluate_code", refused)
         result = run_cli("design", "--family", "omega", "--q", "3", "--n", "100")

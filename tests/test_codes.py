@@ -366,6 +366,47 @@ class TestArrayEvaluator:
             assert_same_evaluation(code, n)
             assert_same_evaluation(code, n, custom_decoder_from_table(code, n, {(n, 0, 0): 3, (0, n, 0): 0}))
 
+    def test_dna_code_weighs_exact_points_in_integers(self, monkeypatch):
+        # the four base letters (exact) beside two float 1:1 mixtures; a letter
+        # produces only its own pure point, yet every point that no symbol
+        # produces decodes to symbol 0, a letter
+        letters = [base_symbol(4, i) for i in range(1, 5)]
+        code = CompositeCode([*letters, (0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.5, 0.5)])
+        for n in (1, 2, 5, 12):
+            assert_same_evaluation(code, n)
+            assert_same_evaluation(code, n, custom_decoder_from_table(code, n, {(0, n, 0, 0): 4, (n, 0, 0, 0): 0}))
+        n = 12
+        want = evaluate_code(code, n)
+        decoded_to_letters = sorted(theta.counts for s in letters for theta in decoding_region(code, s, n))
+        integer_mass, coefficient = codes._integer_mass, codes.multinomial_coefficient
+        inside, weighed, coefficients = [], [], []
+
+        def counted_mass(scaled, point):
+            inside.append(point)
+            try:
+                return integer_mass(scaled, point)
+            finally:
+                inside.pop()
+                weighed.append((tuple(scaled), tuple(point)))
+
+        def counted_coefficient(point):
+            if inside:
+                coefficients.append(tuple(point))
+            return coefficient(point)
+
+        def refused(*args):
+            raise AssertionError("a mixed code builds no Fraction per point")
+
+        monkeypatch.setattr(codes, "_integer_mass", counted_mass)
+        monkeypatch.setattr(codes, "multinomial_coefficient", counted_coefficient)
+        monkeypatch.setattr(codes, "Fraction", refused)
+        assert evaluate_code(code, n) == want
+        # each point decoded to a letter is weighed once, and C(n; k) is computed
+        # only where the letter produces the point: at the four pure points
+        assert sorted(point for _, point in weighed) == decoded_to_letters
+        assert coefficients == [point for scaled, point in weighed if codes._likelihood(scaled, point)]
+        assert sorted(coefficients) == sorted(tuple(n * c for c in s.probs) for s in letters)
+
     def test_zero_probabilities(self):
         # letter 3 is impossible for every symbol: those observations tie at -inf
         exact = CompositeCode([(Fraction(1, 2), Fraction(1, 2), 0), (1, 0, 0), (0, 1, 0)])
@@ -586,8 +627,15 @@ class TestExactDecisions:
 GRIDS = ((7, 1), (2100, 2), (60, 3), (20, 4), (12, 5), (1200, 2))
 
 
-def grid_chunks(n, q, rows):
-    return list(codes._grid_chunks(np, n, q, math.comb(n + q - 1, q - 1), rows))
+def grid_chunks(monkeypatch, n, q, rows):
+    """The counts of the grid pass's chunks of ``rows`` points, under a constant decision and no overrides."""
+    monkeypatch.setattr(codes, "_BLOCK_ELEMENTS", rows * q)  # a one-symbol code: rows points per chunk
+    def decide(k):
+        return np.zeros(len(k), dtype=np.intp)
+
+    chunks = list(codes._decisions(np, decide, n, 1, q, math.comb(n + q - 1, q - 1), {}))
+    assert all(decoded.tolist() == [0] * len(k) for k, decoded in chunks)
+    return [k for k, _ in chunks]
 
 
 class TestGridArrays:
@@ -595,16 +643,16 @@ class TestGridArrays:
 
     @pytest.mark.parametrize("n, q", GRIDS)
     @pytest.mark.parametrize("rows", [1, 7, None])
-    def test_chunks_are_the_enumeration(self, n, q, rows):
-        rows = rows or codes._grid_rows(1, q)
-        chunks = grid_chunks(n, q, rows)
-        assert [start for start, _ in chunks] == list(range(0, math.comb(n + q - 1, q - 1), rows))
-        assert all(k.dtype == np.int64 and k.shape[1] == q and len(k) <= rows for _, k in chunks)
-        points = [tuple(point) for _, k in chunks for point in k.tolist()]
+    def test_chunks_are_the_enumeration(self, monkeypatch, n, q, rows):
+        rows, size = rows or codes._grid_rows(1, q), math.comb(n + q - 1, q - 1)
+        chunks = grid_chunks(monkeypatch, n, q, rows)
+        assert [len(k) for k in chunks] == [min(rows, size - start) for start in range(0, size, rows)]
+        assert all(k.dtype == np.int64 and k.shape[1] == q for k in chunks)
+        points = [tuple(point) for k in chunks for point in k.tolist()]
         assert points == [theta.counts for theta in enumerate_observed(n, q)]
 
     @pytest.mark.parametrize("n, q", GRIDS)
-    def test_weights_are_the_per_point_formulas(self, n, q):
+    def test_weights_are_the_per_point_formulas(self, monkeypatch, n, q):
         # two codes of the same symbols, in opposite orders: a 1.0 and a 0.0
         # entry, the uniform symbol and uneven weights; each point decodes to
         # the symbol of its row index, modulo m
@@ -615,7 +663,7 @@ class TestGridArrays:
         logs = codes._log_table(np, probs)
         limit = codes._LOG_COEF_FLOAT_LIMIT
         log_space = 0
-        for _, k in grid_chunks(n, q, 7 if n > 100 else codes._grid_rows(1, q)):
+        for k in grid_chunks(monkeypatch, n, q, 7 if n > 100 else codes._grid_rows(1, q)):
             points = k.tolist()
             decoded = np.arange(len(points)) % len(symbols)
             decoded = np.stack([decoded, len(symbols) - 1 - decoded])
@@ -639,10 +687,10 @@ class TestGridArrays:
 
     def test_one_letter_grid_weighs_no_point(self, monkeypatch):
         # its one point (n,) decodes to itself with probability 1; n**n is never built
-        def refused(counts):
+        def refused(scaled, point):
             raise AssertionError("a one-letter grid needs no self-decoding mass")
 
-        monkeypatch.setattr(codes, "_self_mass", refused)
+        monkeypatch.setattr(codes, "_integer_mass", refused)
         assert codes._grid_code_success(10**6, 1) == (Fraction(1), Fraction(1))
 
 

@@ -21,17 +21,17 @@ from cdna import (
     CoverageParams,
     UnsupportedRangeError,
     coverage_bounds,
-    covering_family_count,
     expected_coverage,
     expected_coverage_closed_pairs,
     expected_coverage_exact,
     expected_coverage_partial,
-    miss_probability,
     random_access_expectation,
 )
+from cdna.coverage import miss_probability
 from conftest import (
     brute_covering_count,
     brute_miss_probability,
+    covering_family_count,
     dp_expected_coverage,
     exact_expected_coverage,
     exact_expected_coverage_partial,
@@ -358,12 +358,6 @@ class TestCoveringFamilyCount:
                 )
                 assert partial_weight(m, r) == family_sum, (m, r)
 
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            covering_family_count(0, 1, 1)
-        with pytest.raises(ValueError):
-            covering_family_count(2, 0, 1)
-
 
 class TestPartialRecovery:
     def test_full_threshold_reduces(self):
@@ -520,9 +514,6 @@ class TestIntegerArguments:
             lambda: expected_coverage_closed_pairs(bad),
             lambda: coverage_bounds(bad, 3),
             lambda: coverage_bounds(3, bad),
-            lambda: covering_family_count(bad, 1, 1),
-            lambda: covering_family_count(2, bad, 1),
-            lambda: covering_family_count(2, 1, bad),
             lambda: CoverageParams(bad, 2),
             lambda: CoverageParams(2, bad),
             lambda: CoverageParams(3, 2, r=bad),

@@ -46,18 +46,6 @@ def test_all_entries_are_bound():
     assert [name for name in cdna.__all__ if not hasattr(cdna, name)] == []
 
 
-#: Exports with no use outside the tests, and why they stay public.
-TEST_ONLY_EXPORTS = {
-    # tests/properties.py uses it as the reflection map to check that binary
-    # decoding regions mirror under x -> 1 - x
-    "symmetric_reflect",
-    # the tests compare it with brute_miss_probability and probe the walk memo with it
-    "miss_probability",
-    # the tests check it against brute-force enumeration
-    "covering_family_count",
-}
-
-
 def _identifiers(tree: ast.AST) -> set[str]:
     names = set()
     for node in ast.walk(tree):
@@ -109,8 +97,7 @@ def test_every_export_is_used_outside_the_tests():
         if found == unused:
             break
         unused = found
-    assert sorted(unused - TEST_ONLY_EXPORTS) == []
-    assert TEST_ONLY_EXPORTS <= unused, "an exempt export gained a use; drop its exemption"
+    assert sorted(unused) == []
 
 
 #: All that ``tests/conftest.py`` may import from the package: types, code
