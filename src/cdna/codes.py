@@ -727,6 +727,7 @@ def _grid_code_success(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> tupl
     points' :func:`self_decoding_probability`, kept in integer masses and divided once.
     Grids above ``max_enum`` points are refused as :func:`construct_grid_code` refuses them.
     """
+    n = _integer("n", n)  # a numpy n would wrap n**n
     size = _checked_grid_size(n, q, max_enum)
     if q == 1:  # the one point (n,) decodes to itself with probability 1
         return Fraction(1), Fraction(1)

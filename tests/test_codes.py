@@ -630,6 +630,7 @@ GRIDS = ((7, 1), (2100, 2), (60, 3), (20, 4), (12, 5), (1200, 2))
 def grid_chunks(monkeypatch, n, q, rows):
     """The counts of the grid pass's chunks of ``rows`` points, under a constant decision and no overrides."""
     monkeypatch.setattr(codes, "_BLOCK_ELEMENTS", rows * q)  # a one-symbol code: rows points per chunk
+
     def decide(k):
         return np.zeros(len(k), dtype=np.intp)
 
@@ -776,6 +777,8 @@ class TestIntegerArguments:
         for code, n in ((construct_base_plus_uniform(4), 40), (COUNTEREXAMPLE, 10)):
             assert evaluate_code(code, np.int64(n)) == evaluate_code(code, n)
         assert observed_grid_size(np.int64(5), np.int32(3)) == observed_grid_size(5, 3)
+        # an int64 n once wrapped n**n in the grid code's figures: f_avg read about 2.7e26
+        assert codes._grid_code_success(np.int64(30), 2) == codes._grid_code_success(30, 2)
         assert uniform_symbol(np.int64(3)) == uniform_symbol(3)
 
 
