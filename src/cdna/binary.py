@@ -113,7 +113,7 @@ def optimize_binary4_grid(
     """
     if not (isinstance(grid_step, Real) and 0.0 < grid_step <= 1e-3):
         raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step!r}")
-    size = _checked_grid_size(n, 2, max_enum)
+    n, size = _checked_grid_size(n, 2, max_enum)
     # ceil(c) * size > max_enum exactly when c > max_enum // size; c may be inf
     if 0.5 / grid_step > max_enum // size:
         raise UnsupportedRangeError(

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import click
 
-from .binary import binary4_alpha, construct_binary4, optimize_binary4_grid
+from .binary import construct_binary4, optimize_binary4_grid
 from .codes import (
     DEFAULT_MAX_ENUM,
     CompositeCode,
@@ -536,7 +536,7 @@ def design(family, q, n, parts, verify_grid, fmt) -> None:
         elif family == "distinct":
             f_min = f_avg = 1
         else:
-            alpha = binary4_alpha(n)
+            alpha = code.values[1]
             result = evaluate_code(code, n, max_enum=max_enum)
             f_min, f_avg = result.f_min, result.f_avg
     base = {

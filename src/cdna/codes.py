@@ -278,9 +278,7 @@ def _grid_request(code: CompositeCode, n: int, decoder: Optional[Decoder], max_e
         decoder = mld_decoder(code)
     if decoder.code != code:
         raise ValueError("decoder belongs to a different code")
-    # a numpy n becomes an int, so D**n cannot wrap
-    n = _integer("n", n, 1)
-    size = _checked_grid_size(n, code.q, max_enum)
+    n, size = _checked_grid_size(n, code.q, max_enum)
     overrides = {_grid_rank(k, n): bisect_left(code.symbols, s) for k, s in decoder.overrides if sum(k) == n}
     return n, size, overrides
 
@@ -705,8 +703,7 @@ def construct_grid_code(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> Com
     Every observation decodes to itself, so the per-symbol success probability
     equals that grid point's self-decoding probability.
     """
-    n = _integer("n", n)  # Fraction(k, n) would keep a numpy n's type
-    _checked_grid_size(n, q, max_enum)
+    n, _ = _checked_grid_size(n, q, max_enum)
     return CompositeCode(CompositeSymbol(Fraction(k, n) for k in counts) for counts in _compositions(n, q))
 
 
@@ -727,8 +724,7 @@ def _grid_code_success(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> tupl
     points' :func:`self_decoding_probability`, kept in integer masses and divided once.
     Grids above ``max_enum`` points are refused as :func:`construct_grid_code` refuses them.
     """
-    n = _integer("n", n)  # a numpy n would wrap n**n
-    size = _checked_grid_size(n, q, max_enum)
+    n, size = _checked_grid_size(n, q, max_enum)
     if q == 1:  # the one point (n,) decodes to itself with probability 1
         return Fraction(1), Fraction(1)
     whole = n**n  # no mass exceeds it: each is a probability times n**n

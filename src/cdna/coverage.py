@@ -89,12 +89,14 @@ class CoverageParams:
     k: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _integer("ell", self.ell, 1)
-        _integer("omega", self.omega, 1)
-        if self.r is not None and _integer("r", self.r, 1) > self.ell:
-            raise ValueError(f"r must satisfy 1 <= r <= ell, got r={self.r}, ell={self.ell}")
+        object.__setattr__(self, "ell", _integer("ell", self.ell, 1))
+        object.__setattr__(self, "omega", _integer("omega", self.omega, 1))
+        if self.r is not None:
+            object.__setattr__(self, "r", _integer("r", self.r, 1))
+            if self.r > self.ell:
+                raise ValueError(f"r must satisfy 1 <= r <= ell, got r={self.r}, ell={self.ell}")
         if self.k is not None:
-            _integer("k", self.k, 1)
+            object.__setattr__(self, "k", _integer("k", self.k, 1))
 
 
 @dataclass(frozen=True)
@@ -403,7 +405,7 @@ def expected_coverage_closed_pairs(ell: int) -> float:
     Lengths beyond 64 are refused; use :func:`expected_coverage`, whose series
     is numerically benign at any length.
     """
-    if _integer("ell", ell, 1) > 64:
+    if (ell := _integer("ell", ell, 1)) > 64:
         raise UnsupportedRangeError(
             f"closed form supported for ell <= 64 (got {ell}); use expected_coverage(ell, 2)"
         )

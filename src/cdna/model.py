@@ -23,7 +23,7 @@ Prob = Union[int, float, Fraction]
 SUM_TOLERANCE = 1e-12
 
 
-#: evaluate_code and decoding_region refuse grids larger than this.
+#: Every grid entry point, enumerate_observed included, refuses larger grids by default.
 DEFAULT_MAX_ENUM = 2_000_000
 
 #: A grid of ``size`` points over ``q`` letters holds ``size * q`` counts, 8
@@ -148,12 +148,9 @@ class ObservedDistribution:
             if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ValueError(f"counts must be nonnegative integers, got {k!r}")
         total = sum(counts)
-        if n is None:
-            n = total
+        n = _integer("n", total if n is None else n, 1)  # a numpy n would wrap n**n
         if total != n:
             raise ValueError(f"counts sum to {total}, expected n={n}")
-        if n < 1:
-            raise ValueError("n must be >= 1")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n", n)
 
@@ -216,38 +213,32 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         prefix[last - 1] += 1
 
 
-def enumerate_observed(n: int, q: int, max_size: Optional[int] = None) -> list[ObservedDistribution]:
+def enumerate_observed(n: int, q: int, max_size: int = DEFAULT_MAX_ENUM) -> list[ObservedDistribution]:
     """All observed distributions of n reads over q symbols, in lexicographic count order.
 
-    The result has exactly C(n+q-1, q-1) elements.  ``max_size`` (when given)
-    rejects enumerations larger than the caller is prepared to handle; grids of
-    more than 4 counts per point of ``max_size`` (of ``DEFAULT_MAX_ENUM``
-    when it is not given) are refused as well.  A ``max_size`` other than
-    ``None`` or an int >= 1 is refused with ValueError, as the evaluators
-    refuse such a ``max_enum``.
+    The result has exactly C(n+q-1, q-1) elements.  It is capped as every grid
+    entry point is (``_checked_grid_size``): above ``max_size`` points or 4 counts
+    per point of it, with UnsupportedRangeError; a ``max_size`` that is not an
+    int >= 1 (``None`` included) is refused with ValueError.
     """
-    if max_size is None:
-        _checked_grid_size(n, q, DEFAULT_MAX_ENUM, cap_points=False)
-    else:
-        _checked_grid_size(n, q, max_size)
+    n, _ = _checked_grid_size(n, q, max_size)
     return [ObservedDistribution(counts, n) for counts in _compositions(n, q)]
 
 
-def _checked_grid_size(n: int, q: int, max_enum: int, cap_points: bool = True) -> int:
-    """``observed_grid_size(n, q)``, refused with UnsupportedRangeError above ``max_enum``
-    points (unless ``cap_points`` is false) or ``_COUNTS_PER_CAPPED_POINT`` counts per point
-    of that cap.
+def _checked_grid_size(n: int, q: int, max_enum: int) -> tuple[int, int]:
+    """The one check of a grid request: ``n`` as an int and ``observed_grid_size(n, q)``, refused
+    with UnsupportedRangeError above ``max_enum`` points or ``_COUNTS_PER_CAPPED_POINT`` counts per
+    point of that cap.  Every grid entry point calls this first and runs on the ``n`` it returns.
 
-    Every grid entry point calls this first.  A ``max_enum`` that is not an int >= 1 is
-    refused with ValueError: NaN or an infinity would lift both caps, ``None`` the point
-    cap, and a bool or a float would pass for a number it only resembles.
+    A ``max_enum`` that is not an int >= 1 is refused with ValueError, before any grid work: NaN
+    or an infinity would lift both caps, ``None`` the point cap, and a bool or a float would pass
+    for a number it only resembles.
     """
     max_enum = _integer("max_enum", max_enum, 1)
+    n, q = _integer("n", n, 1), _integer("q", q, 1)
     size = observed_grid_size(n, q)
-    if cap_points and size > max_enum:
-        raise UnsupportedRangeError(
-            f"|grid(n={n}, q={q})| = {size} exceeds the cap {max_enum}; lower n or q"
-        )
+    if size > max_enum:
+        raise UnsupportedRangeError(f"|grid(n={n}, q={q})| = {size} exceeds the cap {max_enum}; lower n or q")
     max_counts = _COUNTS_PER_CAPPED_POINT * max_enum
     if size * q > max_counts:
         raise UnsupportedRangeError(
@@ -256,4 +247,4 @@ def _checked_grid_size(n: int, q: int, max_enum: int, cap_points: bool = True) -
         )
     if n >= 2**63:  # the evaluators hold counts in int64 arrays
         raise UnsupportedRangeError(f"n={n} exceeds the largest count of the grid, 2**63 - 1")
-    return size
+    return n, size

@@ -209,9 +209,9 @@ class SimConfig:
     mode: str = "recovery"
 
     def __post_init__(self) -> None:
-        _integer("seed", self.seed)
-        _integer("trials", self.trials, 1)
-        _integer("max_transmissions", self.max_transmissions, 1)
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
+        object.__setattr__(self, "max_transmissions", _integer("max_transmissions", self.max_transmissions, 1))
         if self.mode not in ("recovery", "partial", "ra"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "partial" and self.params.r is None:

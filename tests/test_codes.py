@@ -679,9 +679,7 @@ class TestGridArrays:
         # the large binary grids weigh some of their points in log space
         assert (log_space > 0) == (n >= 1200)
 
-    @pytest.mark.parametrize("block", [1, 7, 4096, codes._BLOCK_ELEMENTS])
-    def test_grid_code_figures_are_the_self_decoding_loop(self, monkeypatch, block):
-        monkeypatch.setattr(codes, "_BLOCK_ELEMENTS", block)
+    def test_grid_code_figures_are_the_self_decoding_loop(self):
         for n, q in ((1, 1), (3, 1), (1, 3), (2, 2), (7, 2), (6, 3), (5, 4), (4, 5)):
             betas = [self_decoding_probability(theta) for theta in enumerate_observed(n, q)]
             assert codes._grid_code_success(n, q) == (min(betas), sum(betas) / len(betas))
@@ -779,6 +777,12 @@ class TestIntegerArguments:
         assert observed_grid_size(np.int64(5), np.int32(3)) == observed_grid_size(5, 3)
         # an int64 n once wrapped n**n in the grid code's figures: f_avg read about 2.7e26
         assert codes._grid_code_success(np.int64(30), 2) == codes._grid_code_success(30, 2)
+        # an int64 n once wrapped n**n in one point's figure: it read about 1.16e25
+        theta = ObservedDistribution((15, 15), np.int64(30))
+        assert type(theta.n) is int
+        assert self_decoding_probability(theta) == Fraction(9694845, 67108864)
+        # and a one-letter grid of a numpy n held a numpy count, which the constructor refused
+        assert enumerate_observed(np.int64(3), 1) == [ObservedDistribution((3,))]
         assert uniform_symbol(np.int64(3)) == uniform_symbol(3)
 
 

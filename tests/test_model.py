@@ -142,9 +142,9 @@ class TestEnumerateObserved:
             enumerate_observed(2, 1500)
         # four counts per point of the cap: every grid of q <= 4 under the point cap passes
         for q, n in ((2, DEFAULT_MAX_ENUM - 1), (3, 1998), (4, 226)):
-            assert _checked_grid_size(n, q, DEFAULT_MAX_ENUM) <= DEFAULT_MAX_ENUM
+            assert _checked_grid_size(n, q, DEFAULT_MAX_ENUM)[1] <= DEFAULT_MAX_ENUM
             assert observed_grid_size(n + 1, q) > DEFAULT_MAX_ENUM
-        assert _checked_grid_size(1, 20, 100) == 20  # 400 counts, at the cap of 4 * 100
+        assert _checked_grid_size(1, 20, 100) == (1, 20)  # 400 counts, at the cap of 4 * 100
         with pytest.raises(UnsupportedRangeError, match="441 counts"):
             _checked_grid_size(1, 21, 100)
 
@@ -189,8 +189,6 @@ class TestEnumerationCap:
 
         monkeypatch.setattr(model, "observed_grid_size", no_grid)
         for name, call in self.entry_points().items():
-            if cap is None and name == "enumerate_observed":
-                continue  # max_size=None means no point cap there
             with pytest.raises(ValueError, match="max_enum") as refused:
                 call(cap)
             assert type(refused.value) is ValueError, name
@@ -202,12 +200,12 @@ class TestEnumerationCap:
         from cdna.model import _checked_grid_size
 
         for cap in (1001, np.int64(1001), 10**400):
-            assert _checked_grid_size(1000, 2, cap) == 1001
+            assert _checked_grid_size(1000, 2, cap) == (1000, 1001)
+            assert type(_checked_grid_size(np.int64(1000), np.int32(2), cap)[0]) is int
             assert len(enumerate_observed(1000, 2, max_size=cap)) == 1001
         for cap in (1000, np.int64(1000), np.uint8(3)):
             with pytest.raises(UnsupportedRangeError, match="exceeds the cap"):
                 _checked_grid_size(1000, 2, cap)
-        # no point cap: 4M points of two letters are 8M counts, the counts cap of the default
-        assert len(enumerate_observed(3, 2, max_size=None)) == 4
-        with pytest.raises(UnsupportedRangeError, match="counts"):
+        # enumerate_observed has the point cap of every grid entry point
+        with pytest.raises(UnsupportedRangeError, match="exceeds the cap 2000000"):
             enumerate_observed(4_000_000, 2)

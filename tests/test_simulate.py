@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,30 @@ class TestRunSimulation:
             SimConfig(CoverageParams(2, 2), trials=bad, seed=1)
         with pytest.raises(ValueError, match="max_transmissions must be an integer"):
             SimConfig(CoverageParams(2, 2), trials=10, seed=1, max_transmissions=bad)
+
+    @pytest.mark.parametrize(
+        "params, mode",
+        [
+            ((3, 40, None, None), "recovery"),
+            ((2, 64, None, None), "recovery"),
+            ((3, 63, 2, None), "partial"),
+            ((2, 4, None, 3), "ra"),
+        ],
+    )
+    def test_numpy_integers_are_ints(self, params, mode):
+        # a numpy seed once overflowed seed & _MASK64, and a numpy omega of 63
+        # or 64 the simulator's bitmasks
+        ints = SimConfig(CoverageParams(*params), trials=50, seed=5, max_transmissions=CAP, mode=mode)
+        numpy_params = CoverageParams(*(None if v is None else np.int64(v) for v in params))
+        config = SimConfig(
+            numpy_params, trials=np.int32(50), seed=np.int64(5), max_transmissions=np.int64(CAP), mode=mode
+        )
+        assert config == ints
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_simulation(config)
+        assert report == run_simulation(ints)
+        assert type(report.seed) is int and type(report.trials) is int
 
     def test_parameters_of_other_modes_refused(self):
         # a threshold or pool size the mode would ignore is a caller bug
