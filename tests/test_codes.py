@@ -679,7 +679,10 @@ class TestGridArrays:
         # the large binary grids weigh some of their points in log space
         assert (log_space > 0) == (n >= 1200)
 
-    def test_grid_code_figures_are_the_self_decoding_loop(self):
+    @pytest.mark.parametrize("block", [1, 7, 4096, codes._BLOCK_ELEMENTS])
+    def test_grid_code_figures_are_the_self_decoding_loop(self, monkeypatch, block):
+        # the figures walk the compositions one point at a time: no chunk size changes them
+        monkeypatch.setattr(codes, "_BLOCK_ELEMENTS", block)
         for n, q in ((1, 1), (3, 1), (1, 3), (2, 2), (7, 2), (6, 3), (5, 4), (4, 5)):
             betas = [self_decoding_probability(theta) for theta in enumerate_observed(n, q)]
             assert codes._grid_code_success(n, q) == (min(betas), sum(betas) / len(betas))
