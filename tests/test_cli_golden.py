@@ -2,8 +2,9 @@
 
 ``FAMILY_INVOCATIONS`` runs every code family through ``code-eval --code`` and
 ``design --family``, in CSV and JSON, and every missing, malformed or over-cap
-family parameter; ``tests/golden/cli/readme.txt`` holds the lines of the
-README's "Command line" block.  To accept an intended change, rewrite both
+family parameter; ``SIM_USAGE_INVOCATIONS`` runs ``sim`` with missing, stray
+or out-of-range options; ``tests/golden/cli/readme.txt`` holds the lines of the
+README's "Command line" block.  To accept an intended change, rewrite the
 transcripts with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 import os
@@ -107,6 +108,25 @@ FAMILY_INVOCATIONS = [
     (None, ["design", "--family", "omega", "--q", "3", "--n", "3000"]),
 ]
 
+#: ``sim`` argv: a missing or stray --r/--k, r > ell, an unknown mode, and
+#: seeds at and past both ends of the 64-bit range
+_SIM = ["sim", "--ell", "3", "--omega", "3", "--trials", "50"]
+SIM_USAGE_INVOCATIONS = [
+    _SIM + ["--mode", "partial", "--seed", "1"],
+    _SIM + ["--mode", "ra", "--seed", "1"],
+    _SIM + ["--r", "2", "--seed", "1"],
+    _SIM + ["--mode", "recovery", "--k", "2", "--seed", "1"],
+    _SIM + ["--mode", "ra", "--k", "2", "--r", "2", "--seed", "1"],
+    _SIM + ["--mode", "partial", "--r", "2", "--k", "2", "--seed", "1"],
+    _SIM + ["--mode", "partial", "--r", "4", "--seed", "1"],
+    _SIM + ["--r", "4", "--seed", "1"],
+    _SIM + ["--mode", "nope", "--seed", "1"],
+    _SIM + ["--seed", "-1"],
+    _SIM + ["--seed", "0"],
+    _SIM + ["--seed", "18446744073709551615"],
+    _SIM + ["--seed", "18446744073709551616"],
+]
+
 
 def header(max_enum, args) -> str:
     prefix = "" if max_enum is None else f"CDNA_MAX_ENUM={max_enum} "
@@ -154,12 +174,18 @@ def test_readme_command_lines(dprime):
     assert [invoke(*invocation) for invocation in invocations] == list(golden("readme.txt").values())
 
 
+def test_sim_usage_lines():
+    transcripts = {header(None, args): invoke(None, args) for args in SIM_USAGE_INVOCATIONS}
+    assert transcripts == golden("sim_usage.txt")
+
+
 def write(name: str, invocations) -> None:
     (GOLDEN / name).write_text("".join(invoke(*invocation) for invocation in invocations))
 
 
 if __name__ == "__main__":
     write("families.txt", FAMILY_INVOCATIONS)
+    write("sim_usage.txt", [(None, args) for args in SIM_USAGE_INVOCATIONS])
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "dprime.json").write_text('{"0,10": 1}')
         os.chdir(tmp)
