@@ -58,7 +58,6 @@ from .model import (
 from .simulate import (
     SimConfig,
     SimReport,
-    TrialTruncatedError,
     run_simulation,
     trial_rng,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "TIE_TOLERANCE",
-    "TrialTruncatedError",
     "UnsupportedRangeError",
     "base_symbol",
     "binary4_alpha",

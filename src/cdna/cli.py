@@ -30,9 +30,9 @@ from .codes import (
     construct_grid_code,
     custom_decoder_from_table,
     evaluate_code,
-    mld_decoder,
 )
 from .coverage import (
+    DEFAULT_TOL,
     CoverageParams,
     coverage_bounds,
     expected_coverage,
@@ -40,7 +40,7 @@ from .coverage import (
     random_access_expectation,
 )
 from .model import UnsupportedRangeError, _compositions
-from .simulate import DEFAULT_MAX_TRANSMISSIONS, SimConfig, run_simulation
+from .simulate import DEFAULT_MAX_TRANSMISSIONS, MODES, SimConfig, run_simulation
 
 EXIT_UNSUPPORTED_RANGE = 3
 EXIT_STRICT_TRUNCATION = 4
@@ -174,11 +174,12 @@ def _parse_parts(raw: str) -> list[tuple[int, ...]]:
 
 #: Each code family: its constructor and the parameters it takes, in order.  A
 #: ``parts`` value is a partition such as ``1+2|3+4``; the others are integers.
+#: The keys, in this order, are the choices of ``design --family``.
 _FAMILIES = {
+    "distinct": (lambda q, parts: construct_distinct_support(q, len(parts), parts), ("q", "parts")),
     "qplus1": (construct_base_plus_uniform, ("q",)),
     "omega": (lambda n, q: construct_grid_code(n, q, max_enum=_max_enum()), ("n", "q")),
     "binary4": (construct_binary4, ("n",)),
-    "distinct": (lambda q, parts: construct_distinct_support(q, len(parts), parts), ("q", "parts")),
 }
 
 
@@ -285,7 +286,7 @@ def main() -> None:
 @click.option("--range", "ell_range", metavar="START:END:STEP", help="Sweep of lengths; STEP like 2 or *2.")
 @click.option("--omega", type=int, required=True, help="Support size per index.")
 @click.option("--bounds", is_flag=True, help="Include analytic lower/upper bounds (omega >= 2).")
-@click.option("--tol", type=float, default=1e-12, show_default=True, help="Series truncation tolerance.")
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, help="Series truncation tolerance.")
 @format_option
 @_exit_codes()
 def coverage(ell, ell_range, omega, bounds, tol, fmt) -> None:
@@ -305,8 +306,7 @@ def coverage(ell, ell_range, omega, bounds, tol, fmt) -> None:
         }
         if bounds:
             pair = coverage_bounds(l, omega)
-            row["lower"] = pair.lower
-            row["upper"] = pair.upper
+            row.update(lower=pair.lower, upper=pair.upper)
         rows.append(row)
     _emit(rows, fmt)
 
@@ -315,13 +315,11 @@ def coverage(ell, ell_range, omega, bounds, tol, fmt) -> None:
 @click.option("--ell", type=int, required=True)
 @click.option("--omega", type=int, required=True)
 @click.option("--r", "r", type=int, required=True, help="Recovery threshold (indices needed).")
-@click.option("--tol", type=float, default=1e-12, show_default=True)
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
 @format_option
 @_exit_codes()
 def partial(ell, omega, r, tol, fmt) -> None:
     """Expected reads to recover at least r of the ell indices."""
-    value = expected_coverage_partial(ell, omega, r, tol)
-    reference = expected_coverage(r, omega, tol)
     _emit(
         [
             {
@@ -331,8 +329,8 @@ def partial(ell, omega, r, tol, fmt) -> None:
                 "omega": omega,
                 "r": r,
                 "tol": tol,
-                "expected": value,
-                "subset_bound": reference,
+                "expected": expected_coverage_partial(ell, omega, r, tol),
+                "subset_bound": expected_coverage(r, omega, tol),
             }
         ],
         fmt,
@@ -347,7 +345,6 @@ def partial(ell, omega, r, tol, fmt) -> None:
 @_exit_codes()
 def ra(ell, omega, k, fmt) -> None:
     """Expected reads to recover one target sequence among k."""
-    value = random_access_expectation(ell, omega, k)
     _emit(
         [
             {
@@ -356,7 +353,7 @@ def ra(ell, omega, k, fmt) -> None:
                 "ell": ell,
                 "omega": omega,
                 "k": k,
-                "expected": value,
+                "expected": random_access_expectation(ell, omega, k),
             }
         ],
         fmt,
@@ -364,7 +361,7 @@ def ra(ell, omega, k, fmt) -> None:
 
 
 @main.command()
-@click.option("--mode", type=click.Choice(["recovery", "partial", "ra"]), default="recovery", show_default=True)
+@click.option("--mode", type=click.Choice(MODES), default="recovery", show_default=True)
 @click.option("--ell", type=int, required=True)
 @click.option("--omega", type=int, required=True)
 @click.option("--r", "r", type=int, default=None, help="Threshold for --mode partial.")
@@ -377,14 +374,6 @@ def ra(ell, omega, k, fmt) -> None:
 @_exit_codes()
 def sim(mode, ell, omega, r, k, trials, seed, max_transmissions, strict, fmt) -> None:
     """Monte Carlo estimate of a coverage expectation (deterministic per seed)."""
-    if mode == "partial" and r is None:
-        raise click.UsageError("--mode partial requires --r")
-    if mode == "ra" and k is None:
-        raise click.UsageError("--mode ra requires --k")
-    if mode != "partial" and r is not None:
-        raise click.UsageError("--r is only meaningful with --mode partial")
-    if mode != "ra" and k is not None:
-        raise click.UsageError("--k is only meaningful with --mode ra")
     config = SimConfig(
         params=CoverageParams(ell=ell, omega=omega, r=r, k=k),
         trials=trials,
@@ -463,48 +452,34 @@ def code_eval(code_spec, n, decoder_spec, fmt) -> None:
             code_spec = fh.read().strip()
     code = parse_code_spec(code_spec)
     if decoder_spec == "mld":
-        decoder = mld_decoder(code)
+        decoder = None  # evaluate_code's default
     elif decoder_spec.startswith("table:"):
         decoder = _load_table_decoder(code, n, decoder_spec[len("table:"):])
     else:
         raise click.UsageError(f"unknown decoder {decoder_spec!r}; use mld or table:<file>")
     result = evaluate_code(code, n, decoder=decoder, max_enum=max_enum)
-    rendered = _render_code(s.probs for s in code.symbols)
-    rows = []
-    for i, symbol in enumerate(code.symbols):
-        rows.append(
-            {
-                "kind": "symbol",
-                "provenance": "formula",
-                "n": n,
-                "code": rendered,
-                "decoder": decoder_spec,
-                "symbol_index": i,
-                "symbol": _render_symbol(symbol.probs),
-                "p_succ": result.per_symbol_success[symbol],
-                "f_min": None,
-                "f_avg": None,
-            }
-        )
-    rows.append(
-        {
-            "kind": "summary",
-            "provenance": "formula",
-            "n": n,
-            "code": rendered,
-            "decoder": decoder_spec,
-            "symbol_index": None,
-            "symbol": None,
-            "p_succ": None,
-            "f_min": result.f_min,
-            "f_avg": result.f_avg,
-        }
-    )
+    base = {
+        "kind": "symbol",
+        "provenance": "formula",
+        "n": n,
+        "code": _render_code(s.probs for s in code.symbols),
+        "decoder": decoder_spec,
+        "symbol_index": None,
+        "symbol": None,
+        "p_succ": None,
+        "f_min": None,
+        "f_avg": None,
+    }
+    rows = [
+        dict(base, symbol_index=i, symbol=_render_symbol(s.probs), p_succ=result.per_symbol_success[s])
+        for i, s in enumerate(code.symbols)
+    ]
+    rows.append(dict(base, kind="summary", f_min=result.f_min, f_avg=result.f_avg))
     _emit(rows, fmt)
 
 
 @main.command()
-@click.option("--family", type=click.Choice(["distinct", "qplus1", "omega", "binary4"]), required=True)
+@click.option("--family", type=click.Choice(list(_FAMILIES)), required=True)
 @click.option("--q", "q", type=int, default=None)
 @click.option("--n", type=int, default=None)
 @click.option("--parts", default=None, help="Partition for --family distinct, e.g. 1+2|3+4.")
@@ -557,18 +532,17 @@ def design(family, q, n, parts, verify_grid, fmt) -> None:
     rows = [base]
     if verify_grid is not None:
         x_star, f_star = optimize_binary4_grid(n, verify_grid, max_enum=max_enum)
-        verify = dict(base)
-        verify.update(
-            {
-                "kind": "design-verify",
-                "provenance": "oracle",
-                "grid_step": verify_grid,
-                "x_star": x_star,
-                "f_min_star": f_star,
-                "alpha_delta": abs(x_star - alpha),
-            }
+        rows.append(
+            dict(
+                base,
+                kind="design-verify",
+                provenance="oracle",
+                grid_step=verify_grid,
+                x_star=x_star,
+                f_min_star=f_star,
+                alpha_delta=abs(x_star - alpha),
+            )
         )
-        rows.append(verify)
     _emit(rows, fmt)
 
 

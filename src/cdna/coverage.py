@@ -39,6 +39,9 @@ from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .model import UnsupportedRangeError, _compositions, _integer
 
+#: Truncation tolerance of the float series when the caller gives none.
+DEFAULT_TOL = 1e-12
+
 #: Cap on a chain question's predicted work: reads, from the union bound u_m <=
 #: omega ((omega-1)/omega)^m, times states and binomial terms per read.  The cap
 #: holds per request, walked or not.  Near the cap, on a 2-CPU x86-64 machine
@@ -268,7 +271,7 @@ def _truncation_target(tol: float, omega: int) -> float:
     return min(tol, omega * 2.0**-53)
 
 
-def expected_coverage(ell: int, omega: int, tol: float = 1e-12) -> float:
+def expected_coverage(ell: int, omega: int, tol: float = DEFAULT_TOL) -> float:
     """Expected reads to recover a length-``ell`` sequence of ``omega``-subset symbols.
 
     Sums ``1 - (1 - u_m)^ell`` over the chain, as ``-expm1(ell * log1p(-u_m))``
@@ -448,7 +451,7 @@ def coverage_bounds(ell: int, omega: int) -> BoundPair:
     return BoundPair(lower, upper)
 
 
-def expected_coverage_partial(ell: int, omega: int, r: int, tol: float = 1e-12) -> float:
+def expected_coverage_partial(ell: int, omega: int, r: int, tol: float = DEFAULT_TOL) -> float:
     """Expected reads until at least ``r`` of the ``ell`` indices are recovered.
 
     Sums over the chain the probability ``P[Bin(ell, f_m) <= r-1]`` that fewer

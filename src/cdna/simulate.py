@@ -39,6 +39,8 @@ from .coverage import CoverageParams
 from .model import UnsupportedRangeError, _integer
 
 DEFAULT_MAX_TRANSMISSIONS = 10**6
+#: The stopping rules :func:`run_simulation` knows, the values of ``SimConfig.mode``.
+MODES = ("recovery", "partial", "ra")
 
 _MASK64 = (1 << 64) - 1
 _FIRST_BLOCK = 32
@@ -61,10 +63,6 @@ _Z95 = 1.959963984540054
 #: simulations below this many trials report no confidence interval; the
 #: normal approximation is not trustworthy there.
 MIN_TRIALS_FOR_CI = 30
-
-
-class TrialTruncatedError(RuntimeError):
-    """A trial hit its transmission cap before the stopping condition."""
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -104,7 +102,7 @@ class _TrialStreams:
 
 def _reads_until(
     rng: np.random.Generator, ell: int, omega: int, r: int, k: int, cap: int
-) -> int:
+) -> Optional[int]:
     """Number of reads until ``r`` of ``ell`` indices have shown all ``omega`` symbols.
 
     Each read belongs to the target sequence with probability ``1/k``; only
@@ -118,8 +116,8 @@ def _reads_until(
     bounded draws, so values and stream match ``dtype=np.uint64``, without
     the cost of a shape tuple.  After each chunk, the fully covered indices
     drop out: the loop keeps observed-set bitmasks for the open indices only
-    and lowers ``r`` by the number just finished.  Raises
-    :class:`TrialTruncatedError` when ``cap`` reads pass without stopping.
+    and lowers ``r`` by the number just finished.  Returns ``None`` when
+    ``cap`` reads pass without stopping.
     """
     full = np.uint64((1 << omega) - 1)
     masks = np.zeros(ell, dtype=np.uint64)
@@ -159,7 +157,7 @@ def _reads_until(
                 r -= finished
         taken += rows
         block = min(block * 2, _MAX_BLOCK)
-    raise TrialTruncatedError(cap)
+    return None
 
 
 def _settle_first_block(
@@ -210,9 +208,12 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", _integer("seed", self.seed))
+        # the seed is one 64-bit word of every trial's Philox key: seeds equal mod 2**64 share samples
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
         object.__setattr__(self, "max_transmissions", _integer("max_transmissions", self.max_transmissions, 1))
-        if self.mode not in ("recovery", "partial", "ra"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "partial" and self.params.r is None:
             raise ValueError("partial mode needs params.r")
@@ -301,11 +302,9 @@ def run_simulation(config: SimConfig) -> SimReport:
                 break
     truncated = 0
     for t in np.flatnonzero(counts == 0).tolist():
-        try:
-            counts[t] = _reads_until(streams.trial(t), params.ell, params.omega, r, k, cap)
-        except TrialTruncatedError:
-            counts[t] = cap
-            truncated += 1
+        count = _reads_until(streams.trial(t), params.ell, params.omega, r, k, cap)
+        counts[t] = cap if count is None else count
+        truncated += count is None
     mean = float(counts.mean())
     std_error = None
     ci95 = None

@@ -32,7 +32,7 @@ from cdna import (
     mld_decoder,
 )
 from cdna.codes import _COEF_FLOAT_LIMIT, DEFAULT_MAX_ENUM, CodeEvaluation
-from cdna.simulate import _FIRST_BLOCK, _MAX_BLOCK, TrialTruncatedError
+from cdna.simulate import _FIRST_BLOCK, _MAX_BLOCK
 
 
 def dp_expected_coverage(ell: int, omega: int, tol: float = 1e-13) -> float:
@@ -283,9 +283,10 @@ def reference_evaluate_code(code, n, decoder=None, max_enum=DEFAULT_MAX_ENUM):
     return CodeEvaluation(per_symbol_success=success, f_min=f_min, f_avg=f_avg, n=n)
 
 
-def reference_reads_until(rng, ell: int, omega: int, r: int, k: int, cap: int) -> int:
+def reference_reads_until(rng, ell: int, omega: int, r: int, k: int, cap: int) -> int | None:
     """The simulator's read loop as whole doubling blocks: every block's symbols
-    are drawn at once, and every index is tracked until the trial stops."""
+    are drawn at once, and every index is tracked until the trial stops; None
+    when ``cap`` reads pass without stopping."""
     full = np.uint64((1 << omega) - 1)
     masks = np.zeros(ell, dtype=np.uint64)
     taken = 0
@@ -303,7 +304,7 @@ def reference_reads_until(rng, ell: int, omega: int, r: int, k: int, cap: int) -
             masks = acc[-1]
         taken += rows
         block = min(block * 2, _MAX_BLOCK)
-    raise TrialTruncatedError(cap)
+    return None
 
 
 def random_exact_symbol(rng: np.random.Generator, q: int, denom: int) -> CompositeSymbol:

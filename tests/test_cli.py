@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import os
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 
 from cdna import cli, codes, construct_grid_code, enumerate_observed, evaluate_code
 from cdna.cli import main
+from cdna.coverage import DEFAULT_TOL, expected_coverage, expected_coverage_partial
 from cdna.simulate import DEFAULT_MAX_TRANSMISSIONS
 
 
@@ -184,6 +186,16 @@ class TestSimCommand:
     def test_max_transmissions_default_is_the_library_default(self):
         option = next(p for p in main.commands["sim"].params if p.name == "max_transmissions")
         assert option.default == DEFAULT_MAX_TRANSMISSIONS
+        for command, function in (("coverage", expected_coverage), ("partial", expected_coverage_partial)):
+            tol = next(p for p in main.commands[command].params if p.name == "tol")
+            assert tol.default == DEFAULT_TOL == inspect.signature(function).parameters["tol"].default
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_usage_error(self, seed):
+        # seeds equal modulo 2**64 key the same Philox streams
+        result = run_cli("sim", "--ell", "3", "--omega", "3", "--trials", "50", "--seed", seed)
+        assert result.exit_code == 2
+        assert "seed must lie in [0, 2**64)" in result.stderr
 
     def test_byte_identical_reruns(self):
         args = ("sim", "--mode", "ra", "--ell", "1", "--omega", "2", "--k", "2",

@@ -122,7 +122,6 @@ CONFTEST_IMPORTS = {
     "expected_coverage_exact",
     "_FIRST_BLOCK",
     "_MAX_BLOCK",
-    "TrialTruncatedError",
 }
 
 

@@ -10,7 +10,6 @@ from cdna import (
     CoverageParams,
     SimConfig,
     SimReport,
-    TrialTruncatedError,
     UnsupportedRangeError,
     expected_coverage,
     expected_coverage_partial,
@@ -97,7 +96,7 @@ class TestBatchedFirstBlock:
         settled = _settle_first_block(_TrialStreams(seed), range(trials), rows, ell, omega, r, k)
         for t, count in enumerate(settled.tolist()):
             loop = _outcome(_reads_until, seed, t, ell, omega, r, k, cap)
-            assert count == loop if count else loop == "truncated" or loop > rows, (t, count, loop)
+            assert count == loop if count else loop is None or loop > rows, (t, count, loop)
 
 
 def _scalar_report(config, reads_until=_reads_until):
@@ -108,13 +107,11 @@ def _scalar_report(config, reads_until=_reads_until):
     counts = np.empty(config.trials)
     truncated = 0
     for t in range(config.trials):
-        try:
-            counts[t] = reads_until(
-                trial_rng(config.seed, t), params.ell, params.omega, r, k, config.max_transmissions
-            )
-        except TrialTruncatedError:
-            counts[t] = config.max_transmissions
+        count = reads_until(trial_rng(config.seed, t), params.ell, params.omega, r, k, config.max_transmissions)
+        if count is None:
+            count = config.max_transmissions
             truncated += 1
+        counts[t] = count
     mean = float(counts.mean())
     std_error = float(counts.std(ddof=1) / math.sqrt(config.trials))
     ci95 = (mean - 1.959963984540054 * std_error, mean + 1.959963984540054 * std_error)
@@ -140,10 +137,8 @@ def test_reports_equal_the_scalar_driver(params, mode, cap):
 
 
 def _outcome(reads_until, seed, t, ell, omega, r, k, cap):
-    try:
-        return reads_until(trial_rng(seed, t), ell, omega, r, k, cap)
-    except TrialTruncatedError:
-        return "truncated"
+    """Trial ``t``'s count under ``reads_until``, or None when it is truncated."""
+    return reads_until(trial_rng(seed, t), ell, omega, r, k, cap)
 
 
 class TestChunkedLoop:
@@ -310,14 +305,10 @@ class TestSimulateRecovery:
             report = run_simulation(config)
             assert _agrees(report, expected_coverage(ell, omega)), (ell, omega)
 
-    def test_truncation_raises(self):
-        hit = 0
-        for t in range(50):
-            try:
-                _reads_until(trial_rng(11, t), 1, 2, 1, 1, cap=2)
-            except TrialTruncatedError:
-                hit += 1
-        assert hit > 0  # P[not covered after 2 reads] = 1/2
+    def test_truncation_returns_none(self):
+        outcomes = [_reads_until(trial_rng(11, t), 1, 2, 1, 1, cap=2) for t in range(50)]
+        assert None in outcomes  # P[not covered after 2 reads] = 1/2
+        assert set(outcomes) <= {None, 2}
 
 
 class TestSimulatePartial:
@@ -411,6 +402,18 @@ class TestRunSimulation:
             SimConfig(CoverageParams(1, 2), trials=10, seed=0, mode="ra")
         with pytest.raises(ValueError):
             SimConfig(CoverageParams(1, 2), trials=10, seed=0, mode="bogus")
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 2**64, 2**64 + 7])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # the seed is one 64-bit word of the Philox key: each of these would share
+        # its samples with the seed in range that it equals modulo 2**64
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            SimConfig(CoverageParams(3, 3), trials=50, seed=seed)
+
+    def test_seeds_at_both_ends_of_64_bits_accepted(self):
+        low, high = (run_simulation(SimConfig(CoverageParams(3, 3), trials=50, seed=s)) for s in (0, 2**64 - 1))
+        assert (low.seed, high.seed) == (0, 2**64 - 1)
+        assert low.mean != high.mean
 
     @pytest.mark.parametrize("bad", [True, 2.0, 2.5, "7", None])
     def test_counts_must_be_integers(self, bad):
