@@ -92,56 +92,127 @@ def optimize_binary4_grid(
     n: int,
     grid_step: float,
     max_enum: int = DEFAULT_MAX_ENUM,
-) -> tuple[float, Union[float, Fraction]]:
+) -> tuple[float, float]:
     """Grid-search oracle for the size-4 optimum: exhaustive argmax of f_min.
 
     Evaluates the minimum success probability of {0, x, 1-x, 1} under
     maximum-likelihood decoding for every grid point x = i * grid_step in
     (0, 0.5) and returns the first maximizer together with its objective
     value.  This is the independent check for :func:`construct_binary4`; it
-    makes no use of the closed forms.  The candidates are built as arrays, one
+    makes no use of the closed forms.  ``grid_step`` is taken as a float once,
+    and both the candidates and ``x_star`` are built from that float.  The
+    returned value is ``evaluate_code(code, n).f_min`` bit for bit.
+
+    The search screens, then certifies.  The candidates go as arrays, one
     group at a time (as many codes as fill one block of at most
-    ``codes._BLOCK_ELEMENTS`` scores over the grid), and each group goes
-    through one call of the float kernel of :func:`~cdna.codes.evaluate_code`,
-    which decodes, weighs and sums the whole group at once.  So each objective
-    value equals ``evaluate_code(code, n).f_min`` bit for bit, and memory does
-    not grow with the number of candidates.
+    ``codes._BLOCK_ELEMENTS`` scores over the grid), through the float
+    kernel of :func:`~cdna.codes.evaluate_code`, ``codes._float_success``,
+    with one difference: a direct mass takes its powers ``p**k`` from IEEE
+    multiplications by repeated squaring (``_squared_powers``), not from
+    libm's ``pow``.  Decisions, the log table and log-space masses are the
+    kernel's, bit for bit.  Only the candidates whose screened ``f_min`` is
+    within ``2 * delta`` of the best value so far, and within ``delta`` of
+    the best certified value so far, go through the unchanged kernel, and
+    certified values alone pick the result, the first strict maximum
+    winning.  Pending survivors are certified, in index order, whenever they
+    fill a group, so memory stays that of one block however many candidates
+    there are.  Where more than half of a group is within that floor, the
+    objective is flat there (everywhere 0 at n = 2; 1.0 in floats over a
+    range of x at large n) and a screen would prune little, so the next group
+    goes through the kernel unscreened, pending survivors first.
+
+    ``delta = 64 * (n + 8) * 2**-53`` bounds |screened - certified|
+    ``f_min`` with room to spare (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3-4; u = 2**-53, to first order in u).  A
+    direct mass is ``c * P_1 * P_2`` with the same float coefficient ``c`` on
+    both sides.  libm's ``pow`` is assumed within 1 ulp, a relative ``2u``
+    per power, so the kernel's mass is within ``6u`` of ``c * p_1**k_1 *
+    p_2**k_2``.  Any chain of multiplications that forms ``p**k`` is within
+    ``(k - 1) u``, so the screened mass is within ``(k_1 + k_2) u = n u``,
+    and the two masses differ by at most ``(n + 6) u`` of the mass.  Each
+    symbol's success adds at most ``n + 1`` masses in grid order from 0.0,
+    so each side's sum is within ``n u`` of the sum of its masses, which is
+    at most 1 (a probability).  So the successes, and with them their
+    minimum, differ by at most ``(3n + 6) u``.  ``delta`` is more than 21
+    times that: at least the eightfold margin the tests hold the screen to,
+    and enough for a libm ``pow`` off by up to 150 ulps.  A power that
+    underflows adds an absolute error below ``n * 2**-1074``, times a
+    coefficient below ``_COEF_FLOAT_LIMIT``: far below ``u``.  So the first
+    maximizer of the certified values is never pruned: its screened value is
+    less than ``2 * delta`` below any screened or certified value, and less
+    than ``delta`` below any certified one.
 
     Refuses with ``UnsupportedRangeError``, before any work, a grid of ``n``
     reads above ``max_enum`` points, and a search whose candidates times grid
     points, ``ceil(0.5 / grid_step) * (n + 1)``, exceed ``max_enum``.
     """
-    if not (isinstance(grid_step, Real) and 0.0 < grid_step <= 1e-3):
-        raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step!r}")
+    try:
+        step = float(grid_step) if isinstance(grid_step, Real) else math.nan
+    except OverflowError:  # an int or a Fraction beyond the float range
+        step = math.inf
+    if not 0.0 < step <= 1e-3:
+        as_float = "" if type(grid_step) is float or math.isnan(step) else f", {step!r} as a float"
+        raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step!r}{as_float}")
     n, size = _checked_grid_size(n, 2, max_enum)
     # ceil(c) * size > max_enum exactly when c > max_enum // size; c may be inf
-    if 0.5 / grid_step > max_enum // size:
+    if 0.5 / step > max_enum // size:
         raise UnsupportedRangeError(
-            f"grid search at step {grid_step} evaluates about {0.5 / grid_step:.3g} codes of "
+            f"grid search at step {grid_step} evaluates about {0.5 / step:.3g} codes of "
             f"{size} points each, beyond the enumeration cap {max_enum}"
         )
-    # the candidates are i * grid_step for i in 1..stop-1, stop the first i
-    # with i * grid_step >= 0.5 (i * grid_step grows with i)
-    stop = math.ceil(0.5 / grid_step)
-    while stop > 1 and (stop - 1) * grid_step >= 0.5:
+    # the candidates are i * step for i in 1..stop-1, stop the first i with
+    # i * step >= 0.5 (i * step grows with i)
+    stop = math.ceil(0.5 / step)
+    while stop > 1 and (stop - 1) * step >= 0.5:
         stop -= 1
-    while stop * grid_step < 0.5:
+    while stop * step < 0.5:
         stop += 1
 
     import numpy as np
 
-    # The symbols of CompositeCode.binary([0.0, x, 1.0 - x, 1.0]) in its sorted
-    # order, the order of the values for 0 < x < 0.5.  Their probabilities are
-    # (v, 1 - v) as given: v + (1 - v) rounds to exactly 1 for every float v in
-    # [0, 1], so CompositeSymbol never renormalizes.
-    group = _codes_per_group(4, 2, size)
-    best_i = best_f = None
-    for first in range(1, stop, group):
-        x = np.arange(first, min(first + group, stop), dtype=float) * grid_step
+    def f_min(i: "np.ndarray", powers=None) -> "np.ndarray":
+        # The symbols of CompositeCode.binary([0.0, x, 1.0 - x, 1.0]) in its
+        # sorted order, the order of the values for 0 < x < 0.5.  Their
+        # probabilities are (v, 1 - v) as given: v + (1 - v) rounds to exactly
+        # 1 for every float v in [0, 1], so CompositeSymbol never renormalizes.
+        x = i * step
         v = np.stack([np.zeros_like(x), x, 1.0 - x, np.ones_like(x)], axis=1)
-        f_min = _float_success(np.stack([v, 1 - v], axis=2), n, size).min(axis=1)
-        i = int(f_min.argmax())  # the first maximizer of the group
-        if best_f is None or f_min[i] > best_f:
-            best_i, best_f = first + i, float(f_min[i])
-    return best_i * grid_step, best_f
+        return _float_success(np.stack([v, 1 - v], axis=2), n, size, powers=powers).min(axis=1)
 
+    def certify(i: "np.ndarray", values: "np.ndarray") -> None:
+        nonlocal best_i, best_f
+        j = int(values.argmax())  # the first maximizer of the group
+        if best_f is None or values[j] > best_f:
+            best_i, best_f = int(i[j]), float(values[j])
+
+    group, delta = _codes_per_group(4, 2, size), 64 * (n + 8) * 2.0**-53
+    best_i = best_f = top = None
+    flat = False  # most of the last group was near the top: the screen would not pay
+    pending, screened = np.empty(0, dtype=np.int64), np.empty(0)  # survivors in index order
+    for first in range(1, stop, group):
+        i = np.arange(first, min(first + group, stop))
+        values = f_min(i) if flat else f_min(i, _squared_powers)
+        if flat:
+            certify(i, values)
+        else:
+            pending, screened = np.append(pending, i), np.append(screened, values)
+        top = values.max() if top is None else max(top, values.max())
+        floor = top - 2 * delta if best_f is None else max(top - 2 * delta, best_f - delta)
+        pending, screened = pending[screened >= floor], screened[screened >= floor]
+        flat = 2 * np.count_nonzero(values >= floor) > len(i)
+        while len(pending) >= group or (len(pending) and (flat or first + group >= stop)):
+            certify(pending[:group], f_min(pending[:group]))
+            pending, screened = pending[group:], screened[group:]
+    return best_i * step, best_f
+
+
+def _squared_powers(np, bases: "np.ndarray", exponents: "np.ndarray") -> "np.ndarray":
+    """``b**k`` of each pair by repeated squaring, IEEE multiplications only: each power is
+    within ``(k - 1) * 2**-53`` of the exact one, relatively, away from underflow."""
+    powers, square = np.ones(bases.shape), bases
+    while True:
+        powers = np.where(exponents & 1, powers * square, powers)
+        exponents = exponents >> 1
+        if not exponents.any():
+            return powers
+        square = square * square

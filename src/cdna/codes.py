@@ -19,7 +19,10 @@ scores, unless one row of a code's scores is longer.  :func:`evaluate_code`
 and :func:`decoding_region` iterate that pass, and :func:`mld_decode` decides
 one row.  Float codes are decoded, weighed and accumulated chunk by chunk,
 with the libm calls a per-observation loop makes, by one function of a group
-of codes (``_float_success``).
+of codes (``_float_success``).  Its internal ``powers`` argument swaps libm's
+``pow`` in the direct masses for another rule, such as the IEEE-only powers
+that the binary4 grid search screens its candidates with; decisions, log
+table and log-space masses stay the kernel's.
 
 Every exact weight is one integer mass, ``_integer_mass(b, k) = C(n; k) *
 prod_i b_i**k_i``, where ``b`` holds a symbol's probabilities times ``D``, the
@@ -170,11 +173,12 @@ def mld_decode(code: CompositeCode, theta: ObservedDistribution) -> CompositeSym
     import numpy as np
 
     _check_observation(code, theta)
-    bits = theta.n * _integers(code.symbols)[0].bit_length() if code.is_exact else 0
+    lcm, decide = _decider(np, code, theta.n)
+    bits = theta.n * lcm.bit_length()
     if bits > _MAX_POINT_BITS:
         message = f"n={theta.n} reads give exact likelihoods of up to {bits} bits, beyond the cap of {_MAX_POINT_BITS}"
         raise UnsupportedRangeError(f"{message}; one-point decoding refuses them")
-    [index] = _decider(np, code, theta.n)(np.array([theta.counts], dtype=np.int64))
+    [index] = decide(np.array([theta.counts], dtype=np.int64))
     return code.symbols[index]
 
 
@@ -266,7 +270,7 @@ def decoding_region(
         raise ValueError(f"{symbol} is not a codeword")
     n, size, overrides = _grid_request(code, n, decoder, max_enum)
     target, region = bisect_left(code.symbols, symbol), []
-    for k, decoded in _decisions(np, _decider(np, code, n), n, code.m, code.q, size, overrides):
+    for k, decoded in _decisions(np, _decider(np, code, n)[1], n, code.m, code.q, size, overrides):
         region += (ObservedDistribution(point, n) for point in k[decoded == target].tolist())
     return tuple(region)
 
@@ -283,13 +287,16 @@ def _grid_request(code: CompositeCode, n: int, decoder: Optional[Decoder], max_e
     return n, size, overrides
 
 
-def _decider(np, code: CompositeCode, n: int) -> Callable[["np.ndarray"], "np.ndarray"]:
-    """The decision rule of ``code`` at ``n`` reads, from (points, q) int64 counts to (points,)
-    codeword indices: ``_exact_rule`` for an exact code, ``_decode`` for any other."""
+def _decider(np, code: CompositeCode, n: int) -> tuple[int, Callable[["np.ndarray"], "np.ndarray"]]:
+    """``D``, the lcm of an exact code's denominators (0 for any other code), and the decision
+    rule of ``code`` at ``n`` reads, from (points, q) int64 counts to (points,) codeword
+    indices: ``_exact_rule`` for an exact code, ``_decode`` for any other.  The code's
+    properties are derived once here, not per point."""
     if code.is_exact:
-        return _exact_rule(np, code.symbols, n)[2]
+        lcm, scaled = _integers(code.symbols)
+        return lcm, _exact_rule(np, scaled, n)
     logs = _log_table(np, np.array([[s.probs for s in code.symbols]], dtype=float))
-    return lambda k: _decode(np, logs, k / n, TIE_TOLERANCE)[0][0]  # k_i and n are exact floats: rounds as k_i / n
+    return 0, lambda k: _decode(np, logs, k / n, TIE_TOLERANCE)[0][0]  # k_i and n are exact floats: rounds as k_i / n
 
 
 @dataclass
@@ -399,6 +406,7 @@ def _float_success(
     size: int,
     overrides: Mapping[int, int] = {},  # read only
     exact: Mapping[int, tuple[Sequence[int], int]] = {},  # read only
+    powers: Optional[Callable] = None,
 ) -> "np.ndarray":
     """Float-path success of one group of codes over the ``size`` points of one grid.
 
@@ -411,7 +419,10 @@ def _float_success(
     accumulates them, and returns the (codes, m) array of successes.
     ``overrides`` (grid index -> symbol index) and ``exact`` apply to every
     code; ``exact`` maps the index of each exact symbol of a mixed code to
-    its integers ``b`` and ``D**n``.
+    its integers ``b`` and ``D**n``.  ``powers``, if given, replaces libm's
+    ``pow`` in the direct masses: a function of ``np`` and flat arrays of
+    bases and exponents (see :func:`_float_masses`); the numbers below are
+    those of the default.
 
     Every number equals, bit for bit, that of decoding each point and adding
     its multinomial mass to the decoded symbol's success in grid order, one
@@ -454,7 +465,7 @@ def _float_success(
         return _decode(np, logs, k / n, TIE_TOLERANCE)[0]  # k_i and n are exact floats: rounds as k_i / n
 
     for k, decoded in _decisions(np, decide, n, m, q, size, overrides):
-        mass = _float_masses(np, n, codes, logs, decoded, k)
+        mass = _float_masses(np, n, codes, logs, decoded, k, powers)
         if exact:
             for g, r in zip(*np.isin(decoded, list(exact)).nonzero()):
                 b, whole = exact[decoded[g, r]]
@@ -506,11 +517,19 @@ def _decode(np, logs: "np.ndarray", fractions: "np.ndarray", slack) -> tuple["np
 
 
 def _float_masses(
-    np, n: int, probs: "np.ndarray", logs: "np.ndarray", decoded: "np.ndarray", k: "np.ndarray"
+    np,
+    n: int,
+    probs: "np.ndarray",
+    logs: "np.ndarray",
+    decoded: "np.ndarray",
+    k: "np.ndarray",
+    powers: Optional[Callable] = None,
 ) -> "np.ndarray":
     """(codes, points) float mass of each point of a chunk's (points, q) counts ``k`` under the
     symbol it decodes to: from the float multinomial coefficient where the log coefficient is
-    below ``_LOG_COEF_FLOAT_LIMIT``, in log space elsewhere."""
+    below ``_LOG_COEF_FLOAT_LIMIT``, in log space elsewhere.  The direct powers ``p_i**k_i``
+    with ``k_i > 0`` and ``p_i != 1.0`` come from ``powers(np, p, k)`` on flat arrays, by
+    default libm's ``pow`` as Python calls it."""
     mass = np.empty(decoded.shape)
     code = np.arange(len(decoded))[:, None]
     # lgamma(n + 1) minus the columns' lgamma(k_i + 1) added in order from
@@ -524,12 +543,15 @@ def _float_masses(
         # float(c) ** k, libm's pow where Python calls it: float.__pow__ returns
         # 1.0 for k = 0 and for c = 1.0 without it, and a 1.0 factor leaves the
         # product as the skipped factor does
-        powers = np.ones(p.shape)
+        factors = np.ones(p.shape)
         called = (exponents > 0) & (p != 1.0)
-        powers[called] = _mapped(np, pow, p[called], exponents[called])
+        if powers is None:
+            factors[called] = _mapped(np, pow, p[called], exponents[called])
+        else:
+            factors[called] = powers(np, p[called], exponents[called])
         product = np.array([float(multinomial_coefficient(point)) for point in k[direct].tolist()])
         for i in range(p.shape[2]):
-            product = product * powers[:, :, i]
+            product = product * factors[:, :, i]
         mass[:, direct] = product
     if len(log_space):
         log_p = log_coef[log_space]
@@ -565,11 +587,11 @@ def _integer_mass(scaled: Sequence[int], point: Sequence[int]) -> int:
     return likelihood and multinomial_coefficient(point) * likelihood
 
 
-def _exact_rule(np, symbols: Sequence[CompositeSymbol], n: int) -> tuple[int, list, Callable]:
-    """The decision rule of an exact code at ``n`` reads: ``D``, the lcm of all
-    denominators, the integers ``b_ji = p_ji * D`` per symbol, and a function
-    from a chunk's (points, q) counts to the (points,) index of the symbol each
-    point decodes to.
+def _exact_rule(np, scaled: Sequence[Sequence[int]], n: int) -> Callable:
+    """The decision rule of an exact code at ``n`` reads, from its symbols'
+    integers ``b_ji = p_ji * D`` (``_integers``): a function from a chunk's
+    (points, q) counts to the (points,) index of the symbol each point decodes
+    to.
 
     Symbol ``j`` gives observation ``k`` the likelihood ``N_j / D**n`` with
     ``N_j = prod_i b_ji**k_i``, and the float score ``sum_i (k_i / n) *
@@ -591,7 +613,7 @@ def _exact_rule(np, symbols: Sequence[CompositeSymbol], n: int) -> tuple[int, li
     (two or more) the first strict maximum of their integers ``N_j`` wins.
     A point no symbol can produce goes to symbol 0, as ``_decode`` sends it.
     """
-    m, q, (lcm, scaled) = len(symbols), symbols[0].q, _integers(symbols)
+    m, q = len(scaled), len(scaled[0])
     logs = np.array([math.log(b) if b else _LOG_ZERO for row in scaled for b in row]).reshape(1, m, q)
     scale = np.maximum(logs[0].max(axis=0), 0.0)
     slack = (q + 8) * _MARGIN_UNIT / n
@@ -607,7 +629,7 @@ def _exact_rule(np, symbols: Sequence[CompositeSymbol], n: int) -> tuple[int, li
             decoded[r] = max(np.flatnonzero(within[:, 0, r]).tolist(), key=lambda j: _likelihood(scaled[j], point))
         return decoded
 
-    return lcm, scaled, decide
+    return decide
 
 
 def _exact_success(
@@ -624,7 +646,8 @@ def _exact_success(
     """
     import numpy as np
 
-    lcm, scaled, decide = _exact_rule(np, symbols, n)
+    lcm, scaled = _integers(symbols)
+    decide = _exact_rule(np, scaled, n)
     totals = [0] * len(symbols)
     for k, decoded in _decisions(np, decide, n, len(symbols), symbols[0].q, size, overrides):
         for point, j in zip(k.tolist(), decoded.tolist()):

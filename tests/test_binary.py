@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -117,27 +118,61 @@ class TestBinary4Grid:
     @pytest.mark.parametrize("n", [2, 3, 10])
     def test_same_result_at_group_edges(self, monkeypatch, n):
         # candidate counts one below, at and one above a multiple of the codes
-        # the kernel decodes at once; step 0.5 / (count + 0.5) gives count of them
-        evaluated = []
+        # the kernel decodes at once; step 0.5 / (count + 0.5) gives count of them.
+        # Each candidate is screened or certified or both, none twice by either,
+        # and no call takes more than one group
+        screened, certified, calls = [], [], []
 
-        def counted(block, *args):
-            evaluated.append(len(block))
-            return codes._float_success(block, *args)
+        def counted(block, *args, powers=None):
+            (certified if powers is None else screened).extend(np.asarray(block)[:, 1, 0].tolist())
+            calls.append(len(block))
+            return codes._float_success(block, *args, powers=powers)
 
         monkeypatch.setattr(binary, "_float_success", counted)
         group = codes._codes_per_group(4, 2, n + 1)
         multiple = -(-500 // group) * group  # the first multiple with steps <= 1e-3
         for count in (multiple - 1, multiple, multiple + 1):
             step = 0.5 / (count + 0.5)
-            assert sum(1 for _ in grid_candidates(step)) == count
-            evaluated.clear()
+            candidates = list(grid_candidates(step))
+            assert len(candidates) == count
+            for record in (screened, certified, calls):
+                record.clear()
             assert optimize_binary4_grid(n, step) == search_by_candidate(n, step)
-            assert sum(evaluated) == count and max(evaluated) <= group
+            assert sorted(set(screened) | set(certified)) == candidates
+            assert len(set(screened)) == len(screened) and len(set(certified)) == len(certified)
+            assert max(calls) <= group
+            if n == 2:  # flat: the first group survives its screen, the rest go unscreened
+                assert screened == candidates[:group] and certified == candidates
+            else:
+                assert screened == candidates and 1 <= len(certified) <= 3
+
+    #: (n, step) pairs of the sweep: small n, where every point is weighed directly,
+    #: and n = 1000, where the middle points' coefficients exceed 1e280 and are
+    #: weighed in log space
+    SWEEP = [(n, step) for n in [*range(2, 13), 20, 40] for step in (1e-3, 7e-4)] + [(1000, 1e-3)]
+
+    @pytest.mark.parametrize("n, step", SWEEP)
+    def test_screened_search_is_the_candidate_loop(self, n, step):
+        assert optimize_binary4_grid(n, step) == search_by_candidate(n, step)
+
+    @pytest.mark.parametrize("n, step", SWEEP)
+    def test_screen_is_within_an_eighth_of_its_bound(self, n, step):
+        # delta = 64 (n + 8) 2**-53, the bound optimize_binary4_grid states, is
+        # eight times the derived bound on |screened - certified| f_min
+        delta = 64 * (n + 8) * 2.0**-53
+        x, certified = zip(*candidate_f_mins(n, step))
+        group = codes._codes_per_group(4, 2, n + 1)
+        for first in range(0, len(x), group):
+            v = np.array([[0.0, c, 1.0 - c, 1.0] for c in x[first : first + group]])
+            block = np.stack([v, 1 - v], axis=2)
+            screened = codes._float_success(block, n, n + 1, powers=binary._squared_powers).min(axis=1)
+            for s, f in zip(screened.tolist(), certified[first : first + group]):
+                assert abs(s - f) <= delta / 8, (n, step, s, f)
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_tiny_blocks_leave_the_search_unchanged(self, monkeypatch, block):
         monkeypatch.setattr(codes, "_BLOCK_ELEMENTS", block)
-        for n in (2, 3, 6):
+        for n in (2, 3, 6, 10):
             assert optimize_binary4_grid(n, 1e-3) == search_by_candidate(n, 1e-3)
 
     def test_work_beyond_the_enumeration_cap_is_refused(self):
@@ -153,20 +188,31 @@ class TestBinary4Grid:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_libm_calls_only_where_python_makes_them(self, monkeypatch, n):
-        # {0, x, 1-x, 1}: the interior points of x and 1-x take two powers each,
-        # (0, n) and (n, 0) decode to 0 and 1 and take none (p**0 and 1.0**n);
-        # the log table takes log(x) and log(1-x) twice, never log(1.0) or log(0.0)
+        # The screen calls no pow.  A certified {0, x, 1-x, 1}: the interior
+        # points of x and 1-x take two powers each, (0, n) and (n, 0) decode to
+        # 0 and 1 and take none (p**0 and 1.0**n).  Each log table, the screen's
+        # and the kernel's, takes log(x) and log(1-x) twice, never log(1.0) or
+        # log(0.0)
         mapped = {pow: 0, math.log: 0}
         real = codes._mapped
+        certified = []
 
         def counted(np_, function, *arrays):
             if function in mapped:
                 mapped[function] += arrays[0].size
             return real(np_, function, *arrays)
 
+        def kernel(block, *args, powers=None):
+            if powers is None:
+                certified.append(len(block))
+            return codes._float_success(block, *args, powers=powers)
+
         monkeypatch.setattr(codes, "_mapped", counted)
+        monkeypatch.setattr(binary, "_float_success", kernel)
         optimize_binary4_grid(n, 1e-4)
-        assert mapped == {pow: 4999 * 2 * (n - 1), math.log: 4999 * 4}
+        survivors = sum(certified)
+        assert 1 <= survivors <= 3
+        assert mapped == {pow: survivors * 2 * (n - 1), math.log: (4999 + survivors) * 4}
 
     def test_memory_is_bounded_by_the_block(self):
         # 5,000 and 500,000 candidates: the traced peak is that of one block
@@ -212,6 +258,20 @@ class TestBinary4Grid:
             optimize_binary4_grid(3, 0.0)
         with pytest.raises(ValueError):
             optimize_binary4_grid(3, 0.1)
+        # as floats: 1.00000005e-3, 0.0 and beyond the float range
+        for step in (np.float32(1e-3), Fraction(1, 10**400), 10**400, True):
+            with pytest.raises(ValueError, match="grid_step"):
+                optimize_binary4_grid(3, step)
+
+    def test_other_real_steps_are_searched_as_their_float(self):
+        # a float32 step once returned i * np.float32(step), a point never
+        # evaluated, and a Fraction step an exact x the search never weighed
+        for step in (np.float32(5e-4), Fraction(1, 3000), np.float64(1e-3)):
+            x_star, f_star = optimize_binary4_grid(3, step)
+            assert type(x_star) is float and type(f_star) is float
+            assert (x_star, f_star) == optimize_binary4_grid(3, float(step))
+            code = CompositeCode.binary([0.0, x_star, 1.0 - x_star, 1.0])
+            assert f_star == evaluate_code(code, 3).f_min
 
 
 def grid_candidates(step):
@@ -221,11 +281,18 @@ def grid_candidates(step):
         i += 1
 
 
+@functools.lru_cache(maxsize=None)
+def candidate_f_mins(n, step):
+    """Every grid candidate x with evaluate_code's f_min of {0, x, 1-x, 1} at n reads."""
+    return tuple(
+        (x, evaluate_code(CompositeCode.binary([0.0, x, 1.0 - x, 1.0]), n).f_min) for x in grid_candidates(step)
+    )
+
+
 def search_by_candidate(n, step):
     """The grid search as a loop of evaluate_code calls, one per candidate code."""
     best_x = best_f = None
-    for x in grid_candidates(step):
-        f_min = evaluate_code(CompositeCode.binary([0.0, x, 1.0 - x, 1.0]), n).f_min
+    for x, f_min in candidate_f_mins(n, step):
         if best_f is None or f_min > best_f:
             best_x, best_f = x, f_min
     return best_x, best_f
