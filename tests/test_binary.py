@@ -157,8 +157,8 @@ class TestBinary4Grid:
 
     @pytest.mark.parametrize("n, step", SWEEP)
     def test_screen_is_within_an_eighth_of_its_bound(self, n, step):
-        # delta = 64 (n + 8) 2**-53, the bound optimize_binary4_grid states, is
-        # eight times the derived bound on |screened - certified| f_min
+        # delta = 64 (n + 8) 2**-53 is the pruning margin optimize_binary4_grid
+        # states; the screen must keep an eightfold margin inside it
         delta = 64 * (n + 8) * 2.0**-53
         x, certified = zip(*candidate_f_mins(n, step))
         group = codes._codes_per_group(4, 2, n + 1)
