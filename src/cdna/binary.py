@@ -12,7 +12,7 @@ from math import comb
 from numbers import Real
 from typing import Union
 
-from .codes import DEFAULT_MAX_ENUM, CompositeCode, _codes_per_group, _float_success
+from .codes import DEFAULT_MAX_ENUM, CompositeCode, _codes_per_group, _float_success, _screen_margin
 from .model import UnsupportedRangeError, _checked_grid_size, _integer
 
 Number = Union[int, float, Fraction]
@@ -107,40 +107,26 @@ def optimize_binary4_grid(
     group at a time (as many codes as fill one block of at most
     ``codes._BLOCK_ELEMENTS`` scores over the grid), through the float
     kernel of :func:`~cdna.codes.evaluate_code`, ``codes._float_success``,
-    with one difference: a direct mass takes its powers ``p**k`` from IEEE
-    multiplications by repeated squaring (``_squared_powers``), not from
-    libm's ``pow``.  Decisions, the log table and log-space masses are the
-    kernel's, bit for bit.  Only the candidates whose screened ``f_min`` is
-    within ``2 * delta`` of the best value so far, and within ``delta`` of
-    the best certified value so far, go through the unchanged kernel, and
+    with ``screen=True``: a direct mass takes its powers ``p**k`` from IEEE
+    multiplications by repeated squaring, not from libm's ``pow``.
+    Decisions, the log table and log-space masses are the kernel's, bit for
+    bit.  Only the candidates whose screened ``f_min`` is within ``2 *
+    delta`` of the best screened value so far, and within ``delta`` of the
+    best certified value so far, go through the unchanged kernel, and
     certified values alone pick the result, the first strict maximum
     winning.  Pending survivors are certified, in index order, whenever they
-    fill a group, so memory stays that of one block however many candidates
-    there are.  Where more than half of a group is within that floor, the
-    objective is flat there (everywhere 0 at n = 2; 1.0 in floats over a
-    range of x at large n) and a screen would prune little, so the next group
-    goes through the kernel unscreened, pending survivors first.
+    fill a group, so memory stays that of about one block however many
+    candidates there are.  Where the objective is flat, every candidate
+    survives and is weighed twice: at n = 2, where f_min is 0 everywhere,
+    and at large n, where it rounds to 1.0 over a range of x.
 
-    ``delta = 64 * (n + 8) * 2**-53`` bounds |screened - certified|
-    ``f_min`` with room to spare (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 3-4; u = 2**-53, to first order in u).  A
-    direct mass is ``c * P_1 * P_2`` with the same float coefficient ``c`` on
-    both sides.  libm's ``pow`` is assumed within 1 ulp, a relative ``2u``
-    per power, so the kernel's mass is within ``6u`` of ``c * p_1**k_1 *
-    p_2**k_2``.  Any chain of multiplications that forms ``p**k`` is within
-    ``(k - 1) u``, so the screened mass is within ``(k_1 + k_2) u = n u``,
-    and the two masses differ by at most ``(n + 6) u`` of the mass.  Each
-    symbol's success adds at most ``n + 1`` masses in grid order from 0.0,
-    so each side's sum is within ``n u`` of the sum of its masses, which is
-    at most 1 (a probability).  So the successes, and with them their
-    minimum, differ by at most ``(3n + 6) u``.  ``delta`` is more than 21
-    times that: at least the eightfold margin the tests hold the screen to,
-    and enough for a libm ``pow`` off by up to 150 ulps.  A power that
-    underflows adds an absolute error below ``n * 2**-1074``, times a
-    coefficient below ``_COEF_FLOAT_LIMIT``: far below ``u``.  So the first
-    maximizer of the certified values is never pruned: its screened value is
-    less than ``2 * delta`` below any screened or certified value, and less
-    than ``delta`` below any certified one.
+    ``delta = codes._screen_margin(n) = 64 * (n + 8) * 2**-53`` bounds
+    |screened - certified| ``f_min`` more than 21 times over: to first
+    order the two differ by at most ``(3n + 6) * 2**-53``, if libm's ``pow``
+    is within 1 ulp (the derivation is ``_screen_margin``'s).  So the first
+    maximizer of the certified values is never pruned: its screened value
+    is less than ``2 * delta`` below any screened or certified value, and
+    less than ``delta`` below any certified one.
 
     Refuses with ``UnsupportedRangeError``, before any work, a grid of ``n``
     reads above ``max_enum`` points, and a search whose candidates times grid
@@ -170,49 +156,33 @@ def optimize_binary4_grid(
 
     import numpy as np
 
-    def f_min(i: "np.ndarray", powers=None) -> "np.ndarray":
+    def f_min(i: "np.ndarray", screen: bool = False) -> "np.ndarray":
         # The symbols of CompositeCode.binary([0.0, x, 1.0 - x, 1.0]) in its
         # sorted order, the order of the values for 0 < x < 0.5.  Their
         # probabilities are (v, 1 - v) as given: v + (1 - v) rounds to exactly
         # 1 for every float v in [0, 1], so CompositeSymbol never renormalizes.
         x = i * step
         v = np.stack([np.zeros_like(x), x, 1.0 - x, np.ones_like(x)], axis=1)
-        return _float_success(np.stack([v, 1 - v], axis=2), n, size, powers=powers).min(axis=1)
+        return _float_success(np.stack([v, 1 - v], axis=2), n, size, screen=screen).min(axis=1)
 
-    def certify(i: "np.ndarray", values: "np.ndarray") -> None:
+    def certify(i: "np.ndarray") -> None:
         nonlocal best_i, best_f
+        values = f_min(i)
         j = int(values.argmax())  # the first maximizer of the group
         if best_f is None or values[j] > best_f:
             best_i, best_f = int(i[j]), float(values[j])
 
-    group, delta = _codes_per_group(4, 2, size), 64 * (n + 8) * 2.0**-53
+    group, delta = _codes_per_group(4, 2, size), _screen_margin(n)
     best_i = best_f = top = None
-    flat = False  # most of the last group was near the top: the screen would not pay
     pending, screened = np.empty(0, dtype=np.int64), np.empty(0)  # survivors in index order
     for first in range(1, stop, group):
         i = np.arange(first, min(first + group, stop))
-        values = f_min(i) if flat else f_min(i, _squared_powers)
-        if flat:
-            certify(i, values)
-        else:
-            pending, screened = np.append(pending, i), np.append(screened, values)
+        values = f_min(i, screen=True)
+        pending, screened = np.append(pending, i), np.append(screened, values)
         top = values.max() if top is None else max(top, values.max())
         floor = top - 2 * delta if best_f is None else max(top - 2 * delta, best_f - delta)
         pending, screened = pending[screened >= floor], screened[screened >= floor]
-        flat = 2 * np.count_nonzero(values >= floor) > len(i)
-        while len(pending) >= group or (len(pending) and (flat or first + group >= stop)):
-            certify(pending[:group], f_min(pending[:group]))
+        while len(pending) >= group or (len(pending) and first + group >= stop):
+            certify(pending[:group])
             pending, screened = pending[group:], screened[group:]
     return best_i * step, best_f
-
-
-def _squared_powers(np, bases: "np.ndarray", exponents: "np.ndarray") -> "np.ndarray":
-    """``b**k`` of each pair by repeated squaring, IEEE multiplications only: each power is
-    within ``(k - 1) * 2**-53`` of the exact one, relatively, away from underflow."""
-    powers, square = np.ones(bases.shape), bases
-    while True:
-        powers = np.where(exponents & 1, powers * square, powers)
-        exponents = exponents >> 1
-        if not exponents.any():
-            return powers
-        square = square * square

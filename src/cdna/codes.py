@@ -19,10 +19,11 @@ scores, unless one row of a code's scores is longer.  :func:`evaluate_code`
 and :func:`decoding_region` iterate that pass, and :func:`mld_decode` decides
 one row.  Float codes are decoded, weighed and accumulated chunk by chunk,
 with the libm calls a per-observation loop makes, by one function of a group
-of codes (``_float_success``).  Its internal ``powers`` argument swaps libm's
-``pow`` in the direct masses for another rule, such as the IEEE-only powers
-that the binary4 grid search screens its candidates with; decisions, log
-table and log-space masses stay the kernel's.
+of codes (``_float_success``).  Its internal ``screen`` switch swaps libm's
+``pow`` in the direct masses for IEEE-only powers (``_squared_powers``),
+within ``_screen_margin(n)`` of the kernel's successes, with which the binary4
+grid search screens its candidates; decisions, log table and log-space masses
+stay the kernel's.
 
 Every exact weight is one integer mass, ``_integer_mass(b, k) = C(n; k) *
 prod_i b_i**k_i``, where ``b`` holds a symbol's probabilities times ``D``, the
@@ -406,7 +407,7 @@ def _float_success(
     size: int,
     overrides: Mapping[int, int] = {},  # read only
     exact: Mapping[int, tuple[Sequence[int], int]] = {},  # read only
-    powers: Optional[Callable] = None,
+    screen: bool = False,
 ) -> "np.ndarray":
     """Float-path success of one group of codes over the ``size`` points of one grid.
 
@@ -419,10 +420,9 @@ def _float_success(
     accumulates them, and returns the (codes, m) array of successes.
     ``overrides`` (grid index -> symbol index) and ``exact`` apply to every
     code; ``exact`` maps the index of each exact symbol of a mixed code to
-    its integers ``b`` and ``D**n``.  ``powers``, if given, replaces libm's
-    ``pow`` in the direct masses: a function of ``np`` and flat arrays of
-    bases and exponents (see :func:`_float_masses`); the numbers below are
-    those of the default.
+    its integers ``b`` and ``D**n``.  ``screen=True`` weighs the direct
+    masses with IEEE-only powers instead of libm's ``pow`` (see
+    :func:`_screen_margin`); the numbers below are those of the kernel.
 
     Every number equals, bit for bit, that of decoding each point and adding
     its multinomial mass to the decoded symbol's success in grid order, one
@@ -465,7 +465,7 @@ def _float_success(
         return _decode(np, logs, k / n, TIE_TOLERANCE)[0]  # k_i and n are exact floats: rounds as k_i / n
 
     for k, decoded in _decisions(np, decide, n, m, q, size, overrides):
-        mass = _float_masses(np, n, codes, logs, decoded, k, powers)
+        mass = _float_masses(np, n, codes, logs, decoded, k, screen)
         if exact:
             for g, r in zip(*np.isin(decoded, list(exact)).nonzero()):
                 b, whole = exact[decoded[g, r]]
@@ -523,13 +523,12 @@ def _float_masses(
     logs: "np.ndarray",
     decoded: "np.ndarray",
     k: "np.ndarray",
-    powers: Optional[Callable] = None,
+    screen: bool = False,
 ) -> "np.ndarray":
     """(codes, points) float mass of each point of a chunk's (points, q) counts ``k`` under the
     symbol it decodes to: from the float multinomial coefficient where the log coefficient is
     below ``_LOG_COEF_FLOAT_LIMIT``, in log space elsewhere.  The direct powers ``p_i**k_i``
-    with ``k_i > 0`` and ``p_i != 1.0`` come from ``powers(np, p, k)`` on flat arrays, by
-    default libm's ``pow`` as Python calls it."""
+    are libm's ``pow`` as Python calls it, or with ``screen`` ``_squared_powers``."""
     mass = np.empty(decoded.shape)
     code = np.arange(len(decoded))[:, None]
     # lgamma(n + 1) minus the columns' lgamma(k_i + 1) added in order from
@@ -538,17 +537,17 @@ def _float_masses(
     direct = np.flatnonzero(log_coef < _LOG_COEF_FLOAT_LIMIT)
     log_space = np.flatnonzero(log_coef >= _LOG_COEF_FLOAT_LIMIT)
     if len(direct):
-        p = probs[code, decoded[:, direct]]
-        exponents = k[direct][None].repeat(len(p), axis=0)
-        # float(c) ** k, libm's pow where Python calls it: float.__pow__ returns
-        # 1.0 for k = 0 and for c = 1.0 without it, and a 1.0 factor leaves the
-        # product as the skipped factor does
-        factors = np.ones(p.shape)
-        called = (exponents > 0) & (p != 1.0)
-        if powers is None:
-            factors[called] = _mapped(np, pow, p[called], exponents[called])
+        p, exponents = probs[code, decoded[:, direct]], k[direct]
+        if screen:  # p**0 and 1.0**k come out 1.0, as pow gives them
+            factors = _squared_powers(np, p, exponents)
         else:
-            factors[called] = powers(np, p[called], exponents[called])
+            # float(c) ** k, libm's pow where Python calls it: float.__pow__ returns
+            # 1.0 for k = 0 and for c = 1.0 without it, and a 1.0 factor leaves the
+            # product as the skipped factor does
+            exponents = exponents[None].repeat(len(p), axis=0)
+            factors = np.ones(p.shape)
+            called = (exponents > 0) & (p != 1.0)
+            factors[called] = _mapped(np, pow, p[called], exponents[called])
         product = np.array([float(multinomial_coefficient(point)) for point in k[direct].tolist()])
         for i in range(p.shape[2]):
             product = product * factors[:, :, i]
@@ -562,6 +561,39 @@ def _float_masses(
             log_p = log_p + log_k[:, i] * log_c[:, :, i]
         mass[:, log_space] = _mapped(np, math.exp, log_p)
     return mass
+
+
+def _squared_powers(np, bases: "np.ndarray", exponents: "np.ndarray") -> "np.ndarray":
+    """``b**k`` of each pair of the broadcast arrays by repeated squaring, IEEE multiplications
+    only: within ``(k - 1) * 2**-53`` of the exact power, relatively, away from underflow."""
+    powers, square = np.ones(np.broadcast_shapes(bases.shape, exponents.shape)), bases
+    while True:
+        powers = np.where(exponents & 1, powers * square, powers)
+        exponents = exponents >> 1
+        if not exponents.any():
+            return powers
+        square = square * square
+
+
+def _screen_margin(n: int) -> float:
+    """``delta = 64 * (n + 8) * 2**-53``, a bound on |screened - kernel| success of a binary
+    code at ``n`` reads, from ``_float_success`` with and without ``screen``.
+
+    To first order in ``u = 2**-53`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3-4): both sides decode alike, and a direct mass is ``c * P_1 * P_2``
+    with the same float coefficient ``c``.  libm's ``pow`` is assumed within 1 ulp, a
+    relative ``2u`` per power, so with its two products the kernel's mass is within ``6u`` of
+    ``c * p_1**k_1 * p_2**k_2``.  A chain of multiplications that forms ``p**k`` is within
+    ``(k - 1) u``, so the screened mass is within ``(k_1 + k_2) u = n u``, and the two masses
+    differ by at most ``(n + 6) u`` of the mass.  Each symbol's success adds at most ``n +
+    1`` masses in grid order from 0.0, so each side's sum is within ``n u`` of the sum of its
+    masses, which is at most 1; the successes, and with them their minimum over the symbols,
+    differ by at most ``(3n + 6) u``.  ``delta`` is more than 21 times that, room for a libm
+    ``pow`` off by up to 150 ulps.  A power that underflows adds an absolute error below
+    ``n * 2**-1074`` times a coefficient below ``_COEF_FLOAT_LIMIT``, far below ``u``, and a
+    log-space mass is the kernel's on both sides.
+    """
+    return 64 * (n + 8) * 2.0**-53
 
 
 #: The exact path keeps as candidates the symbols whose float score is within

@@ -119,14 +119,14 @@ class TestBinary4Grid:
     def test_same_result_at_group_edges(self, monkeypatch, n):
         # candidate counts one below, at and one above a multiple of the codes
         # the kernel decodes at once; step 0.5 / (count + 0.5) gives count of them.
-        # Each candidate is screened or certified or both, none twice by either,
-        # and no call takes more than one group
+        # The screened codes are the candidates, once each; the certified ones
+        # are candidates, none twice; no call takes more than one group
         screened, certified, calls = [], [], []
 
-        def counted(block, *args, powers=None):
-            (certified if powers is None else screened).extend(np.asarray(block)[:, 1, 0].tolist())
+        def counted(block, *args, screen=False):
+            (screened if screen else certified).extend(np.asarray(block)[:, 1, 0].tolist())
             calls.append(len(block))
-            return codes._float_success(block, *args, powers=powers)
+            return codes._float_success(block, *args, screen=screen)
 
         monkeypatch.setattr(binary, "_float_success", counted)
         group = codes._codes_per_group(4, 2, n + 1)
@@ -138,13 +138,13 @@ class TestBinary4Grid:
             for record in (screened, certified, calls):
                 record.clear()
             assert optimize_binary4_grid(n, step) == search_by_candidate(n, step)
-            assert sorted(set(screened) | set(certified)) == candidates
-            assert len(set(screened)) == len(screened) and len(set(certified)) == len(certified)
+            assert screened == candidates
+            assert certified == sorted(set(certified)) and set(certified) <= set(candidates)
             assert max(calls) <= group
-            if n == 2:  # flat: the first group survives its screen, the rest go unscreened
-                assert screened == candidates[:group] and certified == candidates
+            if n == 2:  # flat: every candidate survives its screen
+                assert certified == candidates
             else:
-                assert screened == candidates and 1 <= len(certified) <= 3
+                assert 1 <= len(certified) <= 3
 
     #: (n, step) pairs of the sweep: small n, where every point is weighed directly,
     #: and n = 1000, where the middle points' coefficients exceed 1e280 and are
@@ -160,12 +160,13 @@ class TestBinary4Grid:
         # delta = 64 (n + 8) 2**-53 is the pruning margin optimize_binary4_grid
         # states; the screen must keep an eightfold margin inside it
         delta = 64 * (n + 8) * 2.0**-53
+        assert codes._screen_margin(n) == delta
         x, certified = zip(*candidate_f_mins(n, step))
         group = codes._codes_per_group(4, 2, n + 1)
         for first in range(0, len(x), group):
             v = np.array([[0.0, c, 1.0 - c, 1.0] for c in x[first : first + group]])
             block = np.stack([v, 1 - v], axis=2)
-            screened = codes._float_success(block, n, n + 1, powers=binary._squared_powers).min(axis=1)
+            screened = codes._float_success(block, n, n + 1, screen=True).min(axis=1)
             for s, f in zip(screened.tolist(), certified[first : first + group]):
                 assert abs(s - f) <= delta / 8, (n, step, s, f)
 
@@ -202,10 +203,10 @@ class TestBinary4Grid:
                 mapped[function] += arrays[0].size
             return real(np_, function, *arrays)
 
-        def kernel(block, *args, powers=None):
-            if powers is None:
+        def kernel(block, *args, screen=False):
+            if not screen:
                 certified.append(len(block))
-            return codes._float_success(block, *args, powers=powers)
+            return codes._float_success(block, *args, screen=screen)
 
         monkeypatch.setattr(codes, "_mapped", counted)
         monkeypatch.setattr(binary, "_float_success", kernel)
