@@ -33,7 +33,6 @@ from .codes import (
     decoding_region,
     evaluate_code,
     mld_decode,
-    mld_decoder,
     self_decoding_probability,
 )
 from .coverage import (
@@ -95,7 +94,6 @@ __all__ = [
     "expected_coverage_exact",
     "expected_coverage_partial",
     "mld_decode",
-    "mld_decoder",
     "observed_grid_size",
     "optimize_binary4_grid",
     "random_access_expectation",

@@ -107,30 +107,33 @@ def optimize_binary4_grid(
     group at a time (as many codes as fill one block of at most
     ``codes._BLOCK_ELEMENTS`` scores over the grid), through the float
     kernel of :func:`~cdna.codes.evaluate_code`, ``codes._float_success``,
-    with ``screen=True``: a direct mass takes its powers ``p**k`` from IEEE
-    multiplications by repeated squaring, not from libm's ``pow``.
-    Decisions, the log table and log-space masses are the kernel's, bit for
-    bit.  Only the candidates whose screened ``f_min`` is within ``2 *
-    delta`` of the best screened value so far, and within ``delta`` of the
-    best certified value so far, go through the unchanged kernel, and
-    certified values alone pick the result, the first strict maximum
-    winning.  Pending survivors are certified, in index order, whenever they
+    with ``screen=True``: a direct mass takes its powers ``p**k`` from
+    numpy's ``power``, not from libm's ``pow``.  Decisions, the log table
+    and log-space masses are the kernel's, bit for bit.  Only the candidates
+    whose screened ``f_min`` is within ``2 * delta`` of the best screened
+    value so far, and within ``delta`` of the best certified value so far,
+    go through the unchanged kernel, and certified values alone pick the
+    result, the first strict maximum winning.  Pending survivors are certified, in index order, whenever they
     fill a group, so memory stays that of about one block however many
     candidates there are.  Where the objective is flat, every candidate
     survives and is weighed twice: at n = 2, where f_min is 0 everywhere,
-    and at large n, where it rounds to 1.0 over a range of x.
+    and at large n, where it rounds to 1.0 over a range of x (refused below).
 
     ``delta = codes._screen_margin(n) = 64 * (n + 8) * 2**-53`` bounds
-    |screened - certified| ``f_min`` more than 21 times over: to first
-    order the two differ by at most ``(3n + 6) * 2**-53``, if libm's ``pow``
-    is within 1 ulp (the derivation is ``_screen_margin``'s).  So the first
-    maximizer of the certified values is never pruned: its screened value
-    is less than ``2 * delta`` below any screened or certified value, and
-    less than ``delta`` below any certified one.
+    |screened - certified| ``f_min`` more than 15 times over: to first
+    order the two differ by at most ``(2n + 36) * 2**-53``, if libm's
+    ``pow`` and numpy's ``power`` are each within 4 ulps (the derivation is
+    ``_screen_margin``'s).  So the first maximizer of the certified values
+    is never pruned: its screened value is less than ``2 * delta`` below any
+    screened or certified value, and less than ``delta`` below any certified
+    one.
 
     Refuses with ``UnsupportedRangeError``, before any work, a grid of ``n``
     reads above ``max_enum`` points, and a search whose candidates times grid
-    points, ``ceil(0.5 / grid_step) * (n + 1)``, exceed ``max_enum``.
+    points, ``ceil(0.5 / grid_step) * (n + 1)``, exceed ``max_enum``.  It
+    also refuses, after the search, where the best f_min rounds to 1.0 (at
+    step 1e-3 from n = 159 on): every candidate that rounds to 1.0 ties
+    there, and the first of them, far from the optimum, would win.
     """
     try:
         step = float(grid_step) if isinstance(grid_step, Real) else math.nan
@@ -185,4 +188,8 @@ def optimize_binary4_grid(
         while len(pending) >= group or (len(pending) and first + group >= stop):
             certify(pending[:group])
             pending, screened = pending[group:], screened[group:]
+    if best_f >= 1.0:
+        raise UnsupportedRangeError(
+            f"f_min rounds to {best_f!r} at n={n}: the grid search's candidates tie there, so it is no oracle"
+        )
     return best_i * step, best_f

@@ -452,7 +452,7 @@ def code_eval(code_spec, n, decoder_spec, fmt) -> None:
             code_spec = fh.read().strip()
     code = parse_code_spec(code_spec)
     if decoder_spec == "mld":
-        decoder = None  # evaluate_code's default
+        decoder = None  # no overrides: maximum likelihood everywhere
     elif decoder_spec.startswith("table:"):
         decoder = _load_table_decoder(code, n, decoder_spec[len("table:"):])
     else:

@@ -10,8 +10,8 @@ evaluate in floats with a fixed tie tolerance.
 
 Both numeric paths decide with one kernel, ``_decode``, on arrays of counts:
 the first symbol within a slack of the best float score wins, the slack being
-``TIE_TOLERANCE`` for float codes and a certified margin for exact ones, whose
-near-ties integer likelihoods then settle (``_exact_rule``).  One grid pass,
+``TIE_TOLERANCE`` for float codes (``_float_rule``) and a certified margin for
+exact ones, whose near-ties integer likelihoods then settle (``_exact_rule``).  One grid pass,
 ``_decisions``, reads the grid as integer count arrays, chunk by chunk, in the
 lexicographic order of ``model._compositions``; it decides each chunk and
 writes the decoder's overrides.  A chunk holds at most ``_BLOCK_ELEMENTS``
@@ -20,8 +20,8 @@ and :func:`decoding_region` iterate that pass, and :func:`mld_decode` decides
 one row.  Float codes are decoded, weighed and accumulated chunk by chunk,
 with the libm calls a per-observation loop makes, by one function of a group
 of codes (``_float_success``).  Its internal ``screen`` switch swaps libm's
-``pow`` in the direct masses for IEEE-only powers (``_squared_powers``),
-within ``_screen_margin(n)`` of the kernel's successes, with which the binary4
+``pow`` in the direct masses for numpy's ``power``, within
+``_screen_margin(n)`` of the kernel's successes, with which the binary4
 grid search screens its candidates; decisions, log table and log-space masses
 stay the kernel's.
 
@@ -146,15 +146,6 @@ class CompositeCode:
         return isinstance(symbol, CompositeSymbol) and symbol in self.symbols
 
 
-def _check_observation(code: CompositeCode, theta: ObservedDistribution) -> None:
-    """Refuse an observation of another alphabet, and one of ``2**53`` reads or more: below
-    that every count fits int64 and ``k_i / n`` in floats is correctly rounded."""
-    if theta.q != code.q:
-        raise ValueError(f"alphabet mismatch: code has q={code.q}, observation has q={theta.q}")
-    if theta.n >= 2**53:
-        raise UnsupportedRangeError(f"n={theta.n} reads exceed one-point decoding's cap of 2**53 - 1")
-
-
 def mld_decode(code: CompositeCode, theta: ObservedDistribution) -> CompositeSymbol:
     """Maximum-likelihood decoding of an observed distribution.
 
@@ -173,7 +164,10 @@ def mld_decode(code: CompositeCode, theta: ObservedDistribution) -> CompositeSym
     """
     import numpy as np
 
-    _check_observation(code, theta)
+    if theta.q != code.q:
+        raise ValueError(f"alphabet mismatch: code has q={code.q}, observation has q={theta.q}")
+    if theta.n >= 2**53:  # below it every count fits int64 and k_i / n in floats rounds correctly
+        raise UnsupportedRangeError(f"n={theta.n} reads exceed one-point decoding's cap of 2**53 - 1")
     lcm, decide = _decider(np, code, theta.n)
     bits = theta.n * lcm.bit_length()
     if bits > _MAX_POINT_BITS:
@@ -185,13 +179,13 @@ def mld_decode(code: CompositeCode, theta: ObservedDistribution) -> CompositeSym
 
 @dataclass(frozen=True)
 class Decoder:
-    """A total decoding map from observed distributions to code symbols.
+    """A decoder as its override table: maximum likelihood, but where it says otherwise.
 
     ``overrides`` pairs observations with the codewords they decode to; every
-    other observation decodes by maximum likelihood.  A key is an
-    :class:`ObservedDistribution` or ``code.q`` int counts, not all zero (an
-    evaluation at ``n`` reads applies the keys that sum to ``n``); a target is
-    a codeword or its 0-based index.  Anything else is refused with
+    other observation decodes by maximum likelihood (:func:`mld_decode`).  A
+    key is an :class:`ObservedDistribution` or ``code.q`` int counts, not all
+    zero (an evaluation at ``n`` reads applies the keys that sum to ``n``); a
+    target is a codeword or its 0-based index.  Anything else is refused with
     ``ValueError``.  This is the one check of the table: it is kept as
     ``(counts, codeword)`` pairs sorted by counts, the last of equal keys winning.
     """
@@ -224,17 +218,6 @@ class Decoder:
         except TypeError as exc:  # a key that is not a sequence, a target that is not a distribution
             raise ValueError(f"overrides must pair count vectors with codewords: {exc}") from None
         object.__setattr__(self, "overrides", tuple(sorted(table.items())))
-        object.__setattr__(self, "_table", table)
-
-    def __call__(self, theta: ObservedDistribution) -> CompositeSymbol:
-        """The override of ``theta``, or its :func:`mld_decode`; refused as that refuses it."""
-        _check_observation(self.code, theta)
-        hit = self._table.get(theta.counts)
-        return mld_decode(self.code, theta) if hit is None else hit
-
-
-def mld_decoder(code: CompositeCode) -> Decoder:
-    return Decoder(code=code)
 
 
 def custom_decoder_from_table(code: CompositeCode, n: int, overrides: Mapping) -> Decoder:
@@ -279,12 +262,11 @@ def decoding_region(
 def _grid_request(code: CompositeCode, n: int, decoder: Optional[Decoder], max_enum: int) -> tuple[int, int, dict]:
     """The refusals of a grid evaluation, ahead of any other work, then ``n`` as an int, the
     grid's size and the decoder's overrides of ``n``-read observations as grid index -> codeword index."""
-    if decoder is None:
-        decoder = mld_decoder(code)
-    if decoder.code != code:
+    if decoder is not None and decoder.code != code:
         raise ValueError("decoder belongs to a different code")
     n, size = _checked_grid_size(n, code.q, max_enum)
-    overrides = {_grid_rank(k, n): bisect_left(code.symbols, s) for k, s in decoder.overrides if sum(k) == n}
+    pairs = () if decoder is None else decoder.overrides
+    overrides = {_grid_rank(k, n): bisect_left(code.symbols, s) for k, s in pairs if sum(k) == n}
     return n, size, overrides
 
 
@@ -296,8 +278,15 @@ def _decider(np, code: CompositeCode, n: int) -> tuple[int, Callable[["np.ndarra
     if code.is_exact:
         lcm, scaled = _integers(code.symbols)
         return lcm, _exact_rule(np, scaled, n)
-    logs = _log_table(np, np.array([[s.probs for s in code.symbols]], dtype=float))
-    return 0, lambda k: _decode(np, logs, k / n, TIE_TOLERANCE)[0][0]  # k_i and n are exact floats: rounds as k_i / n
+    decide = _float_rule(np, _log_table(np, np.array([[s.probs for s in code.symbols]], dtype=float)), n)
+    return 0, lambda k: decide(k)[0]
+
+
+def _float_rule(np, logs: "np.ndarray", n: int) -> Callable[["np.ndarray"], "np.ndarray"]:
+    """The decision rule of float codes at ``n`` reads, from their (codes, m, q) ``_log_table``:
+    from (points, q) int64 counts to the (codes, points) index of the first symbol within
+    ``TIE_TOLERANCE`` of each point's best per-read score."""
+    return lambda k: _decode(np, logs, k / n, TIE_TOLERANCE)[0]  # k_i and n are exact floats: rounds as k_i / n
 
 
 @dataclass
@@ -421,7 +410,7 @@ def _float_success(
     ``overrides`` (grid index -> symbol index) and ``exact`` apply to every
     code; ``exact`` maps the index of each exact symbol of a mixed code to
     its integers ``b`` and ``D**n``.  ``screen=True`` weighs the direct
-    masses with IEEE-only powers instead of libm's ``pow`` (see
+    masses with numpy's ``power`` instead of libm's ``pow`` (see
     :func:`_screen_margin`); the numbers below are those of the kernel.
 
     Every number equals, bit for bit, that of decoding each point and adding
@@ -460,11 +449,7 @@ def _float_success(
     _, m, q = codes.shape
     logs = _log_table(np, codes)
     success = np.zeros((len(codes), m))
-
-    def decide(k: "np.ndarray") -> "np.ndarray":
-        return _decode(np, logs, k / n, TIE_TOLERANCE)[0]  # k_i and n are exact floats: rounds as k_i / n
-
-    for k, decoded in _decisions(np, decide, n, m, q, size, overrides):
+    for k, decoded in _decisions(np, _float_rule(np, logs, n), n, m, q, size, overrides):
         mass = _float_masses(np, n, codes, logs, decoded, k, screen)
         if exact:
             for g, r in zip(*np.isin(decoded, list(exact)).nonzero()):
@@ -528,7 +513,7 @@ def _float_masses(
     """(codes, points) float mass of each point of a chunk's (points, q) counts ``k`` under the
     symbol it decodes to: from the float multinomial coefficient where the log coefficient is
     below ``_LOG_COEF_FLOAT_LIMIT``, in log space elsewhere.  The direct powers ``p_i**k_i``
-    are libm's ``pow`` as Python calls it, or with ``screen`` ``_squared_powers``."""
+    are libm's ``pow`` as Python calls it, or with ``screen`` numpy's ``power``."""
     mass = np.empty(decoded.shape)
     code = np.arange(len(decoded))[:, None]
     # lgamma(n + 1) minus the columns' lgamma(k_i + 1) added in order from
@@ -539,7 +524,7 @@ def _float_masses(
     if len(direct):
         p, exponents = probs[code, decoded[:, direct]], k[direct]
         if screen:  # p**0 and 1.0**k come out 1.0, as pow gives them
-            factors = _squared_powers(np, p, exponents)
+            factors = np.power(p, exponents)
         else:
             # float(c) ** k, libm's pow where Python calls it: float.__pow__ returns
             # 1.0 for k = 0 and for c = 1.0 without it, and a 1.0 factor leaves the
@@ -563,35 +548,25 @@ def _float_masses(
     return mass
 
 
-def _squared_powers(np, bases: "np.ndarray", exponents: "np.ndarray") -> "np.ndarray":
-    """``b**k`` of each pair of the broadcast arrays by repeated squaring, IEEE multiplications
-    only: within ``(k - 1) * 2**-53`` of the exact power, relatively, away from underflow."""
-    powers, square = np.ones(np.broadcast_shapes(bases.shape, exponents.shape)), bases
-    while True:
-        powers = np.where(exponents & 1, powers * square, powers)
-        exponents = exponents >> 1
-        if not exponents.any():
-            return powers
-        square = square * square
-
-
 def _screen_margin(n: int) -> float:
     """``delta = 64 * (n + 8) * 2**-53``, a bound on |screened - kernel| success of a binary
     code at ``n`` reads, from ``_float_success`` with and without ``screen``.
 
     To first order in ``u = 2**-53`` (Higham, *Accuracy and Stability of Numerical
     Algorithms*, ch. 3-4): both sides decode alike, and a direct mass is ``c * P_1 * P_2``
-    with the same float coefficient ``c``.  libm's ``pow`` is assumed within 1 ulp, a
-    relative ``2u`` per power, so with its two products the kernel's mass is within ``6u`` of
-    ``c * p_1**k_1 * p_2**k_2``.  A chain of multiplications that forms ``p**k`` is within
-    ``(k - 1) u``, so the screened mass is within ``(k_1 + k_2) u = n u``, and the two masses
-    differ by at most ``(n + 6) u`` of the mass.  Each symbol's success adds at most ``n +
-    1`` masses in grid order from 0.0, so each side's sum is within ``n u`` of the sum of its
-    masses, which is at most 1; the successes, and with them their minimum over the symbols,
-    differ by at most ``(3n + 6) u``.  ``delta`` is more than 21 times that, room for a libm
-    ``pow`` off by up to 150 ulps.  A power that underflows adds an absolute error below
-    ``n * 2**-1074`` times a coefficient below ``_COEF_FLOAT_LIMIT``, far below ``u``, and a
-    log-space mass is the kernel's on both sides.
+    with the same float coefficient ``c``.  The kernel takes its powers ``P_i = p_i**k_i``
+    from libm's ``pow``, the screen from numpy's ``power``; each is assumed within ``e`` ulps,
+    a relative ``2 e u`` per power, so with its two products each side's mass is within ``(4e
+    + 2) u`` of ``c * p_1**k_1 * p_2**k_2``, and the two masses differ by at most ``(8e + 4)
+    u`` of the mass.  Each symbol's success adds at most ``n + 1`` masses in grid order from
+    0.0, so each side's sum is within ``n u`` of the sum of its masses, which is at most 1;
+    the successes, and with them their minimum over the symbols, differ by at most ``(2n + 8e
+    + 4) u``.  At ``e = 4`` that is ``(2n + 36) u``, and ``delta`` is more than 15 times it;
+    it covers pow functions off by up to 70 ulps.  The bound rests on both pow functions being
+    accurate: numpy's ``power`` was within 1 ulp of libm's ``pow`` on 200,000 random pairs
+    (numpy 2.4, an AVX-512 x86-64 build).  A power that underflows adds an absolute error
+    below ``n * 2**-1074`` times a coefficient below ``_COEF_FLOAT_LIMIT``, far below ``u``,
+    and a log-space mass is the kernel's on both sides.
     """
     return 64 * (n + 8) * 2.0**-53
 

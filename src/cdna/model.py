@@ -158,12 +158,6 @@ class ObservedDistribution:
     def q(self) -> int:
         return len(self.counts)
 
-    def as_symbol(self, exact: bool = True) -> CompositeSymbol:
-        """The grid point counts/n as a composite symbol (exact by default)."""
-        if exact:
-            return CompositeSymbol(Fraction(k, self.n) for k in self.counts)
-        return CompositeSymbol(k / self.n for k in self.counts)
-
 
 def uniform_symbol(q: int, exact: bool = False) -> CompositeSymbol:
     """The uniform composite symbol (1/q, ..., 1/q)."""

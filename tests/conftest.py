@@ -29,7 +29,6 @@ from cdna import (
     CompositeSymbol,
     enumerate_observed,
     expected_coverage_exact,
-    mld_decoder,
 )
 from cdna.codes import _COEF_FLOAT_LIMIT, DEFAULT_MAX_ENUM, CodeEvaluation
 from cdna.simulate import _FIRST_BLOCK, _MAX_BLOCK
@@ -268,11 +267,9 @@ def reference_mld_decode(code, theta):
 def reference_evaluate_code(code, n, decoder=None, max_enum=DEFAULT_MAX_ENUM):
     """evaluate_code as a loop over observations: decode each one (the decoder's
     overrides as a plain dict, maximum likelihood elsewhere), add its mass in grid order."""
-    if decoder is None:
-        decoder = mld_decoder(code)
-    if decoder.code != code:
+    if decoder is not None and decoder.code != code:
         raise ValueError("decoder belongs to a different code")
-    overrides = dict(decoder.overrides)
+    overrides = {} if decoder is None else dict(decoder.overrides)
     zero = Fraction(0) if code.is_exact else 0.0
     success = {s: zero for s in code.symbols}
     for theta in enumerate_observed(n, code.q, max_size=max_enum):

@@ -228,7 +228,7 @@ def check_oversize_degenerate(rng: np.random.Generator, trials: int) -> None:
         n = int(rng.integers(1, 4))
         size = observed_grid_size(n, q)
         extra = int(rng.integers(1, 3))
-        symbols = {theta.as_symbol() for theta in enumerate_observed(n, q)}
+        symbols = {CompositeSymbol(Fraction(k, n) for k in theta.counts) for theta in enumerate_observed(n, q)}
         while len(symbols) < size + extra:
             symbols.add(random_exact_code(rng, 1, q, denom=24).symbols[0])
         code = CompositeCode(symbols)

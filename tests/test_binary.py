@@ -153,7 +153,21 @@ class TestBinary4Grid:
 
     @pytest.mark.parametrize("n, step", SWEEP)
     def test_screened_search_is_the_candidate_loop(self, n, step):
-        assert optimize_binary4_grid(n, step) == search_by_candidate(n, step)
+        expected = search_by_candidate(n, step)
+        if expected[1] < 1.0:
+            assert optimize_binary4_grid(n, step) == expected
+        else:  # at n = 1000 the best f_min rounds to 1.0, and the search refuses
+            with pytest.raises(UnsupportedRangeError, match="no oracle"):
+                optimize_binary4_grid(n, step)
+
+    def test_refused_where_the_best_value_rounds_to_one(self):
+        # every candidate that rounds to 1.0 ties there, and the first one once won:
+        # (0.194, 1.0) at n = 170 against alpha = 0.2040, (0.178, 1.0) at n = 200
+        for n in (170, 200):
+            with pytest.raises(UnsupportedRangeError, match="no oracle"):
+                optimize_binary4_grid(n, 1e-3)
+        x_star, f_star = optimize_binary4_grid(150, 1e-3)
+        assert x_star == 204 * 1e-3 and f_star < 1.0  # the grid point nearest alpha = 0.2044
 
     @pytest.mark.parametrize("n, step", SWEEP)
     def test_screen_is_within_an_eighth_of_its_bound(self, n, step):

@@ -1,5 +1,6 @@
 """The package exports what the demos and the README's library tour import,
-and every export has a use outside the tests.
+and every export, and every public method and property of an exported class,
+has a use outside the tests.
 
 Static checks: they parse the sources instead of running the demos, so a
 deleted or renamed export, or one that only its own tests use, fails here in
@@ -7,6 +8,7 @@ milliseconds.
 """
 import ast
 import re
+import types
 from pathlib import Path
 
 import cdna
@@ -83,6 +85,12 @@ def _uses() -> list[tuple[set[str], set[str]]]:
     return uses
 
 
+def _public_members(cls: type) -> set[str]:
+    """The public methods and properties that a class defines itself."""
+    kinds = (types.FunctionType, property, classmethod, staticmethod)
+    return {name for name, value in vars(cls).items() if not name.startswith("_") and isinstance(value, kinds)}
+
+
 def test_every_export_is_used_outside_the_tests():
     # A use inside the definition of an export that is itself unused does not
     # count, so the search repeats until the unused set stops growing.
@@ -98,13 +106,18 @@ def test_every_export_is_used_outside_the_tests():
             break
         unused = found
     assert sorted(unused) == []
+    # so is every public method and property of an exported class, by its name
+    used = set().union(*(names for _, names in uses))
+    classes = [getattr(cdna, name) for name in cdna.__all__ if isinstance(getattr(cdna, name), type)]
+    members = {f"{cls.__name__}.{member}" for cls in classes for member in _public_members(cls) - used}
+    assert sorted(members) == []
 
 
 #: All that ``tests/conftest.py`` may import from the package: types, code
-#: constructors, the grid, the default decoder and the constants its loops
-#: share with the library, and the coverage and simulator names its other
-#: oracles need.  No decision or mass function is on it, so the per-observation
-#: reference of the code evaluator stays independent of the code it checks.
+#: constructors, the grid and the constants its loops share with the library,
+#: and the coverage and simulator names its other oracles need.  No decision or
+#: mass function is on it, so the per-observation reference of the code
+#: evaluator stays independent of the code it checks.
 CONFTEST_IMPORTS = {
     "CodeEvaluation",
     "CompositeCode",
@@ -117,7 +130,6 @@ CONFTEST_IMPORTS = {
     "construct_distinct_support",
     "construct_grid_code",
     "enumerate_observed",
-    "mld_decoder",
     # oracles of cdna.coverage and cdna.simulate
     "expected_coverage_exact",
     "_FIRST_BLOCK",
