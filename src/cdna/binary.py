@@ -7,12 +7,13 @@ fraction decodes to one of its two neighbors on that line.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from math import comb
 from numbers import Real
 from typing import Union
 
-from .codes import DEFAULT_MAX_ENUM, CompositeCode, _codes_per_group, _float_success, _screen_margin
+from .codes import DEFAULT_MAX_ENUM, CompositeCode, _codes_per_group, _float_success
 from .model import UnsupportedRangeError, _checked_grid_size, _integer
 
 Number = Union[int, float, Fraction]
@@ -93,47 +94,34 @@ def optimize_binary4_grid(
     grid_step: float,
     max_enum: int = DEFAULT_MAX_ENUM,
 ) -> tuple[float, float]:
-    """Grid-search oracle for the size-4 optimum: exhaustive argmax of f_min.
+    """Grid-search oracle for the size-4 optimum: exhaustive argmin of the worst miss.
 
-    Evaluates the minimum success probability of {0, x, 1-x, 1} under
-    maximum-likelihood decoding for every grid point x = i * grid_step in
-    (0, 0.5) and returns the first maximizer together with its objective
-    value.  This is the independent check for :func:`construct_binary4`; it
-    makes no use of the closed forms.  ``grid_step`` is taken as a float once,
-    and both the candidates and ``x_star`` are built from that float.  The
-    returned value is ``evaluate_code(code, n).f_min`` bit for bit.
+    Evaluates {0, x, 1-x, 1} under maximum-likelihood decoding for every grid
+    point x = i * grid_step in (0, 0.5) and returns the first candidate whose
+    worst miss, the largest ``1 - f_j`` over its symbols, is smallest,
+    together with its f_min.  This is the independent check for
+    :func:`construct_binary4`; it makes no use of the closed forms.
+    ``grid_step`` is taken as a float once, and both the candidates and
+    ``x_star`` are built from that float.  The returned value is
+    ``evaluate_code(code, n).f_min`` bit for bit: the kernel weighs each
+    code of a group as it weighs that code alone, and sums each symbol's
+    masses in point order.
 
-    The search screens, then certifies.  The candidates go as arrays, one
-    group at a time (as many codes as fill one block of at most
-    ``codes._BLOCK_ELEMENTS`` scores over the grid), through the float
-    kernel of :func:`~cdna.codes.evaluate_code`, ``codes._float_success``,
-    with ``screen=True``: a direct mass takes its powers ``p**k`` from
-    numpy's ``power``, not from libm's ``pow``.  Decisions, the log table
-    and log-space masses are the kernel's, bit for bit.  Only the candidates
-    whose screened ``f_min`` is within ``2 * delta`` of the best screened
-    value so far, and within ``delta`` of the best certified value so far,
-    go through the unchanged kernel, and certified values alone pick the
-    result, the first strict maximum winning.  Pending survivors are certified, in index order, whenever they
-    fill a group, so memory stays that of about one block however many
-    candidates there are.  Where the objective is flat, every candidate
-    survives and is weighed twice: at n = 2, where f_min is 0 everywhere,
-    and at large n, where it rounds to 1.0 over a range of x (refused below).
-
-    ``delta = codes._screen_margin(n) = 64 * (n + 8) * 2**-53`` bounds
-    |screened - certified| ``f_min`` more than 15 times over: to first
-    order the two differ by at most ``(2n + 36) * 2**-53``, if libm's
-    ``pow`` and numpy's ``power`` are each within 4 ulps (the derivation is
-    ``_screen_margin``'s).  So the first maximizer of the certified values
-    is never pruned: its screened value is less than ``2 * delta`` below any
-    screened or certified value, and less than ``delta`` below any certified
-    one.
+    The search screens every candidate once through the float kernel of
+    :func:`~cdna.codes.evaluate_code`, ``codes._float_success``, as arrays,
+    one group at a time (as many codes as fill one block of at most
+    ``codes._BLOCK_ELEMENTS`` scores over the grid), so memory stays that
+    of about one block however many candidates there are.  It ranks by the
+    misses the kernel returns, not by f_min: a miss keeps its relative
+    accuracy where f_min rounds to 1.0 (at step 1e-3 from n = 159 on), so
+    the ranking does not saturate there.
 
     Refuses with ``UnsupportedRangeError``, before any work, a grid of ``n``
     reads above ``max_enum`` points, and a search whose candidates times grid
     points, ``ceil(0.5 / grid_step) * (n + 1)``, exceed ``max_enum``.  It
-    also refuses, after the search, where the best f_min rounds to 1.0 (at
-    step 1e-3 from n = 159 on): every candidate that rounds to 1.0 ties
-    there, and the first of them, far from the optimum, would win.
+    also refuses, after the search, where the best worst miss is below
+    ``sys.float_info.min`` (at step 1e-3 from n = 3,175 on): a miss that
+    small is subnormal or zero, and the candidates tie in its rounding.
     """
     try:
         step = float(grid_step) if isinstance(grid_step, Real) else math.nan
@@ -159,37 +147,23 @@ def optimize_binary4_grid(
 
     import numpy as np
 
-    def f_min(i: "np.ndarray", screen: bool = False) -> "np.ndarray":
+    best_i = best_miss = best_f = None
+    group = _codes_per_group(4, 2, size)
+    for first in range(1, stop, group):
         # The symbols of CompositeCode.binary([0.0, x, 1.0 - x, 1.0]) in its
         # sorted order, the order of the values for 0 < x < 0.5.  Their
         # probabilities are (v, 1 - v) as given: v + (1 - v) rounds to exactly
         # 1 for every float v in [0, 1], so CompositeSymbol never renormalizes.
-        x = i * step
+        x = np.arange(first, min(first + group, stop)) * step
         v = np.stack([np.zeros_like(x), x, 1.0 - x, np.ones_like(x)], axis=1)
-        return _float_success(np.stack([v, 1 - v], axis=2), n, size, screen=screen).min(axis=1)
-
-    def certify(i: "np.ndarray") -> None:
-        nonlocal best_i, best_f
-        values = f_min(i)
-        j = int(values.argmax())  # the first maximizer of the group
-        if best_f is None or values[j] > best_f:
-            best_i, best_f = int(i[j]), float(values[j])
-
-    group, delta = _codes_per_group(4, 2, size), _screen_margin(n)
-    best_i = best_f = top = None
-    pending, screened = np.empty(0, dtype=np.int64), np.empty(0)  # survivors in index order
-    for first in range(1, stop, group):
-        i = np.arange(first, min(first + group, stop))
-        values = f_min(i, screen=True)
-        pending, screened = np.append(pending, i), np.append(screened, values)
-        top = values.max() if top is None else max(top, values.max())
-        floor = top - 2 * delta if best_f is None else max(top - 2 * delta, best_f - delta)
-        pending, screened = pending[screened >= floor], screened[screened >= floor]
-        while len(pending) >= group or (len(pending) and first + group >= stop):
-            certify(pending[:group])
-            pending, screened = pending[group:], screened[group:]
-    if best_f >= 1.0:
+        success, miss = _float_success(np.stack([v, 1 - v], axis=2), n, size)
+        worst = miss.max(axis=1)
+        j = int(worst.argmin())  # the first minimizer of the group
+        if best_miss is None or worst[j] < best_miss:
+            best_i, best_miss, best_f = first + j, float(worst[j]), float(success[j].min())
+    if best_miss < sys.float_info.min:
         raise UnsupportedRangeError(
-            f"f_min rounds to {best_f!r} at n={n}: the grid search's candidates tie there, so it is no oracle"
+            f"the best worst miss is {best_miss!r} at n={n}, below the smallest normal float: "
+            "the grid search's candidates tie there, so it is no oracle"
         )
     return best_i * step, best_f

@@ -17,25 +17,27 @@ lexicographic order of ``model._compositions``; it decides each chunk and
 writes the decoder's overrides.  A chunk holds at most ``_BLOCK_ELEMENTS``
 scores, unless one row of a code's scores is longer.  :func:`evaluate_code`
 and :func:`decoding_region` iterate that pass, and :func:`mld_decode` decides
-one row.  Float codes are decoded, weighed and accumulated chunk by chunk,
-with the libm calls a per-observation loop makes, by one function of a group
-of codes (``_float_success``).  Its internal ``screen`` switch swaps libm's
-``pow`` in the direct masses for numpy's ``power``, within
-``_screen_margin(n)`` of the kernel's successes, with which the binary4
-grid search screens its candidates; decisions, log table and log-space masses
-stay the kernel's.
+one row.  The decisions equal, bit for bit, those of the per-observation loop
+the tests keep as their reference (``reference_evaluate_code`` in
+``tests/conftest.py``).
+
+Float codes are weighed by one numpy kernel of a group of codes
+(``_float_success``), which the binary4 grid search shares: the decoder's
+confusion matrix over the channel, each point's mass under every symbol from
+its log, split into each symbol's hit (points decoded to it) and miss (points
+decoded elsewhere).  A success is ``1 - miss`` where the miss is at most 1/2,
+so it never exceeds 1, and it is within the bound stated in
+:func:`evaluate_code` of the exact value of the code's floats.
 
 Every exact weight is one integer mass, ``_integer_mass(b, k) = C(n; k) *
 prod_i b_i**k_i``, where ``b`` holds a symbol's probabilities times ``D``, the
 lcm of the denominators; it is 0, with no coefficient computed, where the
 symbol cannot produce ``k``.  An exact code sums each symbol's masses and
-divides once by ``D**n`` (``_exact_success``).  The exact symbols of a mixed
-code divide each point's mass by ``D**n``, one correctly rounded int division.
-The grid code weighs each point under itself (``b = k``, ``D = n``), so its
-figures need only the counts (``_grid_code_success``) and ``cdna design
---family omega`` builds no symbol per grid point.  The results equal, bit for
-bit, those of the per-observation loop the tests keep as their reference
-(``reference_evaluate_code`` in ``tests/conftest.py``).
+divides once by ``D**n`` (``_exact_success``), so its results equal the
+reference loop's exact rationals.  The grid code weighs each point under
+itself (``b = k``, ``D = n``), so its figures need only the counts
+(``_grid_code_success``) and ``cdna design --family omega`` builds no symbol
+per grid point.
 """
 from __future__ import annotations
 
@@ -69,11 +71,6 @@ if TYPE_CHECKING:
 #: Two float log-likelihoods within this distance (per read) count as tied and
 #: fall back to the lexicographic tie-break.
 TIE_TOLERANCE = 1e-12
-
-#: Multinomial coefficients above this magnitude are weighed in log space, to
-#: avoid overflow, as the tests' per-observation reference weighs them.
-_COEF_FLOAT_LIMIT = 1e280
-_LOG_COEF_FLOAT_LIMIT = math.log(_COEF_FLOAT_LIMIT)
 
 #: Exact one-point decoding refuses ``n * D.bit_length()`` above this, with
 #: ``D`` the lcm of the code's denominators: each candidate's likelihood
@@ -307,37 +304,57 @@ def evaluate_code(
 ) -> CodeEvaluation:
     """Per-symbol decoding success probabilities, their minimum, and their mean.
 
-    Decodes every observed distribution of ``n`` reads once and adds its
-    multinomial mass under the decoded symbol to that symbol's success, in
-    grid order.  The work runs in numpy over blocks of at most
-    ``_BLOCK_ELEMENTS`` scores (one row of scores when the code has more
-    symbols than that), so memory does not grow with the grid; the grid itself
-    is generated one block at a time, and no per-observation object is built.
-    The results equal, bit for bit, those of decoding each observation and
-    adding its multinomial mass in turn, the loop the tests keep as their
-    reference (``reference_evaluate_code`` in ``tests/conftest.py``).
+    Decodes every observed distribution of ``n`` reads once, in grid order,
+    and sums multinomial masses over the decoding regions.  The work runs in
+    numpy over blocks of at most ``_BLOCK_ELEMENTS`` scores (one row of
+    scores when the code has more symbols than that), so memory does not
+    grow with the grid; the grid itself is generated one block at a time,
+    and no per-observation object is built.  Every decision equals, bit for
+    bit, that of the per-observation loop the tests keep as their reference
+    (``reference_evaluate_code`` in ``tests/conftest.py``).
 
-    * Exact codes take the exact path and yield exact rationals.  A point
-      with one symbol within a certified margin of the best float score
-      decodes to it; integer likelihoods settle the near-ties, the first
-      strict maximum winning (see ``_exact_rule``).  Each symbol sums its
-      points' integer masses, divided once by ``D**n``.
+    * Exact codes take the exact path and yield exact rationals, equal to
+      the reference loop's.  A point with one symbol within a certified
+      margin of the best float score decodes to it; integer likelihoods
+      settle the near-ties, the first strict maximum winning (see
+      ``_exact_rule``).  Each symbol sums its points' integer masses,
+      divided once by ``D**n``.
     * Other codes take the float path: per-read log-likelihoods within
-      ``TIE_TOLERANCE`` of the best tie and go to the first symbol.  The mass
-      is ``coef * p_1**k_1 * ...`` in floats, in log space where the
-      multinomial coefficient exceeds ``_COEF_FLOAT_LIMIT``, and exact (then
-      rounded) for the exact symbols of a mixed code.  Decoding, weighing
-      and the grid-order sums run on whole blocks (see ``_float_success``),
-      the kernel :func:`~cdna.binary.optimize_binary4_grid` shares.
+      ``TIE_TOLERANCE`` of the best tie and go to the first symbol, and
+      every probability is a float (an exact entry of a mixed code is
+      rounded once).  The kernel (``_float_success``) weighs each point under
+      every symbol, ``exp(lgamma(n + 1) - sum_i lgamma(k_i + 1) + sum_i k_i *
+      log p_i)``, and sums each symbol's masses into its hit ``h_j`` (points
+      decoded to it) and its miss ``m_j`` (points decoded elsewhere).  The
+      success is ``1 - m_j`` where ``m_j <= 1/2`` and ``h_j`` elsewhere, so
+      it lies in [0, 1].
+
+    The float path's bound.  Let ``H_j`` be the exact success of symbol ``j``
+    under the same decisions with its floats taken as the rationals they
+    hold, ``s_j`` the exact sum of its floats and ``M_j = s_j**n - H_j`` its
+    exact miss.  With ``u = 2**-53``, ``L = lgamma(n + 1)``, ``lam`` the
+    largest ``|log p|`` over the code's nonzero probabilities, ``P`` the
+    number of grid points and
+
+        eps = ((2q + 12) * (2L + n * lam) + P + 8) * u,
+
+    each success satisfies ``|f_j - H_j| <= eps * min(H_j, M_j) + |s_j**n -
+    1| + u``.  The miss behind a success ``1 - m_j`` is within ``eps * M_j``
+    of ``M_j`` (plus ``P * 2**-1074`` where masses underflow), so a success
+    near 1 keeps its miss's relative accuracy.  The terms: a log mass is
+    within ``(2q + 12) * (2L + n * lam) * u`` of the true one (``lgamma``
+    within 5 ulps on integers, ``math.log`` within one, and the column sums
+    of at most ``2q + 1`` terms of magnitude at most ``2L + n * lam``), numpy's
+    ``exp`` adds a few ulps, and each symbol's two sums add at most ``P`` ulps
+    of their terms (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3-4).  The ``|s_j**n - 1|`` term is the mass that floats not summing
+    to exactly 1 leave out of ``1 - m_j``; it is 0 where they do.
     """
     n, size, overrides = _grid_request(code, n, decoder, max_enum)
     if code.is_exact:
         values = _exact_success(code.symbols, n, size, overrides)
     else:
-        exact = [j for j, s in enumerate(code.symbols) if s.is_exact]
-        lcm, scaled = _integers([code.symbols[j] for j in exact])
-        weights = {j: (b, lcm**n) for j, b in zip(exact, scaled)}
-        values = _float_success([[s.probs for s in code.symbols]], n, size, overrides, weights)[0].tolist()
+        values = _float_success([[s.probs for s in code.symbols]], n, size, overrides)[0][0].tolist()
     success = dict(zip(code.symbols, values))
     f_min = min(success.values())
     f_avg = sum(success.values()) / code.m
@@ -346,7 +363,7 @@ def evaluate_code(
 
 #: The evaluator works in numpy blocks of at most this many scores (codes x
 #: points x symbols); only a code with more symbols than this widens a block to
-#: one row of scores.  A block pays about 40 numpy calls besides its libm
+#: one row of scores.  A block pays about 40 numpy calls besides its elementwise
 #: work: at 16,384 the binary4 search of a ``code-design`` benchmark round
 #: runs 34 groups (129 at 4,096) and the benchmark's peak RSS is about 0.9 MB
 #: higher (2 CPUs, Python 3.11, numpy 2.4); 65,536 was no faster and added
@@ -391,73 +408,57 @@ _IMPOSSIBLE = -1e6
 
 
 def _float_success(
-    block: Sequence,
-    n: int,
-    size: int,
-    overrides: Mapping[int, int] = {},  # read only
-    exact: Mapping[int, tuple[Sequence[int], int]] = {},  # read only
-    screen: bool = False,
-) -> "np.ndarray":
-    """Float-path success of one group of codes over the ``size`` points of one grid.
+    block: Sequence, n: int, size: int, overrides: Mapping[int, int] = {}  # read only
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """Float-path successes and misses of one group of codes over the ``size`` points of one grid.
 
     ``block`` is array-like of shape (codes, m, q): every code's symbol
-    probabilities in code order.  It holds at most ``_codes_per_group(m, q,
-    size)`` codes, so that its scores over one chunk of the grid fill at most
+    probabilities in code order, as floats (an exact entry of a mixed code
+    is rounded once).  It holds at most ``_codes_per_group(m, q, size)``
+    codes, so that its scores over one chunk of the grid fill at most
     ``_BLOCK_ELEMENTS`` (or one row): several codes when the whole grid fits
-    one chunk, one code otherwise.  The kernel takes each chunk's decisions,
-    overrides written, from the grid pass (:func:`_decisions`), weighs and
-    accumulates them, and returns the (codes, m) array of successes.
-    ``overrides`` (grid index -> symbol index) and ``exact`` apply to every
-    code; ``exact`` maps the index of each exact symbol of a mixed code to
-    its integers ``b`` and ``D**n``.  ``screen=True`` weighs the direct
-    masses with numpy's ``power`` instead of libm's ``pow`` (see
-    :func:`_screen_margin`); the numbers below are those of the kernel.
+    one chunk, one code otherwise.  ``overrides`` (grid index -> symbol
+    index) apply to every code.  Returns two (codes, m) arrays: each
+    symbol's success ``f_j`` and its miss, ``1 - f_j`` in the form that
+    keeps its relative accuracy.
 
-    Every number equals, bit for bit, that of decoding each point and adding
-    its multinomial mass to the decoded symbol's success in grid order, one
-    observation at a time (``reference_evaluate_code`` in
-    ``tests/conftest.py``).  Only IEEE-exact elementwise operations
-    (products, sums, comparisons) run in numpy: numpy's vectorized ``log``,
-    ``exp`` and ``power`` round differently from libm on some builds and
-    inputs, so the log table (one ``math.log`` per probability), the powers
-    ``p_i**k_i`` and the log-space ``math.exp`` come from Python's ``pow``,
-    ``math.log`` and ``math.exp``, mapped over flat arrays.  Where Python
-    answers without libm, the kernel writes the answer and calls nothing: a
-    power with ``k_i = 0`` or ``p_i = 1.0`` is 1.0 (``float.__pow__`` returns
-    1.0 for both before it reaches C ``pow``), and the log of 1.0 is 0.0
-    (``math.log(1.0)`` is exactly 0.0).  Those factors keep their bits, so
-    libm sees only the powers with ``k_i > 0`` and ``p_i != 1.0`` and the
-    logs of ``0 < p_i < 1``.
-
-    * Decode: per-read scores ``sum_i (k_i / n) * log p_i``; the first symbol
-      within ``TIE_TOLERANCE`` of the best wins, a point no symbol can produce
-      goes to symbol 0, and overrides apply last.
-    * Weigh (``_float_masses``): the decoded symbol's mass ``coef * p_1**k_1
-      * p_2**k_2 ...``, multiplied left to right (a ``k = 0`` factor is
-      ``p**0 = 1.0``, which leaves the product as the skipped factor does);
-      where the coefficient exceeds ``_COEF_FLOAT_LIMIT``, ``exp(log_coef +
-      sum_i k_i * log p_i)``.  A point decoded to an exact symbol of a mixed
-      code weighs ``_integer_mass(b, k) / D**n``: one int true division,
-      correctly rounded as ``float(Fraction)`` is.
-    * Accumulate: each point's mass is added to its code's and symbol's
-      success in grid order, one addition at a time (``np.add.at``), never a
-      pairwise or compensated sum.
+    The kernel takes each chunk's decisions, overrides written, from the
+    grid pass (:func:`_decisions`) and computes the decoder's confusion
+    matrix over the channel: each point's log mass under *every* symbol,
+    ``L[n] - sum_i L[k_i] + sum_i k_i * log p_ji`` with ``L[k] = lgamma(k +
+    1)`` (``math.lgamma`` of each distinct count of the chunk, so that a
+    one-point grid of huge ``n`` builds no table of ``n`` entries; the
+    columns added in turn, as ``_decode`` adds them), exponentiated by
+    numpy.  Each symbol sums its masses at the points decoded to it (its
+    hit) and at the points decoded elsewhere (its miss), in point order.
+    Where ``miss <= 1/2`` the success is ``1 - miss``, which never exceeds 1
+    and keeps the miss's relative accuracy however close the success is to
+    1; elsewhere it is the hit, and the miss is ``1 - hit``.  The bound this
+    meets is stated in :func:`evaluate_code`.
     """
     import numpy as np
 
     codes = np.array(block, dtype=float)
     _, m, q = codes.shape
     logs = _log_table(np, codes)
-    success = np.zeros((len(codes), m))
+    symbol = np.arange(m)[None, :, None]
+    hit, miss = np.zeros((m, len(codes))), np.zeros((m, len(codes)))
     for k, decoded in _decisions(np, _float_rule(np, logs, n), n, m, q, size, overrides):
-        mass = _float_masses(np, n, codes, logs, decoded, k, screen)
-        if exact:
-            for g, r in zip(*np.isin(decoded, list(exact)).nonzero()):
-                b, whole = exact[decoded[g, r]]
-                mass[g, r] = _integer_mass(b, k[r].tolist()) / whole
-        # unbuffered and in index order: each code's points in grid order
-        np.add.at(success, (np.arange(len(codes))[:, None], decoded), mass)
-    return success
+        # (points, symbols, codes): the sums run over the leading axis, in
+        # contiguous rows (over a trailing axis of a few points they ran one
+        # short row at a time); a zero probability adds k_i * _LOG_ZERO and
+        # weighs 0.0 where k_i > 0
+        counts, index = np.unique(k, return_inverse=True)
+        log_mass = math.lgamma(n + 1) - _mapped(np, math.lgamma, counts + 1.0)[index.reshape(k.shape)].sum(axis=1)
+        log_mass = log_mass[:, None, None] + k[:, 0, None, None] * logs.T[0]
+        for i in range(1, q):
+            log_mass += k[:, i, None, None] * logs.T[i]
+        mass = np.exp(log_mass, out=log_mass)
+        mine = decoded.T[:, None, :] == symbol
+        hit += mass.sum(axis=0, where=mine)
+        miss += mass.sum(axis=0, where=~mine)
+    small = miss <= 0.5
+    return np.where(small, 1.0 - miss, hit).T, np.where(small, miss, 1.0 - hit).T
 
 
 def _grid_rows(m: int, q: int) -> int:
@@ -499,76 +500,6 @@ def _decode(np, logs: "np.ndarray", fractions: "np.ndarray", slack) -> tuple["np
     best = scores.max(axis=0)
     within = (scores >= best - slack) & (best >= _IMPOSSIBLE)
     return within.argmax(axis=0), within
-
-
-def _float_masses(
-    np,
-    n: int,
-    probs: "np.ndarray",
-    logs: "np.ndarray",
-    decoded: "np.ndarray",
-    k: "np.ndarray",
-    screen: bool = False,
-) -> "np.ndarray":
-    """(codes, points) float mass of each point of a chunk's (points, q) counts ``k`` under the
-    symbol it decodes to: from the float multinomial coefficient where the log coefficient is
-    below ``_LOG_COEF_FLOAT_LIMIT``, in log space elsewhere.  The direct powers ``p_i**k_i``
-    are libm's ``pow`` as Python calls it, or with ``screen`` numpy's ``power``."""
-    mass = np.empty(decoded.shape)
-    code = np.arange(len(decoded))[:, None]
-    # lgamma(n + 1) minus the columns' lgamma(k_i + 1) added in order from
-    # 0.0, as a per-point sum adds them, so the bits match
-    log_coef = math.lgamma(n + 1) - sum(_mapped(np, math.lgamma, k + 1.0).T, 0.0)
-    direct = np.flatnonzero(log_coef < _LOG_COEF_FLOAT_LIMIT)
-    log_space = np.flatnonzero(log_coef >= _LOG_COEF_FLOAT_LIMIT)
-    if len(direct):
-        p, exponents = probs[code, decoded[:, direct]], k[direct]
-        if screen:  # p**0 and 1.0**k come out 1.0, as pow gives them
-            factors = np.power(p, exponents)
-        else:
-            # float(c) ** k, libm's pow where Python calls it: float.__pow__ returns
-            # 1.0 for k = 0 and for c = 1.0 without it, and a 1.0 factor leaves the
-            # product as the skipped factor does
-            exponents = exponents[None].repeat(len(p), axis=0)
-            factors = np.ones(p.shape)
-            called = (exponents > 0) & (p != 1.0)
-            factors[called] = _mapped(np, pow, p[called], exponents[called])
-        product = np.array([float(multinomial_coefficient(point)) for point in k[direct].tolist()])
-        for i in range(p.shape[2]):
-            product = product * factors[:, :, i]
-        mass[:, direct] = product
-    if len(log_space):
-        log_p = log_coef[log_space]
-        log_c = logs[code, decoded[:, log_space]]
-        log_k = k[log_space]
-        for i in range(log_c.shape[2]):
-            # a zero probability adds k * _LOG_ZERO and so gives exp(...) = 0.0
-            log_p = log_p + log_k[:, i] * log_c[:, :, i]
-        mass[:, log_space] = _mapped(np, math.exp, log_p)
-    return mass
-
-
-def _screen_margin(n: int) -> float:
-    """``delta = 64 * (n + 8) * 2**-53``, a bound on |screened - kernel| success of a binary
-    code at ``n`` reads, from ``_float_success`` with and without ``screen``.
-
-    To first order in ``u = 2**-53`` (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 3-4): both sides decode alike, and a direct mass is ``c * P_1 * P_2``
-    with the same float coefficient ``c``.  The kernel takes its powers ``P_i = p_i**k_i``
-    from libm's ``pow``, the screen from numpy's ``power``; each is assumed within ``e`` ulps,
-    a relative ``2 e u`` per power, so with its two products each side's mass is within ``(4e
-    + 2) u`` of ``c * p_1**k_1 * p_2**k_2``, and the two masses differ by at most ``(8e + 4)
-    u`` of the mass.  Each symbol's success adds at most ``n + 1`` masses in grid order from
-    0.0, so each side's sum is within ``n u`` of the sum of its masses, which is at most 1;
-    the successes, and with them their minimum over the symbols, differ by at most ``(2n + 8e
-    + 4) u``.  At ``e = 4`` that is ``(2n + 36) u``, and ``delta`` is more than 15 times it;
-    it covers pow functions off by up to 70 ulps.  The bound rests on both pow functions being
-    accurate: numpy's ``power`` was within 1 ulp of libm's ``pow`` on 200,000 random pairs
-    (numpy 2.4, an AVX-512 x86-64 build).  A power that underflows adds an absolute error
-    below ``n * 2**-1074`` times a coefficient below ``_COEF_FLOAT_LIMIT``, far below ``u``,
-    and a log-space mass is the kernel's on both sides.
-    """
-    return 64 * (n + 8) * 2.0**-53
 
 
 #: The exact path keeps as candidates the symbols whose float score is within

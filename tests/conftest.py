@@ -7,9 +7,11 @@ counts from brute-force subset enumeration (against the inclusion-exclusion
 form, ``covering_family_count``), and random codes are built as
 exact rational grid points so comparisons need no tolerances.  Where the library
 evaluates a formula by a faster route, the formula as written lives here as the
-reference it must match exactly: the code evaluator's is a loop that decodes and
-weighs one observation at a time, and imports no decision or mass code from
-``cdna`` (``tests/test_public_api.py`` checks its imports).
+reference it must match: the code evaluator's is a loop that decodes and
+weighs one observation at a time in exact rationals, and imports no decision or
+mass code from ``cdna`` (``tests/test_public_api.py`` checks its imports).  Exact
+codes must equal it; float codes must decide as it does and come within the
+bound ``evaluate_code`` states of its exact evaluation of their floats.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from cdna import (
     enumerate_observed,
     expected_coverage_exact,
 )
-from cdna.codes import _COEF_FLOAT_LIMIT, DEFAULT_MAX_ENUM, CodeEvaluation
+from cdna.codes import DEFAULT_MAX_ENUM, CodeEvaluation
 from cdna.simulate import _FIRST_BLOCK, _MAX_BLOCK
 
 
@@ -185,47 +187,52 @@ def reference_multinomial(counts) -> int:
     return out
 
 
-def reference_log_coefficient(counts, n: int) -> float:
-    """log n! - sum_i log k_i!, each term from math.lgamma, added in order from 0.0."""
-    return math.lgamma(n + 1) - sum(math.lgamma(k + 1) for k in counts)
-
-
 def _check_same_q(q: int, theta) -> None:
     if theta.q != q:
         raise ValueError(f"alphabet mismatch: q={q}, observation has q={theta.q}")
 
 
-def reference_prob_observed(symbol, theta):
+def reference_rationals(probs) -> tuple[int, list[int]]:
+    """``D``, the lcm of the denominators of ``probs`` taken as exact rationals (a float
+    is the dyadic rational it holds), and each probability times ``D``."""
+    exact = [Fraction(c) for c in probs]
+    lcm = math.lcm(*(c.denominator for c in exact))
+    return lcm, [c.numerator * (lcm // c.denominator) for c in exact]
+
+
+def reference_weight(scaled, counts) -> int:
+    """``C(n; k) * prod_i b_i**k_i``: a multinomial mass times ``D**n``, with 0**0 = 1."""
+    return reference_multinomial(counts) * math.prod(b**k for b, k in zip(scaled, counts))
+
+
+def reference_region_weight(scaled, points) -> int:
+    """The sum of :func:`reference_weight` over ``points``, all of ``n`` reads.  Binary points
+    are walked in order of their first count: the weight at ``(k + 1, n - k - 1)`` is the
+    one at ``(k, n - k)`` times the exact ratio ``(n - k) * b_0 / ((k + 1) * b_1)``, which
+    costs one short multiplication and division where ``reference_weight`` takes powers."""
+    points = sorted(points)
+    if len(scaled) != 2 or not scaled[1] or not points:
+        return sum(reference_weight(scaled, point) for point in points)
+    wanted, n, (k, _) = set(points), sum(points[0]), points[0]
+    weight, total = reference_weight(scaled, points[0]), 0
+    while True:
+        total += weight if (k, n - k) in wanted else 0
+        if k == points[-1][0]:
+            return total
+        weight = weight * (n - k) * scaled[0] // ((k + 1) * scaled[1])
+        k += 1
+
+
+def reference_prob_observed(symbol, theta) -> Fraction:
     """Probability that ``theta.n`` reads of ``symbol`` show exactly ``theta``.
 
     Multinomial mass ``C(n; k_1..k_q) * prod_i p_i^k_i`` with the convention
-    0^0 = 1.  Exact symbols give an exact ``Fraction``; float symbols give a
-    float: ``coef * p_1**k_1 * ...`` multiplied left to right over the letters
-    with k_i > 0, or, where the coefficient exceeds ``_COEF_FLOAT_LIMIT``,
-    ``exp(log_coef + sum_i k_i * log p_i)``.
+    0^0 = 1, as an exact ``Fraction``: each ``p_i`` weighs as ``Fraction(p_i)``,
+    so a float symbol weighs exactly the rationals its floats hold.
     """
     _check_same_q(symbol.q, theta)
-    counts = theta.counts
-    if symbol.is_exact:
-        p = Fraction(reference_multinomial(counts))
-        for c, k in zip(symbol.probs, counts):
-            if k:
-                p *= Fraction(c) ** k
-        return p
-    log_coef = reference_log_coefficient(counts, theta.n)
-    if log_coef >= math.log(_COEF_FLOAT_LIMIT):
-        for c, k in zip(symbol.probs, counts):
-            if k:
-                c = float(c)
-                if c == 0.0:
-                    return 0.0
-                log_coef += k * math.log(c)
-        return math.exp(log_coef)
-    p = float(reference_multinomial(counts))
-    for c, k in zip(symbol.probs, counts):
-        if k:
-            p *= float(c) ** k
-    return p
+    lcm, scaled = reference_rationals(symbol.probs)
+    return Fraction(reference_weight(scaled, theta.counts), lcm**theta.n)
 
 
 def reference_mld_decode(code, theta):
@@ -266,18 +273,41 @@ def reference_mld_decode(code, theta):
 
 def reference_evaluate_code(code, n, decoder=None, max_enum=DEFAULT_MAX_ENUM):
     """evaluate_code as a loop over observations: decode each one (the decoder's
-    overrides as a plain dict, maximum likelihood elsewhere), add its mass in grid order."""
+    overrides as a plain dict, maximum likelihood elsewhere), and sum each symbol's
+    exact masses over the points decoded to it.  Every success is an exact
+    ``Fraction``: a float or mixed code's symbols weigh as the floats the float path
+    holds (an exact entry rounded once), each mass an integer over ``D**n`` as in
+    :func:`reference_prob_observed`."""
     if decoder is not None and decoder.code != code:
         raise ValueError("decoder belongs to a different code")
     overrides = {} if decoder is None else dict(decoder.overrides)
-    zero = Fraction(0) if code.is_exact else 0.0
-    success = {s: zero for s in code.symbols}
+    regions = {s: [] for s in code.symbols}
     for theta in enumerate_observed(n, code.q, max_size=max_enum):
-        decoded = overrides.get(theta.counts) or reference_mld_decode(code, theta)
-        success[decoded] += reference_prob_observed(decoded, theta)
+        regions[overrides.get(theta.counts) or reference_mld_decode(code, theta)].append(theta.counts)
+    success = {}
+    for s, points in regions.items():
+        lcm, scaled = reference_rationals(s.probs if code.is_exact else map(float, s.probs))
+        success[s] = Fraction(reference_region_weight(scaled, points), lcm**n)
     f_min = min(success.values())
     f_avg = sum(success.values()) / code.m
     return CodeEvaluation(per_symbol_success=success, f_min=f_min, f_avg=f_avg, n=n)
+
+
+def float_path_bound(code, n: int) -> float:
+    """``eps``, the relative bound ``evaluate_code`` states for a float or mixed code at ``n`` reads:
+    ``(2q + 12) * (2 L + n * lam) * u + (P + 8) * u``, with ``L = lgamma(n + 1)``, ``lam`` the largest
+    ``|log p|`` over the code's nonzero probabilities as floats, ``P`` the grid size and ``u = 2**-53``."""
+    logs = [abs(math.log(float(c))) for s in code.symbols for c in s.probs if float(c) > 0.0]
+    points = comb(n + code.q - 1, code.q - 1)
+    return ((2 * code.q + 12) * (2 * math.lgamma(n + 1) + n * max(logs)) + points + 8) * 2.0**-53
+
+
+def float_success_error(code, n: int, symbol, success: float, exact: Fraction) -> tuple[Fraction, Fraction]:
+    """|success - exact| and the bound ``evaluate_code`` states for it: ``eps * min(H, M) + |s**n - 1| + u``,
+    where ``H`` is the exact success, ``s`` the exact sum of the symbol's floats and ``M = s**n - H`` its exact miss."""
+    total = sum(map(Fraction, map(float, symbol.probs))) ** n
+    bound = Fraction(float_path_bound(code, n)) * min(exact, total - exact) + abs(total - 1) + Fraction(2.0**-53)
+    return abs(Fraction(success) - exact), bound
 
 
 def reference_reads_until(rng, ell: int, omega: int, r: int, k: int, cap: int) -> int | None:

@@ -105,8 +105,10 @@ FAMILY_INVOCATIONS = [
     ("230", ["design", "--family", "omega", "--q", "3", "--n", "20", "--format", "json"]),
     ("10", ["design", "--family", "binary4", "--n", "100"]),
     ("1999", ["design", "--family", "binary4", "--n", "3", "--verify-grid", "1e-3"]),
-    # where the binary4 grid search's best f_min rounds to 1.0
+    # where the binary4 grid search's best f_min rounds to 1.0, and where its
+    # best worst miss is first below the smallest normal float
     (None, ["design", "--family", "binary4", "--n", "200", "--verify-grid", "1e-3"]),
+    (None, ["design", "--family", "binary4", "--n", "3175", "--verify-grid", "1e-3"]),
     (None, ["design", "--family", "omega", "--q", "3", "--n", "3000"]),
 ]
 

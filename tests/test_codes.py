@@ -31,12 +31,15 @@ from cdna import (
 )
 from cdna import codes
 from conftest import (
+    float_path_bound,
+    float_success_error,
     random_exact_code,
     random_float_binary_code,
     reference_evaluate_code,
-    reference_log_coefficient,
     reference_mld_decode,
     reference_prob_observed,
+    reference_rationals,
+    reference_region_weight,
 )
 import properties
 
@@ -105,12 +108,6 @@ class TestProbObserved:
             theta = ObservedDistribution(tuple(int(c) for c in counts), n)
             expected = stats.multinomial(n, [float(p) for p in sym.probs]).pmf(counts)
             assert reference_prob_observed(sym, theta) == pytest.approx(float(expected), rel=1e-9)
-
-    def test_huge_n_log_path(self):
-        theta = ObservedDistribution((1_500_000, 1_500_000), 3_000_000)
-        p = reference_prob_observed(CompositeSymbol((0.5, 0.5)), theta)
-        # central term of Bin(3e6, 1/2) ~ sqrt(2 / (pi n))
-        assert p == pytest.approx(math.sqrt(2 / (math.pi * 3e6)), rel=1e-3)
 
 
 class TestMldDecode:
@@ -261,7 +258,14 @@ class TestEvaluateCode:
         assert succ[1] == pytest.approx(0.246, abs=5e-4)
         assert succ[2] == pytest.approx(0.633, abs=5e-4)
         assert result.f_min == pytest.approx(0.246, abs=5e-4)
-        assert succ[0] == succ[2]
+        # the outer symbols mirror each other: their exact successes are equal,
+        # and each float success is within the stated bound of its exact one
+        exact = reference_evaluate_code(COUNTEREXAMPLE, 10).per_symbol_success
+        outer = (COUNTEREXAMPLE.symbols[0], COUNTEREXAMPLE.symbols[2])
+        assert exact[outer[0]] == exact[outer[1]]
+        for s, value in zip(outer, (succ[0], succ[2])):
+            error, bound = float_success_error(COUNTEREXAMPLE, 10, s, value, exact[s])
+            assert error <= bound
 
     def test_counterexample_monte_carlo(self, rng):
         # independent check: simulate reads of the middle symbol and decode
@@ -308,16 +312,29 @@ class TestEvaluateCode:
 
 
 def assert_same_evaluation(code, n, decoder=None):
-    """evaluate_code equals the per-observation loop: same values, same types, same order."""
+    """evaluate_code against the per-observation loop, symbol by symbol in code order.
+
+    An exact code equals it: same values, same types.  A float or mixed code
+    decides as it does (every decoding region is the loop's), and each float
+    success is at most 1 and within the bound evaluate_code states of the loop's
+    exact evaluation of the same floats."""
     got = evaluate_code(code, n, decoder=decoder)
     want = reference_evaluate_code(code, n, decoder=decoder)
     assert list(got.per_symbol_success) == list(want.per_symbol_success)
-    for s in code.symbols:
-        a, b = got.per_symbol_success[s], want.per_symbol_success[s]
-        assert a == b and type(a) is type(b), (code, n, s, a, b)
-    assert got.f_min == want.f_min and type(got.f_min) is type(want.f_min)
-    assert got.f_avg == want.f_avg and type(got.f_avg) is type(want.f_avg)
     assert got.n == want.n
+    if code.is_exact:
+        for s in code.symbols:
+            a, b = got.per_symbol_success[s], want.per_symbol_success[s]
+            assert a == b and type(a) is type(b), (code, n, s, a, b)
+        assert got.f_min == want.f_min and type(got.f_min) is type(want.f_min)
+        assert got.f_avg == want.f_avg and type(got.f_avg) is type(want.f_avg)
+        return
+    assert_regions_are_the_reference(code, n, decoder)
+    values = list(got.per_symbol_success.values())
+    for s, a in got.per_symbol_success.items():
+        error, bound = float_success_error(code, n, s, a, want.per_symbol_success[s])
+        assert type(a) is float and 0.0 <= a <= 1.0 and error <= bound, (code, n, s, a, float(error), float(bound))
+    assert got.f_min == min(values) and got.f_avg == sum(values) / code.m
 
 
 def random_table_decoder(rng, code, n, overrides):
@@ -356,46 +373,16 @@ class TestArrayEvaluator:
             assert_same_evaluation(code, n)
             assert_same_evaluation(code, n, custom_decoder_from_table(code, n, {(n, 0, 0): 3, (0, n, 0): 0}))
 
-    def test_dna_code_weighs_exact_points_in_integers(self, monkeypatch):
+    def test_dna_code_of_letters_and_mixtures(self):
         # the four base letters (exact) beside two float 1:1 mixtures; a letter
         # produces only its own pure point, yet every point that no symbol
-        # produces decodes to symbol 0, a letter
+        # produces decodes to symbol 0, a letter.  The letters weigh in floats
+        # like the mixtures.
         letters = [base_symbol(4, i) for i in range(1, 5)]
         code = CompositeCode([*letters, (0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.5, 0.5)])
         for n in (1, 2, 5, 12):
             assert_same_evaluation(code, n)
             assert_same_evaluation(code, n, custom_decoder_from_table(code, n, {(0, n, 0, 0): 4, (n, 0, 0, 0): 0}))
-        n = 12
-        want = evaluate_code(code, n)
-        decoded_to_letters = sorted(theta.counts for s in letters for theta in decoding_region(code, s, n))
-        integer_mass, coefficient = codes._integer_mass, codes.multinomial_coefficient
-        inside, weighed, coefficients = [], [], []
-
-        def counted_mass(scaled, point):
-            inside.append(point)
-            try:
-                return integer_mass(scaled, point)
-            finally:
-                inside.pop()
-                weighed.append((tuple(scaled), tuple(point)))
-
-        def counted_coefficient(point):
-            if inside:
-                coefficients.append(tuple(point))
-            return coefficient(point)
-
-        def refused(*args):
-            raise AssertionError("a mixed code builds no Fraction per point")
-
-        monkeypatch.setattr(codes, "_integer_mass", counted_mass)
-        monkeypatch.setattr(codes, "multinomial_coefficient", counted_coefficient)
-        monkeypatch.setattr(codes, "Fraction", refused)
-        assert evaluate_code(code, n) == want
-        # each point decoded to a letter is weighed once, and C(n; k) is computed
-        # only where the letter produces the point: at the four pure points
-        assert sorted(point for _, point in weighed) == decoded_to_letters
-        assert coefficients == [point for scaled, point in weighed if codes._likelihood(scaled, point)]
-        assert sorted(coefficients) == sorted(tuple(n * c for c in s.probs) for s in letters)
 
     def test_zero_probabilities(self):
         # letter 3 is impossible for every symbol: those observations tie at -inf
@@ -406,7 +393,7 @@ class TestArrayEvaluator:
             # impossible points sent elsewhere still weigh nothing
             table = custom_decoder_from_table(code, 3, {(0, 0, 3): 1, (1, 1, 1): 2})
             assert_same_evaluation(code, 3, table)
-        # 0.0 and 1.0 entries, whose powers and logs the float kernel writes without libm
+        # 0.0 and 1.0 entries, whose logs the float kernel writes without libm
         for q in (2, 3, 4):
             code = construct_base_plus_uniform(q).as_float()
             for n in range(1, 11):
@@ -456,8 +443,8 @@ class TestArrayEvaluator:
         assert_same_evaluation(construct_grid_code(12, 3).as_float(), 12)
 
     def test_log_space_mass(self):
+        # the central multinomial coefficients exceed the float range at n = 1000
         n = 1000
-        assert math.lgamma(n + 1) - 2 * math.lgamma(n // 2 + 1) >= codes._LOG_COEF_FLOAT_LIMIT
         assert_same_evaluation(CompositeCode.binary([0.1, 0.45, 0.5, 0.9]), n)
         assert_same_evaluation(CompositeCode.binary([0.0, 0.5, 1.0]), n)
 
@@ -497,16 +484,15 @@ class TestArrayEvaluator:
 
     def test_log_space_mass_near_1200_reads(self):
         n = 1200
-        assert math.lgamma(n + 1) - 2 * math.lgamma(n // 2 + 1) >= codes._LOG_COEF_FLOAT_LIMIT
         for values in ([0.1, 0.45, 0.5, 0.9], [0.0, 0.2, 0.8, 1.0], [0.3, 0.7]):
             assert_same_evaluation(CompositeCode.binary(values), n)
         # codes whose log-space masses numpy's vectorized exp rounds differently
-        # from math.exp on some builds
+        # from math.exp on some builds: the stated bound holds either way
         for values in ([0.334, 0.802], [0.295, 0.453, 0.999]):
             assert_same_evaluation(CompositeCode.binary(values), 1000)
         code = CompositeCode([(Fraction(1, 5), Fraction(4, 5)), (0.5, 0.5), (0.9, 0.1)])
         assert_same_evaluation(code, n, custom_decoder_from_table(code, n, {(600, 600): 0, (0, 1200): 2}))
-        # 0.0 and 1.0 entries beside log-space rows
+        # 0.0 and 1.0 entries beside rows whose coefficients exceed the float range
         code = CompositeCode([(0.0, 1.0), (0.3, 0.7), (0.5, 0.5), (Fraction(1), Fraction(0))])
         assert_same_evaluation(code, n)
         assert_same_evaluation(code, n, custom_decoder_from_table(code, n, {(600, 600): 3, (0, 1200): 1}))
@@ -568,6 +554,45 @@ class TestArrayEvaluator:
         assert codes._grid_rank((10**12, 0, 0), 10**12) == math.comb(10**12 + 2, 2) - 1
 
 
+def dyadic_code(rng, m, q, bits):
+    """``m`` distinct float symbols over ``q`` letters, each probability a multiple of
+    ``2**-bits``: their floats are exact and sum to exactly 1."""
+    symbols = set()
+    while len(symbols) < m:
+        cuts = sorted(rng.integers(0, 2**bits + 1, size=q - 1).tolist())
+        symbols.add(CompositeSymbol([(b - a) / 2**bits for a, b in zip([0, *cuts], [*cuts, 2**bits])]))
+    return CompositeCode(symbols)
+
+
+class TestFloatBound:
+    """No float success exceeds 1, and each is within the bound evaluate_code states of the
+    exact evaluation of its floats, over the regions the reference decides."""
+
+    def test_no_success_above_one(self):
+        # the grid-order sum of the masses once read 1.000000000001254 at n = 20,000
+        # and 1.0000000001206455 at n = 199,999
+        code = CompositeCode.binary([0.1, 0.5, 0.9])
+        for n in (20000, 199999):
+            result = evaluate_code(code, n)
+            assert result.f_min <= 1.0 and max(result.per_symbol_success.values()) <= 1.0, n
+
+    def test_bound_on_dyadic_codes(self):
+        rng = np.random.default_rng(2026)
+        cases = [(dyadic_code(rng, int(rng.integers(2, 6)), 2, int(rng.integers(2, 11))),
+                  int(np.exp(rng.uniform(0.0, np.log(2000))))) for _ in range(150)]
+        cases += [(dyadic_code(rng, int(rng.integers(2, 4)), 2, int(rng.integers(2, 5))), 20000) for _ in range(3)]
+        cases += [(dyadic_code(rng, int(rng.integers(2, 6)), 3, 4), int(rng.integers(1, 41))) for _ in range(40)]
+        cases += [(dyadic_code(rng, int(rng.integers(2, 6)), 4, 3), int(rng.integers(1, 13))) for _ in range(10)]
+        cases.append((dyadic_code(rng, 4, 4, 3), 100))
+        for code, n in cases:
+            result = evaluate_code(code, n)
+            for s, value in result.per_symbol_success.items():
+                lcm, scaled = reference_rationals(s.probs)
+                exact = Fraction(reference_region_weight(scaled, [t.counts for t in decoding_region(code, s, n)]), lcm**n)
+                error, bound = float_success_error(code, n, s, value, exact)
+                assert value <= 1.0 and error <= bound, (code, n, s, value, float(error), float(bound))
+
+
 class TestExactDecisions:
     """The exact rule computes integer likelihoods only at near-ties, and all three
     consumers of a decision (the exact and float successes, decoding_region) apply
@@ -613,7 +638,7 @@ class TestExactDecisions:
 
 
 #: (n, q) grids larger than one chunk of the default size, and the 1,201-point
-#: binary grid whose central rows are weighed in log space
+#: binary grid whose central coefficients exceed the float range
 GRIDS = ((7, 1), (2100, 2), (60, 3), (20, 4), (12, 5), (1200, 2))
 
 
@@ -643,31 +668,29 @@ class TestGridArrays:
         assert points == [theta.counts for theta in enumerate_observed(n, q)]
 
     @pytest.mark.parametrize("n, q", GRIDS)
-    def test_weights_are_the_per_point_formulas(self, monkeypatch, n, q):
+    def test_weights_are_the_per_point_formulas(self, n, q):
         # two codes of the same symbols, in opposite orders: a 1.0 and a 0.0
-        # entry, the uniform symbol and uneven weights; each point decodes to
-        # the symbol of its row index, modulo m
+        # entry, the uniform symbol and uneven weights; overrides send each
+        # point to the symbol of its grid index, modulo m, so every hit and
+        # miss of the kernel is a known sum of the per-point formula
         symbols = [CompositeSymbol([1.0] + [0.0] * (q - 1))]
         if q > 1:
             symbols += [uniform_symbol(q), CompositeSymbol([(i + 1) / (q * (q + 1) / 2) for i in range(q)])]
-        probs = np.array([[s.probs for s in symbols], [s.probs for s in reversed(symbols)]])
-        logs = codes._log_table(np, probs)
-        limit = codes._LOG_COEF_FLOAT_LIMIT
-        log_space = 0
-        for k in grid_chunks(monkeypatch, n, q, 7 if n > 100 else codes._grid_rows(1, q)):
-            points = k.tolist()
-            decoded = np.arange(len(points)) % len(symbols)
-            decoded = np.stack([decoded, len(symbols) - 1 - decoded])
-            masses = codes._float_masses(np, n, probs, logs, decoded, k).tolist()
-            for g, order in enumerate((symbols, symbols[::-1])):
-                expected = [
-                    reference_prob_observed(order[j], ObservedDistribution(point, n))
-                    for j, point in zip(decoded[g].tolist(), points)
-                ]
-                assert masses[g] == expected
-            log_space += sum(reference_log_coefficient(point, n) >= limit for point in points)
-        # the large binary grids weigh some of their points in log space
-        assert (log_space > 0) == (n >= 1200)
+        m, points = len(symbols), enumerate_observed(n, q)
+        orders = (symbols, symbols[::-1])
+        block = [[s.probs for s in order] for order in orders]
+        success, miss = codes._float_success(block, n, len(points), {r: r % m for r in range(len(points))})
+        for g, order in enumerate(orders):
+            code = CompositeCode(order)
+            for j, s in enumerate(order):
+                lcm, scaled = reference_rationals(s.probs)
+                hit = reference_region_weight(scaled, [t.counts for r, t in enumerate(points) if r % m == j])
+                exact_hit, exact_miss = Fraction(hit, lcm**n), Fraction(sum(scaled) ** n - hit, lcm**n)
+                error, bound = float_success_error(code, n, s, success[g, j], exact_hit)
+                assert success[g, j] <= 1.0 and error <= bound, (n, q, g, j)
+                if miss[g, j] <= 0.5:  # the miss itself is within eps of the exact miss, relatively
+                    assert abs(Fraction(miss[g, j]) - exact_miss) <= Fraction(float_path_bound(code, n)) * exact_miss
+                    assert success[g, j] == 1.0 - miss[g, j]
 
     @pytest.mark.parametrize("block", [1, 7, 4096, codes._BLOCK_ELEMENTS])
     def test_grid_code_figures_are_the_self_decoding_loop(self, monkeypatch, block):
@@ -754,6 +777,8 @@ class TestIntegerArguments:
         # a one-letter grid has one point at any n; its count must fit the arrays
         one = CompositeCode([(1,)])
         assert evaluate_code(one, 2**63 - 1).f_min == 1
+        # the float kernel builds no table of n log-factorials for it
+        assert evaluate_code(one.as_float(), 2**63 - 1).f_min == 1.0
         for call in (
             lambda: evaluate_code(one, 2**63),
             lambda: evaluate_code(one.as_float(), 10**30),
@@ -861,7 +886,10 @@ class TestCustomDecoder:
         table = custom_decoder_from_table(COUNTEREXAMPLE, 10, {(0, 10): 1})
         assert direct == table and direct.overrides == (((0, 10), COUNTEREXAMPLE.symbols[1]),)
         result = evaluate_code(COUNTEREXAMPLE, 10, direct)
-        assert result == evaluate_code(COUNTEREXAMPLE, 10, table) and result.f_min == 0.2470703125
+        assert result == evaluate_code(COUNTEREXAMPLE, 10, table)
+        # f_min is the middle symbol's, whose exact success is 253/1024
+        error, bound = float_success_error(COUNTEREXAMPLE, 10, COUNTEREXAMPLE.symbols[1], result.f_min, Fraction(253, 1024))
+        assert result.f_min == result.per_symbol_success[COUNTEREXAMPLE.symbols[1]] and error <= bound
         regions = [decoding_region(COUNTEREXAMPLE, s, 10, direct) for s in COUNTEREXAMPLE.symbols]
         assert sorted(theta for region in regions for theta in region) == enumerate_observed(10, 2)
         assert ObservedDistribution((0, 10)) in regions[1]

@@ -125,7 +125,6 @@ CONFTEST_IMPORTS = {
     "DEFAULT_MAX_ENUM",
     "ObservedDistribution",
     "TIE_TOLERANCE",
-    "_COEF_FLOAT_LIMIT",
     "construct_base_plus_uniform",
     "construct_distinct_support",
     "construct_grid_code",
