@@ -62,9 +62,10 @@ from .model import (
     uniform_symbol,
 )
 
-# numpy is imported where it is used: imported here, ahead of the rest of the
-# package, it leaves the process about 1 MB larger (cdna.simulate imports it
-# after the other modules either way).
+# numpy is imported where it is used, as in every module of the package, so
+# that ``import cdna`` and the coverage questions never load it.  Imported
+# here, ahead of the rest of the package, it also left the process about 1 MB
+# larger.
 if TYPE_CHECKING:
     import numpy as np
 

@@ -26,17 +26,21 @@ Determinism contract: trial ``t`` of a run with master seed ``s`` consumes a
 private stream from a counter-based generator (Philox) keyed by ``(s, t)``.
 Results therefore do not depend on execution order, and a parallel driver that
 writes each trial's count into slot ``t`` reproduces the serial run bit for bit.
+
+numpy is imported at first use, inside the functions that draw, so importing
+this module (and with it ``cdna``) leaves numpy unloaded.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .coverage import CoverageParams
 from .model import UnsupportedRangeError, _integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_TRANSMISSIONS = 10**6
 #: The stopping rules :func:`run_simulation` knows, the values of ``SimConfig.mode``.
@@ -45,7 +49,6 @@ MODES = ("recovery", "partial", "ra")
 _MASK64 = (1 << 64) - 1
 _FIRST_BLOCK = 32
 _MAX_BLOCK = 8192
-_UONE = np.uint64(1)
 #: symbol draws per chunk, in the loop and in the batched first block.  Every
 #: draw array holds at most this many, or one read of ``ell`` when that is more.
 _CHUNK_DRAWS = 1 << 14
@@ -65,9 +68,23 @@ _Z95 = 1.959963984540054
 MIN_TRIALS_FOR_CI = 30
 
 
+def _word(name: str, value) -> int:
+    """``value`` as an ``int`` in ``[0, 2**64)``, one word of a trial's Philox key."""
+    value = _integer(name, value)
+    # masked to 64 bits instead, values equal modulo 2**64 would share their samples
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return value
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Deterministic generator for one trial: Philox keyed by (seed, trial)."""
-    key = np.array([seed & _MASK64, trial & _MASK64], dtype=np.uint64)
+    """Deterministic generator for one trial: Philox keyed by (seed, trial).
+
+    Both must be integers in ``[0, 2**64)``; others raise ValueError.
+    """
+    import numpy as np
+
+    key = np.array([_word("seed", seed), _word("trial", trial)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -82,6 +99,8 @@ class _TrialStreams:
     """
 
     def __init__(self, seed: int):
+        import numpy as np
+
         self._bg = np.random.Philox(key=0)
         self._rng = np.random.Generator(self._bg)
         self._key = [seed & _MASK64, 0]
@@ -119,7 +138,10 @@ def _reads_until(
     and lowers ``r`` by the number just finished.  Returns ``None`` when
     ``cap`` reads pass without stopping.
     """
+    import numpy as np
+
     full = np.uint64((1 << omega) - 1)
+    one = np.uint64(1)
     masks = np.zeros(ell, dtype=np.uint64)
     cols = np.arange(ell)
     step = max(1, _CHUNK_DRAWS // ell)
@@ -138,7 +160,7 @@ def _reads_until(
             symbols = rng.integers(0, omega, size=n * ell).view(np.uint64).reshape(n, ell)
             if cols.size < ell:
                 symbols = symbols.take(cols, axis=1)
-            acc = np.left_shift(_UONE, symbols, out=symbols)
+            acc = np.left_shift(one, symbols, out=symbols)
             if n > 1:
                 acc = np.bitwise_or.accumulate(acc, axis=0)
             np.bitwise_or(acc, masks, out=acc)
@@ -172,6 +194,8 @@ def _settle_first_block(
     adds no symbol bits, so the first read that meets the rule is a target
     read and its row is the count.
     """
+    import numpy as np
+
     symbols = np.zeros((len(trials), rows * ell), dtype=np.int64)
     target = None if k == 1 else np.empty((len(trials), rows), dtype=bool)
     for i, t in enumerate(trials):
@@ -183,7 +207,7 @@ def _settle_first_block(
             hits = np.count_nonzero(hit)
             symbols[i, : hits * ell] = rng.integers(0, omega, size=hits * ell)
     drawn = symbols.view(np.uint64).reshape(len(trials), rows, ell).transpose(2, 0, 1)
-    acc = np.left_shift(_UONE, drawn, out=np.empty(drawn.shape, dtype=np.uint64))
+    acc = np.left_shift(np.uint64(1), drawn, out=np.empty(drawn.shape, dtype=np.uint64))
     if k > 1:
         # trial i's target reads are its first count_nonzero(target[i]) rows;
         # move them to their reads and leave the other reads without bits
@@ -207,10 +231,7 @@ class SimConfig:
     mode: str = "recovery"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
-        # the seed is one 64-bit word of every trial's Philox key: seeds equal mod 2**64 share samples
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        object.__setattr__(self, "seed", _word("seed", self.seed))
         object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
         object.__setattr__(self, "max_transmissions", _integer("max_transmissions", self.max_transmissions, 1))
         if self.mode not in MODES:
@@ -278,6 +299,8 @@ def run_simulation(config: SimConfig) -> SimReport:
     A trial that reaches ``max_transmissions`` counts as that cap and as
     truncated.
     """
+    import numpy as np
+
     params = config.params
     r = params.r if config.mode == "partial" else params.ell
     k = params.k if config.mode == "ra" else 1

@@ -1,18 +1,27 @@
-"""numpy is imported at module level by ``cdna.simulate`` alone.
+"""No module of ``cdna`` imports numpy at module level.
 
-Where numpy is first imported inside the package moves the resident set of a
-process that imports ``cdna``: importing it at the top of ``codes.py``, ahead
-of the other modules, left the process about 1.4 MB larger.  Every other
-module imports it inside the functions that use it.  Static check: it parses
-the sources, so it runs in milliseconds and whatever the import order.
+Every module imports numpy inside the functions that use it, so ``import
+cdna`` and the coverage questions, which are pure Python, never load it: numpy
+was about two thirds of the import time of ``cdna``.  Where numpy is first
+imported also moves the resident set: importing it at the top of ``codes.py``,
+ahead of the other modules, left the process about 1.4 MB larger.
+
+The static check parses the sources, so it runs in milliseconds and whatever
+the import order.  The subprocess checks run the coverage commands in a fresh
+interpreter, where nothing else has loaded numpy yet.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from cdna import CoverageParams, SimConfig, run_simulation
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cdna"
 
-#: The one module that may import numpy when it is itself imported.
-EAGER = {"simulate.py"}
+#: The modules that may import numpy when they are themselves imported.
+EAGER = set()
 
 
 def _is_type_checking(node: ast.If) -> bool:
@@ -40,7 +49,7 @@ def _module_level_imports(nodes) -> set[str]:
     return names
 
 
-def test_only_simulate_imports_numpy_on_import():
+def test_no_module_imports_numpy_on_import():
     eager = {
         path.name
         for path in sorted(SRC.glob("*.py"))
@@ -66,3 +75,48 @@ def f():
     import pandas
 """
     assert _module_level_imports(ast.parse(source).body) == {"os", "scipy", "numpy", "click"}
+
+
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports ``cdna`` from the sources."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_coverage_commands_leave_numpy_unloaded():
+    code = """
+import sys
+import cdna, cdna.cli
+loaded = ["numpy" in sys.modules]
+for argv in (
+    ["coverage", "--ell", "3", "--omega", "2", "--bounds"],
+    ["coverage", "--range", "1:5:2", "--omega", "3", "--format", "json"],
+    ["partial", "--ell", "4", "--omega", "2", "--r", "2"],
+    ["ra", "--ell", "3", "--omega", "2", "--k", "2"],
+):
+    cdna.cli.main(argv, standalone_mode=False)
+    loaded.append("numpy" in sys.modules)
+print(loaded, file=sys.stderr)
+"""
+    out = _fresh(code)
+    assert "expected" in out.stdout
+    assert out.stderr.strip() == str([False] * 5)
+
+
+def test_the_first_simulation_loads_numpy():
+    code = """
+import sys
+from cdna import CoverageParams, SimConfig, run_simulation
+loaded = "numpy" in sys.modules
+report = run_simulation(SimConfig(CoverageParams(4, 3), trials=200, seed=7))
+print(loaded, "numpy" in sys.modules, repr(report))
+"""
+    report = run_simulation(SimConfig(CoverageParams(4, 3), trials=200, seed=7))
+    assert _fresh(code).stdout.strip() == f"False True {report!r}"

@@ -46,9 +46,11 @@ class TestTrialStreams:
 
     @pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 - 1])
     def test_reseed_leaves_the_state_of_a_fresh_generator(self, seed):
+        # _TrialStreams takes seeds SimConfig has checked and keeps only their
+        # low 64 bits; trial_rng refuses -1, so its fresh twin is keyed 2**64 - 1
         streams = _TrialStreams(seed)
         for t in (0, 1, 2**64 - 1):
-            fresh, reused = trial_rng(seed, t), streams.trial(t)
+            fresh, reused = trial_rng(seed % 2**64, t), streams.trial(t)
             assert np.array_equal(fresh.integers(0, 7, size=50), reused.integers(0, 7, size=50))
             assert repr(fresh.bit_generator.state) == repr(reused.bit_generator.state), (seed, t)
 
@@ -61,6 +63,30 @@ class TestTrialStreams:
         a = trial_rng(1, 0).integers(0, 1000, size=32)
         b = trial_rng(2, 0).integers(0, 1000, size=32)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 2**64 + 7, -(2**64)])
+    def test_key_words_outside_64_bits_refused(self, bad):
+        # each of these would share its samples with the value in range that it
+        # equals modulo 2**64
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\), got " + str(bad)):
+            trial_rng(bad, 0)
+        with pytest.raises(ValueError, match=r"trial must lie in \[0, 2\*\*64\), got " + str(bad)):
+            trial_rng(0, bad)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "3", None])
+    def test_key_words_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            trial_rng(bad, 0)
+        with pytest.raises(ValueError, match="trial must be an integer"):
+            trial_rng(0, bad)
+
+    def test_key_words_at_both_ends_of_64_bits_accepted(self):
+        low, high = trial_rng(0, 0), trial_rng(2**64 - 1, 2**64 - 1)
+        assert low.bit_generator.state["state"]["key"].tolist() == [0, 0]
+        assert high.bit_generator.state["state"]["key"].tolist() == [2**64 - 1, 2**64 - 1]
+        assert not np.array_equal(low.integers(0, 1000, size=32), high.integers(0, 1000, size=32))
+        numpy_words = trial_rng(np.uint64(2**64 - 1), np.int64(5)).integers(0, 1000, size=32)
+        assert np.array_equal(numpy_words, trial_rng(2**64 - 1, 5).integers(0, 1000, size=32))
 
 
 class TestBatchedFirstBlock:
