@@ -423,10 +423,7 @@ def _load_table_decoder(code: CompositeCode, n: int, path: str):
         # int() would also read " 0", "+10" and "1_0"; a count is ASCII digits only
         if not all(tok.isascii() and tok.isdigit() for tok in tokens):
             raise click.UsageError(f"bad count-vector key {key!r} in {path!r}")
-        counts = tuple(map(int, tokens))
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise click.UsageError(f"table value for {key!r} must be a codeword index")
-        overrides[counts] = value
+        overrides[tuple(map(int, tokens))] = value
     try:
         return custom_decoder_from_table(code, n, overrides)
     except ValueError as exc:

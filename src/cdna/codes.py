@@ -177,59 +177,43 @@ def mld_decode(code: CompositeCode, theta: ObservedDistribution) -> CompositeSym
 
 @dataclass(frozen=True)
 class Decoder:
-    """A decoder as its override table: maximum likelihood, but where it says otherwise.
+    """A decoder of ``n`` reads as its override table: maximum likelihood, but where it says otherwise.
 
-    ``overrides`` pairs observations with the codewords they decode to; every
-    other observation decodes by maximum likelihood (:func:`mld_decode`).  A
-    key is an :class:`ObservedDistribution` or ``code.q`` int counts, not all
-    zero (an evaluation at ``n`` reads applies the keys that sum to ``n``); a
-    target is a codeword or its 0-based index.  Anything else is refused with
-    ``ValueError``.  This is the one check of the table: it is kept as
-    ``(counts, codeword)`` pairs sorted by counts, the last of equal keys winning.
+    ``overrides`` pairs ``code.q`` int counts summing to ``n`` with the 0-based
+    index of the codeword they decode to; every other observation of ``n``
+    reads decodes by maximum likelihood (:func:`mld_decode`).  Anything else is
+    refused with ``ValueError``, and so is an evaluation of the decoder at
+    another ``n``.  This is the one check of the table: it is kept as ``(counts,
+    index)`` pairs in grid order, the last of equal keys winning.
     """
 
     code: CompositeCode
+    n: int
     overrides: tuple = ()
 
     def __post_init__(self) -> None:
-        symbols, table = self.code.symbols, {}
+        n, q, m, table = _integer("n", self.n, 1), self.code.q, self.code.m, {}
         try:
             for key, target in self.overrides:
-                if isinstance(key, ObservedDistribution):
-                    counts = key.counts
-                else:
-                    counts = tuple(_integer("override count", k, 0) for k in key)
-                if len(counts) != self.code.q:
-                    raise ValueError(f"override key {counts} has q={len(counts)}, code has q={self.code.q}")
-                if not any(counts):
-                    raise ValueError(f"override key {counts} has no reads")
-                if isinstance(target, Integral):
-                    index = _integer("override index", target)
-                    if not 0 <= index < len(symbols):
-                        raise ValueError(f"override index {index} outside 0..{len(symbols) - 1}")
-                else:
-                    target = _as_symbol(target)
-                    index = bisect_left(symbols, target)
-                    if symbols[index : index + 1] != (target,):
-                        raise ValueError(f"override target {target} is not a codeword")
-                table[counts] = symbols[index]
-        except TypeError as exc:  # a key that is not a sequence, a target that is not a distribution
-            raise ValueError(f"overrides must pair count vectors with codewords: {exc}") from None
+                counts = tuple(_integer("override count", k, 0) for k in key)
+                if len(counts) != q or sum(counts) != n:
+                    raise ValueError(f"override key {counts} is not {q} counts summing to n={n}")
+                if isinstance(target, bool) or not isinstance(target, Integral) or not 0 <= target < m:
+                    raise ValueError(f"override target {target!r} must be a codeword index, 0..{m - 1}")
+                table[counts] = int(target)
+        except TypeError as exc:  # a key that is not a sequence, an entry that is not a pair
+            raise ValueError(f"overrides must pair count vectors with codeword indices: {exc}") from None
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "overrides", tuple(sorted(table.items())))
 
 
 def custom_decoder_from_table(code: CompositeCode, n: int, overrides: Mapping) -> Decoder:
     """Decoder equal to maximum likelihood except on explicitly overridden observations.
 
-    ``overrides`` maps observations of ``n`` reads to codewords, as the pairs of
-    :class:`Decoder` do; this adds only that every key sums to ``n``.
+    ``overrides`` maps observations of ``n`` reads (``code.q`` int counts) to
+    0-based codeword indices; it is checked and stored as :class:`Decoder` does.
     """
-    n = _integer("n", n, 1)
-    decoder = Decoder(code, tuple(overrides.items()))
-    for counts, _ in decoder.overrides:
-        if sum(counts) != n:
-            raise ValueError(f"override key {counts} sums to {sum(counts)}, expected n={n}")
-    return decoder
+    return Decoder(code, n, tuple(overrides.items()))
 
 
 def decoding_region(
@@ -259,13 +243,11 @@ def decoding_region(
 
 def _grid_request(code: CompositeCode, n: int, decoder: Optional[Decoder], max_enum: int) -> tuple[int, int, dict]:
     """The refusals of a grid evaluation, ahead of any other work, then ``n`` as an int, the
-    grid's size and the decoder's overrides of ``n``-read observations as grid index -> codeword index."""
-    if decoder is not None and decoder.code != code:
-        raise ValueError("decoder belongs to a different code")
+    grid's size and the decoder's overrides as grid index -> codeword index."""
+    if decoder is not None and (decoder.code != code or decoder.n != n):
+        raise ValueError(f"decoder belongs to another code or read count (its n={decoder.n}, evaluated at n={n})")
     n, size = _checked_grid_size(n, code.q, max_enum)
-    pairs = () if decoder is None else decoder.overrides
-    overrides = {_grid_rank(k, n): bisect_left(code.symbols, s) for k, s in pairs if sum(k) == n}
-    return n, size, overrides
+    return n, size, {} if decoder is None else {_grid_rank(k, n): index for k, index in decoder.overrides}
 
 
 def _decider(np, code: CompositeCode, n: int) -> tuple[int, Callable[["np.ndarray"], "np.ndarray"]]:
@@ -649,12 +631,17 @@ def _base_plus_uniform_success(q: int, n: int) -> tuple[Fraction, Fraction]:
 
     Equal to the ``f_min`` and ``f_avg`` of :func:`evaluate_code` on that code,
     from the closed forms; refuses q < 1, n < 1 and non-int arguments with ``ValueError``.
+    ``q**(n - 1)`` has at most ``(n - 1) * ceil(log2 q) + 1`` bits, exactly that many
+    where q is a power of two; above ``_MAX_POINT_BITS`` it is refused with
+    ``UnsupportedRangeError`` before it is formed.
     """
     q, n = _integer("q", q), _integer("n", n)
     if q < 1 or n < 1:
         raise ValueError(f"need q >= 1 and n >= 1, got q={q}, n={n}")
     if q == 1:
         return Fraction(1), Fraction(1)
+    if (bits := (n - 1) * (q - 1).bit_length() + 1) > _MAX_POINT_BITS:
+        raise UnsupportedRangeError(f"q**(n-1) of up to {bits} bits exceeds the cap of {_MAX_POINT_BITS}")
     miss = Fraction(1, q ** (n - 1))
     return 1 - miss, 1 - miss / (q + 1)
 

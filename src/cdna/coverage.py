@@ -45,10 +45,10 @@ DEFAULT_TOL = 1e-12
 #: Cap on a chain question's predicted work: reads, from the union bound u_m <=
 #: omega ((omega-1)/omega)^m, times states and binomial terms per read.  The cap
 #: holds per request, walked or not.  Near the cap, on a 2-CPU x86-64 machine
-#: with Python 3.11, binomial terms take about 2 s (expected_coverage_partial(
-#: 2 * 10**6, 2, 1_500_000), 9e6 steps) and a walk about 0.35 s
-#: (miss_probability(1000, 9000), 9e6 steps); the walk is paid once per omega
-#: and process (see _Walk).  Beyond the cap, use the simulator.
+#: with Python 3.11, binomial terms take about 1.1 s (expected_coverage_partial(
+#: 2 * 10**6, 2, 1_500_000), 9e6 steps) and a walk about 0.21 s (9,001 reads
+#: of omega = 1000, 9e6 steps); the walk is paid once per omega and process
+#: (see _Walk).  Beyond the cap, use the simulator.
 MAX_CHAIN_WORK = 10_000_000
 
 #: expected_coverage_exact refuses when its term count C(ell+omega-1, omega-1)
@@ -112,25 +112,6 @@ class BoundPair:
     def __post_init__(self) -> None:
         if not self.lower <= self.upper:
             raise ValueError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
-
-
-def miss_probability(support_size: int, draws: int) -> float:
-    """Probability that ``draws`` uniform picks from a ``support_size``-set miss some element.
-
-    The chain's ``u_m`` after ``m`` reads, at O(w) per read not yet walked (see
-    :class:`_Walk`).  Fewer than ``w`` draws always miss; once the union bound is
-    below the normal floats, 0.0.
-    """
-    w = _integer("support size", support_size, 1)
-    m = _integer("draw count", draws, 0)
-    if m < w:
-        return 1.0
-    if w == 1 or m > _reads_until(w, _LOG_NORMAL_MIN):
-        return 0.0
-    _check_work(m, w)
-    walk = _walk(w)
-    walk.extend(m + 1)
-    return walk.uncovered[m]
 
 
 def _chain(w: int) -> Iterator[tuple[float, float, list[float]]]:

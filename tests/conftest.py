@@ -273,14 +273,14 @@ def reference_mld_decode(code, theta):
 
 def reference_evaluate_code(code, n, decoder=None, max_enum=DEFAULT_MAX_ENUM):
     """evaluate_code as a loop over observations: decode each one (the decoder's
-    overrides as a plain dict, maximum likelihood elsewhere), and sum each symbol's
-    exact masses over the points decoded to it.  Every success is an exact
-    ``Fraction``: a float or mixed code's symbols weigh as the floats the float path
-    holds (an exact entry rounded once), each mass an integer over ``D**n`` as in
+    overrides as a plain dict from counts to codewords, maximum likelihood elsewhere),
+    and sum each symbol's exact masses over the points decoded to it.  Every success is
+    an exact ``Fraction``: a float or mixed code's symbols weigh as the floats the float
+    path holds (an exact entry rounded once), each mass an integer over ``D**n`` as in
     :func:`reference_prob_observed`."""
-    if decoder is not None and decoder.code != code:
-        raise ValueError("decoder belongs to a different code")
-    overrides = {} if decoder is None else dict(decoder.overrides)
+    if decoder is not None and (decoder.code != code or decoder.n != n):
+        raise ValueError("decoder belongs to a different code or read count")
+    overrides = {} if decoder is None else {k: code.symbols[i] for k, i in decoder.overrides}
     regions = {s: [] for s in code.symbols}
     for theta in enumerate_observed(n, code.q, max_size=max_enum):
         regions[overrides.get(theta.counts) or reference_mld_decode(code, theta)].append(theta.counts)

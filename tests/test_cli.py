@@ -402,6 +402,23 @@ class TestDesignCommand:
         rows = parse_csv(run_cli("design", "--family", "qplus1", "--q", "1", "--n", "3").output)
         assert (rows[0]["code"], rows[0]["f_min"], rows[0]["f_avg"]) == ("1", "1", "1")
 
+    def test_qplus1_past_the_exact_integer_cap_exits_3(self):
+        # q**(n - 1) was once formed whatever its size: n = 10**20 never returned
+        src = str(ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "cdna.cli", "design", "--family", "qplus1", "--q", "2", "--n", str(10**20)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert f"exceeds the cap of {codes._MAX_POINT_BITS}" in proc.stderr
+        # the last n whose q**(n - 1) fits the cap answers, the next is refused
+        cap = codes._MAX_POINT_BITS
+        for q, n in ((2, cap), (4, cap // 2)):
+            f_min, f_avg = codes._base_plus_uniform_success(q, n)
+            assert cap - 1 <= f_min.denominator.bit_length() <= cap and f_min < f_avg < 1
+            with pytest.raises(codes.UnsupportedRangeError):
+                codes._base_plus_uniform_success(q, n + 1)
+        assert codes._base_plus_uniform_success(1, 10**20) == (1, 1)
+
     def test_qplus1_without_reads_is_usage_error(self):
         for n in ("0", "-1"):
             result = run_cli("design", "--family", "qplus1", "--q", "2", "--n", n)

@@ -199,7 +199,7 @@ class TestDecodingRegion:
 def assert_regions_are_the_reference(code, n, decoder=None):
     """decoding_region over every codeword is the partition of the grid that the
     reference decoder gives, each region in grid order; so is mld_decode where no override applies."""
-    overrides = dict(decoder.overrides) if decoder else {}
+    overrides = {k: code.symbols[i] for k, i in decoder.overrides} if decoder else {}
     want = {s: [] for s in code.symbols}
     for theta in enumerate_observed(n, code.q):
         want[overrides.get(theta.counts) or reference_mld_decode(code, theta)].append(theta)
@@ -428,8 +428,7 @@ class TestArrayEvaluator:
 
     def test_table_decoders(self, rng):
         table = custom_decoder_from_table(COUNTEREXAMPLE, 10, {(0, 10): 1, (5, 5): 2})
-        for n in (10, 5):  # at n = 5 no key is a grid point, so no override applies
-            assert_same_evaluation(COUNTEREXAMPLE, n, table)
+        assert_same_evaluation(COUNTEREXAMPLE, 10, table)
         for _ in range(15):
             q = int(rng.integers(2, 4))
             code = random_exact_code(rng, int(rng.integers(2, 5)), q)
@@ -848,7 +847,9 @@ class TestCustomDecoder:
         "negative count": ((-1, 11), 1),
         "non-iterable key": (10, 1),
         "all-zero key": ((0, 0), 1),
+        "key of another n": ((0, 12), 1),
         "key of three letters": ((0, 5, 5), 1),
+        "observation key": (ObservedDistribution((0, 10)), 1),
         "target True": ((0, 10), True),
         "target 1.0": ((0, 10), 1.0),
         "target 'x'": ((0, 10), "x"),
@@ -857,6 +858,8 @@ class TestCustomDecoder:
         "negative index": ((0, 10), -1),
         "target not a codeword": ((0, 10), CompositeSymbol((0.45, 0.55))),
         "target of three letters": ((0, 10), (0.2, 0.3, 0.5)),
+        "codeword target": ((0, 10), COUNTEREXAMPLE.symbols[1]),
+        "distribution target": ((0, 10), (0.5, 0.5)),
     }
 
     @pytest.mark.parametrize("key, target", HOSTILE.values(), ids=HOSTILE.keys())
@@ -864,7 +867,7 @@ class TestCustomDecoder:
         with pytest.raises(ValueError):
             custom_decoder_from_table(COUNTEREXAMPLE, 10, {key: target})
         with pytest.raises(ValueError):
-            Decoder(COUNTEREXAMPLE, ((key, target),))
+            Decoder(COUNTEREXAMPLE, 10, ((key, target),))
 
     #: overrides only a Decoder built directly can be handed
     HOSTILE_PAIRS = {
@@ -877,14 +880,14 @@ class TestCustomDecoder:
     @pytest.mark.parametrize("overrides", HOSTILE_PAIRS.values(), ids=HOSTILE_PAIRS.keys())
     def test_hostile_pairs_refused(self, overrides):
         with pytest.raises(ValueError):
-            Decoder(COUNTEREXAMPLE, overrides)
+            Decoder(COUNTEREXAMPLE, 10, overrides)
 
     def test_direct_decoder_is_the_table_decoder(self):
         # an index target once raised KeyError in evaluate_code and left its
         # point outside every decoding region
-        direct = Decoder(COUNTEREXAMPLE, (((0, 10), 1),))
+        direct = Decoder(COUNTEREXAMPLE, 10, (((0, 10), 1),))
         table = custom_decoder_from_table(COUNTEREXAMPLE, 10, {(0, 10): 1})
-        assert direct == table and direct.overrides == (((0, 10), COUNTEREXAMPLE.symbols[1]),)
+        assert direct == table and direct.overrides == (((0, 10), 1),)
         result = evaluate_code(COUNTEREXAMPLE, 10, direct)
         assert result == evaluate_code(COUNTEREXAMPLE, 10, table)
         # f_min is the middle symbol's, whose exact success is 253/1024
@@ -893,14 +896,24 @@ class TestCustomDecoder:
         regions = [decoding_region(COUNTEREXAMPLE, s, 10, direct) for s in COUNTEREXAMPLE.symbols]
         assert sorted(theta for region in regions for theta in region) == enumerate_observed(10, 2)
         assert ObservedDistribution((0, 10)) in regions[1]
-        # every form of the same override is stored as the same pair
-        for pair in (
-            ([0, 10], 1),
-            (ObservedDistribution((0, 10)), COUNTEREXAMPLE.symbols[1]),
-            ((np.int64(0), np.int64(10)), np.int64(1)),
-            ((0, 10), (0.5, 0.5)),
-        ):
-            assert Decoder(COUNTEREXAMPLE, (pair,)) == direct
+        # every form of the same override is stored as the same pair, and the last of equal keys wins
+        for pairs in ((([0, 10], 1),), (((np.int64(0), np.int64(10)), np.int64(1)),), (((0, 10), 2), ([0, 10], 1))):
+            assert Decoder(COUNTEREXAMPLE, np.int64(10), pairs) == direct
+
+    def test_decoder_of_another_n_refused(self):
+        # such a decoder once dropped its overrides and gave the figures of maximum likelihood
+        decoder = custom_decoder_from_table(COUNTEREXAMPLE, 10, {(0, 10): 1})
+        with pytest.raises(ValueError, match="read count"):
+            evaluate_code(COUNTEREXAMPLE, 12, decoder)
+        with pytest.raises(ValueError, match="read count"):
+            decoding_region(COUNTEREXAMPLE, COUNTEREXAMPLE.symbols[1], 12, decoder)
+        with pytest.raises(ValueError, match="another code"):
+            evaluate_code(CompositeCode.binary([0.3, 0.5, 0.7]), 10, decoder)
+
+    def test_overrides_stored_as_indices_in_grid_order(self):
+        decoder = custom_decoder_from_table(COUNTEREXAMPLE, 10, {(7, 3): 0, (0, 10): 1, (5, 5): 2})
+        assert decoder.overrides == (((0, 10), 1), ((5, 5), 2), ((7, 3), 0))
+        assert [codes._grid_rank(k, 10) for k, _ in decoder.overrides] == [0, 5, 7]
 
 
 class TestConstructions:

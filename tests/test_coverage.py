@@ -27,7 +27,6 @@ from cdna import (
     expected_coverage_partial,
     random_access_expectation,
 )
-from cdna.coverage import miss_probability
 from conftest import (
     brute_covering_count,
     brute_miss_probability,
@@ -45,6 +44,13 @@ def rel_err(got: float, want) -> float:
     return abs(Fraction(got) - Fraction(want)) / abs(Fraction(want))
 
 
+def walk_miss(w: int, m: int) -> float:
+    """``u_m``, the chain's probability that ``m`` reads of support ``w`` >= 2 miss some symbol, as walked."""
+    walk = cov._walk(w)
+    walk.extend(m + 1)
+    return walk.uncovered[m]
+
+
 @pytest.fixture(autouse=True)
 def cold_walks():
     """Each test starts from no walked chain, whatever ran before it."""
@@ -56,30 +62,27 @@ def cold_walks():
 class TestMissProbability:
     def test_pairs(self):
         # after the first symbol, each read reveals the second with probability 1/2
-        assert miss_probability(2, 3) == pytest.approx(0.25, abs=1e-15)
+        assert walk_miss(2, 3) == pytest.approx(0.25, abs=1e-15)
 
     def test_triples_vs_enumeration(self):
-        assert miss_probability(3, 3) == pytest.approx(float(Fraction(7, 9)), abs=1e-15)
+        assert walk_miss(3, 3) == pytest.approx(float(Fraction(7, 9)), abs=1e-15)
         assert brute_miss_probability(3, 3) == Fraction(7, 9)
 
-    def test_single_symbol(self):
-        assert miss_probability(1, 1) == 0.0
-
     def test_zero_draws_always_miss(self):
-        for w in range(1, 6):
-            assert miss_probability(w, 0) == 1.0
+        for w in range(2, 6):
+            assert walk_miss(w, 0) == 1.0
 
     def test_matches_enumeration_grid(self):
-        for w in range(1, 5):
+        for w in range(2, 5):
             for m in range(0, 7):
-                assert miss_probability(w, m) == pytest.approx(
+                assert walk_miss(w, m) == pytest.approx(
                     float(brute_miss_probability(w, m)), abs=1e-12
                 )
 
     def test_range(self):
-        for w in range(1, 7):
+        for w in range(2, 7):
             for m in range(0, 200, 17):
-                assert 0.0 <= miss_probability(w, m) <= 1.0
+                assert 0.0 <= walk_miss(w, m) <= 1.0
 
     def test_matches_surjection_count(self):
         # relative accuracy holds however small u_m gets: nothing is subtracted
@@ -87,21 +90,8 @@ class TestMissProbability:
             covers = surjection_cover_probabilities(w)
             for m in range(0, min(400, len(covers)), 7):
                 want = 1 - covers[m]
-                got = miss_probability(w, m)
+                got = walk_miss(w, m)
                 assert abs(Decimal(got) - want) <= Decimal(1e-13) * want, (w, m)
-
-    def test_past_underflow_is_zero(self):
-        assert miss_probability(2, 1100) == 0.0
-        assert miss_probability(40, 10**12) == 0.0
-        assert 0.0 < miss_probability(2, 1000) < 1e-300
-
-    def test_work_cap(self, monkeypatch):
-        import cdna.coverage as cov
-
-        monkeypatch.setattr(cov, "MAX_CHAIN_WORK", 1000)
-        assert miss_probability(10, 99) > 0.0  # 100 reads of 10 states
-        with pytest.raises(UnsupportedRangeError, match="simulator"):
-            miss_probability(10, 100)
 
 
 class TestExpectedCoverage:
@@ -214,8 +204,7 @@ class TestExpectedCoverage:
 
     def test_no_input_overflows(self):
         # answers or refusals, never an OverflowError, however large the input
-        calls = [(miss_probability, (w, m)) for w in (1100, 2000, 10**6) for m in (0, w - 1, w, 10 * w, 10**9)]
-        calls += [(expected_coverage, (ell, w)) for ell in (1, 2, 10**18, 10**200, 10**400) for w in (1, 2, 1100, 10**5)]
+        calls = [(expected_coverage, (ell, w)) for ell in (1, 2, 10**18, 10**200, 10**400) for w in (1, 2, 1100, 10**5)]
         partial = ((3, 2000, 2), (10**6, 1100, 10), (10**200, 2, 1), (10**200, 3, 2), (10**400, 2, 1))
         calls += [(expected_coverage_partial, args) for args in partial]
         calls += [(random_access_expectation, (ell, 2000, 3)) for ell in (1, 2)]
@@ -506,8 +495,6 @@ class TestIntegerArguments:
             lambda: expected_coverage_partial(bad, 3, 2),
             lambda: expected_coverage_partial(4, bad, 2),
             lambda: expected_coverage_partial(4, 3, bad),
-            lambda: miss_probability(bad, 5),
-            lambda: miss_probability(3, bad),
             lambda: random_access_expectation(bad, 2, 2),
             lambda: random_access_expectation(3, bad, 2),
             lambda: random_access_expectation(3, 2, bad),
@@ -526,7 +513,6 @@ class TestIntegerArguments:
 
     def test_numpy_integers_are_ints(self):
         assert expected_coverage(np.int64(5), np.int64(3)) == expected_coverage(5, 3)
-        assert miss_probability(np.int32(3), np.int64(7)) == miss_probability(3, 7)
         assert expected_coverage_partial(np.int64(6), 3, np.int8(2)) == expected_coverage_partial(6, 3, 2)
         assert random_access_expectation(3, 2, np.int64(4)) == random_access_expectation(3, 2, 4)
 
@@ -581,11 +567,11 @@ class TestWalkMemo:
     def test_readers_interleaved_at_one_omega(self):
         omega = 6
         calls = [
-            (miss_probability, (omega, 3000)),  # a large m first walks far ahead of the rest
+            (walk_miss, (omega, 3000)),  # a large m first walks far ahead of the rest
             (expected_coverage_partial, (12, omega, 5)),
             (expected_coverage, (12, omega)),
             (random_access_expectation, (40, omega, 3)),
-            (miss_probability, (omega, 17)),
+            (walk_miss, (omega, 17)),
             (expected_coverage_partial, (1000, omega, 1)),
             (expected_coverage, (2**20, omega)),
             (expected_coverage_partial, (40, omega, 39)),
@@ -614,7 +600,7 @@ class TestWalkMemo:
             walk = cov._walk(omega)
             assert len(walk.rest) == m + 1, (ell, omega)
             assert [math.isnan(rest) for rest in walk.rest] == [j < tried for j in range(m + 1)]
-            miss_probability(omega, m + 5)
+            walk_miss(omega, m + 5)
             assert len(walk.rest) == m + 6 and all(math.isnan(rest) for rest in walk.rest[m + 1 :])
 
     def test_eviction_then_rewalk(self):
@@ -635,14 +621,14 @@ class TestWalkMemo:
             cov._walk.cache_clear()
             alone.append(fn(*args))
         cov._walk.cache_clear()
-        miss_probability(omega, 2000)
+        walk_miss(omega, 2000)
         assert [fn(*args) for fn, args in calls] == alone
         assert len(cov._walk(omega).rest) == 2001
 
     @pytest.mark.parametrize("at", [0, 3, 40, 150])
     def test_interrupted_walk_gives_the_cold_answers(self, monkeypatch, at):
         omega, ells = 9, (2, 50, 2**20)
-        cold = [miss_probability(omega, 500)] + [expected_coverage(ell, omega) for ell in ells]
+        cold = [walk_miss(omega, 500)] + [expected_coverage(ell, omega) for ell in ells]
         chain, interrupts = cov._chain, []
 
         def interrupted(w):  # stops once with an interrupt at the read in ``interrupts``
@@ -658,20 +644,19 @@ class TestWalkMemo:
         for first, stop in ((0, at), (12, 13 + at), (500, at)):
             cov._walk.cache_clear()
             if first:
-                miss_probability(omega, first)
+                walk_miss(omega, first)
             interrupts[:] = [stop]
             with pytest.raises(KeyboardInterrupt):
                 expected_coverage(ells[-1], omega)
             walk = cov._walk(omega)
             assert len(walk.uncovered) == len(walk.full) == len(walk.rest)
-            assert [miss_probability(omega, 500)] + [expected_coverage(ell, omega) for ell in ells] == cold
+            assert [walk_miss(omega, 500)] + [expected_coverage(ell, omega) for ell in ells] == cold
 
     def test_refused_requests_leave_the_walk_alone(self, monkeypatch):
         expected_coverage(20, 10)
         length = len(cov._walk(10).rest)
         monkeypatch.setattr(cov, "MAX_CHAIN_WORK", 10 * length)
         refused = [
-            lambda: miss_probability(10, length + 5),  # beyond the work cap
             lambda: expected_coverage(10**9, 10),
             lambda: expected_coverage(10**300, 10, tol=1e-300),  # stop rule below the normal floats
             lambda: expected_coverage_partial(10**6, 10, 10**5),  # omega + r states per read
@@ -688,7 +673,7 @@ class TestWalkMemo:
     def test_threads_share_one_walk(self):
         # each thread asks in its own order, so R_m is asked at reads walked without it and the walk restarts
         omega, ells = 24, self.ELLS * 2
-        serial = _sweep(omega, ells) + [miss_probability(omega, 3000)]
+        serial = _sweep(omega, ells) + [walk_miss(omega, 3000)]
         cov._walk.cache_clear()
         start = threading.Barrier(4)
         results = [None] * 4
@@ -697,7 +682,7 @@ class TestWalkMemo:
             start.wait()
             order = random.Random(i).sample(range(len(ells) + 1), len(ells) + 1)
             ask = [lambda ell=ell: expected_coverage(ell, omega) for ell in ells]
-            ask.append(lambda: miss_probability(omega, 3000))
+            ask.append(lambda: walk_miss(omega, 3000))
             results[i] = {j: ask[j]() for j in order}
 
         switch = sys.getswitchinterval()
@@ -726,7 +711,7 @@ class TestWalkMemo:
         try:
             before = tracemalloc.get_traced_memory()[0]
             last = min(cap // omega - 1, cov._reads_until(omega, cov._LOG_NORMAL_MIN))
-            miss_probability(omega, last)  # the longest walk a request may ask
+            walk_miss(omega, last)  # the longest walk a request may ask
             for ell in (2, 10**6, 10**30):
                 try:
                     expected_coverage(ell, omega)

@@ -1,6 +1,6 @@
 """The package exports what the demos and the README's library tour import,
-and every export, and every public method and property of an exported class,
-has a use outside the tests.
+and every export, every public top-level name of a library module, and every
+public method and property of an exported class, has a use outside the tests.
 
 Static checks: they parse the sources instead of running the demos, so a
 deleted or renamed export, or one that only its own tests use, fails here in
@@ -70,15 +70,25 @@ def _defined_names(node: ast.stmt) -> set[str]:
     return set()
 
 
+def _is_command(node: ast.stmt) -> bool:
+    """A function that a click ``@<group>.command(...)`` decorator registers: the CLI calls it."""
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
+        for d in node.decorator_list
+    )
+
+
 def _uses() -> list[tuple[set[str], set[str]]]:
     """(names defined, names used) for each top-level statement of the library
     modules, and for each demo, benchmark file and README python block as a
-    whole.  Only identifiers in code count: a name in prose is not a use."""
+    whole; a click command counts as used by its decorator.  Only identifiers
+    in code count: a name in prose is not a use."""
     uses = []
     for path in sorted((ROOT / "src" / "cdna").glob("*.py")):
         if path.name != "__init__.py":
             body = ast.parse(path.read_text(encoding="utf-8")).body
             uses += [(_defined_names(node), _identifiers(node)) for node in body]
+            uses += [(set(), {node.name}) for node in body if _is_command(node)]
     sources = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "benchmark").rglob("*.py"))]
     for source in sources + list(_example_sources().values()):
         uses.append((set(), _identifiers(ast.parse(source))))
@@ -92,14 +102,16 @@ def _public_members(cls: type) -> set[str]:
 
 
 def test_every_export_is_used_outside_the_tests():
-    # A use inside the definition of an export that is itself unused does not
-    # count, so the search repeats until the unused set stops growing.
+    # Every export and every public top-level name of a library module.  A use
+    # inside the definition of a name that is itself unused does not count, so
+    # the search repeats until the unused set stops growing.
     uses = _uses()
+    public = {name for name in set(cdna.__all__).union(*(d for d, _ in uses)) if not name.startswith("_")}
     unused: set[str] = set()
     while True:
         found = {
             name
-            for name in cdna.__all__
+            for name in public
             if not any(name in used and not defined & (unused | {name}) for defined, used in uses)
         }
         if found == unused:
