@@ -7,7 +7,6 @@ one-observation override raises the minimum.
 """
 from cdna import (
     CompositeCode,
-    ObservedDistribution,
     binary_threshold,
     custom_decoder_from_table,
     decoding_region,
@@ -24,7 +23,7 @@ print("so observed fractions up to 0.4 decode to 0.4, and 0.5 keeps only")
 print("the exact middle observation:\n")
 for symbol in code.symbols:
     region = decoding_region(code, symbol, N)
-    fractions = [f"{t.counts[0]}/10" for t in region]
+    fractions = [f"{t[0]}/10" for t in region]
     print(f"  region of {symbol.probs[0]:.1f}: {', '.join(fractions)}")
 
 mld = evaluate_code(code, N)
@@ -42,5 +41,4 @@ print(f"  f_min = {alt.f_min:.6f}  (> {mld.f_min:.6f}: the minimum improved)")
 print(f"  f_avg = {alt.f_avg:.6f}  (< {mld.f_avg:.6f}: the average cannot improve)")
 
 print("\nSanity check of one decode: observing counts (3, 7) ...")
-theta = ObservedDistribution((3, 7), N)
-print(f"  decodes to {mld_decode(code, theta).probs[0]:.1f} (3/10 < 0.4497 threshold)")
+print(f"  decodes to {mld_decode(code, (3, 7)).probs[0]:.1f} (3/10 < 0.4497 threshold)")

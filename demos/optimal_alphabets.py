@@ -17,7 +17,7 @@ from cdna import (
 )
 
 print("1. Disjoint supports decode perfectly at any read count.")
-code = construct_distinct_support(4, 2, [(1, 2), (3, 4)])
+code = construct_distinct_support(4, [(1, 2), (3, 4)])
 for n in (1, 3, 6):
     result = evaluate_code(code, n)
     print(f"   n={n}: f_min = {result.f_min}, f_avg = {result.f_avg}")
@@ -41,6 +41,6 @@ code = construct_grid_code(n, q)
 betas = {t: self_decoding_probability(t) for t in enumerate_observed(n, q)}
 result = evaluate_code(code, n)
 for theta, beta in betas.items():
-    print(f"   {theta.counts}: beta = {beta}")
+    print(f"   {theta}: beta = {beta}")
 print(f"   f_min = {result.f_min} = min beta;  f_avg = {result.f_avg} = mean beta")
 print("   (the minimum sits at the balanced observation, the hardest to reproduce)")

@@ -47,7 +47,6 @@ from .coverage import (
 )
 from .model import (
     CompositeSymbol,
-    ObservedDistribution,
     UnsupportedRangeError,
     base_symbol,
     enumerate_observed,
@@ -71,7 +70,6 @@ __all__ = [
     "CoverageParams",
     "Decoder",
     "DEFAULT_MAX_ENUM",
-    "ObservedDistribution",
     "SimConfig",
     "SimReport",
     "TIE_TOLERANCE",

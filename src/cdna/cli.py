@@ -176,7 +176,7 @@ def _parse_parts(raw: str) -> list[tuple[int, ...]]:
 #: ``parts`` value is a partition such as ``1+2|3+4``; the others are integers.
 #: The keys, in this order, are the choices of ``design --family``.
 _FAMILIES = {
-    "distinct": (lambda q, parts: construct_distinct_support(q, len(parts), parts), ("q", "parts")),
+    "distinct": (construct_distinct_support, ("q", "parts")),
     "qplus1": (construct_base_plus_uniform, ("q",)),
     "omega": (lambda n, q: construct_grid_code(n, q, max_enum=_max_enum()), ("n", "q")),
     "binary4": (construct_binary4, ("n",)),

@@ -52,10 +52,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optiona
 from .model import (
     DEFAULT_MAX_ENUM,
     CompositeSymbol,
-    ObservedDistribution,
     UnsupportedRangeError,
     _checked_grid_size,
     _compositions,
+    _counts,
     _integer,
     base_symbol,
     multinomial_coefficient,
@@ -79,6 +79,13 @@ TIE_TOLERANCE = 1e-12
 #: and 2 decodes (n/3, 2n/3) in 0.64 s, and at twice the cap in 2.0 s (2 CPUs,
 #: Python 3.11, numpy 2.4); the cost grows faster than the bits.
 _MAX_POINT_BITS = 2**23
+
+#: :func:`self_decoding_probability` refuses ``n * n.bit_length()`` above this,
+#: a bound on the bits of its denominator ``n**n``: it admits every n < 2**16.
+#: At n = 65,535 the shapes tried took 0.7-1.7 s, (n/4, ..., n/4) the slowest;
+#: at twice the cap (n = 123,361) 5-6 s (2 CPUs, Python 3.11), most of it the
+#: reduction of the Fraction.
+_MAX_SELF_BITS = 2**20
 
 SymbolLike = Union[CompositeSymbol, Sequence]
 
@@ -144,10 +151,10 @@ class CompositeCode:
         return isinstance(symbol, CompositeSymbol) and symbol in self.symbols
 
 
-def mld_decode(code: CompositeCode, theta: ObservedDistribution) -> CompositeSymbol:
-    """Maximum-likelihood decoding of an observed distribution.
+def mld_decode(code: CompositeCode, counts: Sequence[int]) -> CompositeSymbol:
+    """Maximum-likelihood decoding of an observed distribution, ``code.q`` int counts of ``n`` reads.
 
-    Returns the code symbol maximizing P[theta | symbol]; the multinomial
+    Returns the code symbol maximizing P[counts | symbol]; the multinomial
     coefficient is common to all symbols, so only the product of symbol
     probabilities matters, which also makes the answer independent of how many
     reads produced a given empirical distribution.  Ties go to the symbol that
@@ -155,23 +162,26 @@ def mld_decode(code: CompositeCode, theta: ObservedDistribution) -> CompositeSym
 
     Exact codes are compared in exact integer likelihoods; float codes compare
     per-read log-likelihoods with tolerance ``TIE_TOLERANCE``.  The decision
-    is the one :func:`evaluate_code` makes, on one row of counts.  Refused with
-    ``UnsupportedRangeError``: ``n >= 2**53`` reads, and on an exact code
-    ``n * D.bit_length()`` above ``_MAX_POINT_BITS`` (``D`` the lcm of its
-    denominators), whose integer likelihoods would grow without bound.
+    is the one :func:`evaluate_code` makes, on one row of counts.  Counts that
+    are not ``code.q`` integers >= 0 with a sum of at least 1 are refused with
+    ``ValueError``.  Refused with ``UnsupportedRangeError``: ``n >= 2**53``
+    reads, and on an exact code ``n * D.bit_length()`` above
+    ``_MAX_POINT_BITS`` (``D`` the lcm of its denominators), whose integer
+    likelihoods would grow without bound.
     """
     import numpy as np
 
-    if theta.q != code.q:
-        raise ValueError(f"alphabet mismatch: code has q={code.q}, observation has q={theta.q}")
-    if theta.n >= 2**53:  # below it every count fits int64 and k_i / n in floats rounds correctly
-        raise UnsupportedRangeError(f"n={theta.n} reads exceed one-point decoding's cap of 2**53 - 1")
-    lcm, decide = _decider(np, code, theta.n)
-    bits = theta.n * lcm.bit_length()
+    counts, n = _counts(counts)
+    if len(counts) != code.q:
+        raise ValueError(f"alphabet mismatch: code has q={code.q}, observation has q={len(counts)}")
+    if n >= 2**53:  # below it every count fits int64 and k_i / n in floats rounds correctly
+        raise UnsupportedRangeError(f"n={n} reads exceed one-point decoding's cap of 2**53 - 1")
+    lcm, decide = _decider(np, code, n)
+    bits = n * lcm.bit_length()
     if bits > _MAX_POINT_BITS:
-        message = f"n={theta.n} reads give exact likelihoods of up to {bits} bits, beyond the cap of {_MAX_POINT_BITS}"
+        message = f"n={n} reads give exact likelihoods of up to {bits} bits, beyond the cap of {_MAX_POINT_BITS}"
         raise UnsupportedRangeError(f"{message}; one-point decoding refuses them")
-    [index] = decide(np.array([theta.counts], dtype=np.int64))
+    [index] = decide(np.array([counts], dtype=np.int64))
     return code.symbols[index]
 
 
@@ -179,8 +189,9 @@ def mld_decode(code: CompositeCode, theta: ObservedDistribution) -> CompositeSym
 class Decoder:
     """A decoder of ``n`` reads as its override table: maximum likelihood, but where it says otherwise.
 
-    ``overrides`` pairs ``code.q`` int counts summing to ``n`` with the 0-based
-    index of the codeword they decode to; every other observation of ``n``
+    ``overrides`` pairs observations (``code.q`` int counts summing to ``n``,
+    checked as :func:`mld_decode` checks them) with the 0-based index of the
+    codeword they decode to; every other observation of ``n``
     reads decodes by maximum likelihood (:func:`mld_decode`).  Anything else is
     refused with ``ValueError``, and so is an evaluation of the decoder at
     another ``n``.  This is the one check of the table: it is kept as ``(counts,
@@ -195,8 +206,8 @@ class Decoder:
         n, q, m, table = _integer("n", self.n, 1), self.code.q, self.code.m, {}
         try:
             for key, target in self.overrides:
-                counts = tuple(_integer("override count", k, 0) for k in key)
-                if len(counts) != q or sum(counts) != n:
+                counts, total = _counts(key)
+                if len(counts) != q or total != n:
                     raise ValueError(f"override key {counts} is not {q} counts summing to n={n}")
                 if isinstance(target, bool) or not isinstance(target, Integral) or not 0 <= target < m:
                     raise ValueError(f"override target {target!r} must be a codeword index, 0..{m - 1}")
@@ -222,12 +233,13 @@ def decoding_region(
     n: int,
     decoder: Optional[Decoder] = None,
     max_enum: int = DEFAULT_MAX_ENUM,
-) -> tuple[ObservedDistribution, ...]:
-    """All observed distributions of ``n`` reads that decode to ``symbol``, in grid order.
+) -> tuple[tuple[int, ...], ...]:
+    """All observed distributions of ``n`` reads that decode to ``symbol``, as tuples of
+    ``code.q`` int counts in grid order.
 
     Regions over all codewords partition the full grid.  The grid is decoded
     chunk by chunk as :func:`evaluate_code` decodes it, and refused as that
-    refuses it; only the region's points become objects.
+    refuses it; only the region's points become tuples.
     """
     import numpy as np
 
@@ -237,7 +249,7 @@ def decoding_region(
     n, size, overrides = _grid_request(code, n, decoder, max_enum)
     target, region = bisect_left(code.symbols, symbol), []
     for k, decoded in _decisions(np, _decider(np, code, n)[1], n, code.m, code.q, size, overrides):
-        region += (ObservedDistribution(point, n) for point in k[decoded == target].tolist())
+        region += map(tuple, k[decoded == target].tolist())
     return tuple(region)
 
 
@@ -577,18 +589,17 @@ def _exact_success(
     return [Fraction(total, denominator) for total in totals]
 
 
-def construct_distinct_support(q: int, m: int, partition: Sequence[Iterable[int]]) -> CompositeCode:
-    """Code of uniform symbols on ``m`` pairwise disjoint nonempty subsets of 1..q.
+def construct_distinct_support(q: int, partition: Sequence[Iterable[int]]) -> CompositeCode:
+    """Code of uniform symbols on the ``m = len(partition)`` pairwise disjoint nonempty subsets
+    of 1..q that ``partition`` lists.
 
     Distinct supports make every observation attributable to exactly one
-    codeword, so the code decodes perfectly at every read count.  ``q``, ``m``
-    and the part entries must be ints.
+    codeword, so the code decodes perfectly at every read count.  ``q`` and
+    the part entries must be ints.
     """
-    q, m = _integer("q", q), _integer("m", m)
+    q = _integer("q", q)
     parts = [tuple(sorted({_integer("part entry", i) for i in part})) for part in partition]
-    if len(parts) != m:
-        raise ValueError(f"expected m={m} parts, got {len(parts)}")
-    if m < 1 or m > q:
+    if not 1 <= (m := len(parts)) <= q:
         raise ValueError(f"need 1 <= m <= q, got m={m}, q={q}")
     seen: set[int] = set()
     for part in parts:
@@ -656,14 +667,20 @@ def construct_grid_code(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> Com
     return CompositeCode(CompositeSymbol(Fraction(k, n) for k in counts) for counts in _compositions(n, q))
 
 
-def self_decoding_probability(theta: ObservedDistribution) -> Fraction:
-    """Probability that ``theta.n`` reads of the grid point ``theta`` reproduce it exactly.
+def self_decoding_probability(counts: Sequence[int]) -> Fraction:
+    """Probability that ``n = sum(counts)`` reads of the grid point ``counts / n`` reproduce ``counts``.
 
-    The multinomial mass of the observation under its own distribution
-    ``counts / n``, in integers over one denominator:
-    ``C(n; k) * prod_i k_i**k_i / n**n``, returned exactly.
+    The multinomial mass of the observation under its own distribution, in
+    integers over one denominator: ``C(n; k) * prod_i k_i**k_i / n**n``,
+    returned exactly.  Counts are checked as :func:`mld_decode` checks them.
+    ``n * n.bit_length()``, at least the bits of ``n**n``, above
+    ``_MAX_SELF_BITS`` (every n >= 2**16) is refused with
+    ``UnsupportedRangeError`` before any big integer is formed.
     """
-    return Fraction(_integer_mass(theta.counts, theta.counts), theta.n**theta.n)
+    counts, n = _counts(counts)
+    if (bits := n * n.bit_length()) > _MAX_SELF_BITS:
+        raise UnsupportedRangeError(f"n**n for n={n} reads has up to {bits} bits, beyond the cap of {_MAX_SELF_BITS}")
+    return Fraction(_integer_mass(counts, counts), n**n)
 
 
 def _grid_code_success(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> tuple[Fraction, Fraction]:

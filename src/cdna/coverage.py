@@ -384,19 +384,17 @@ def _add_pairs(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 def expected_coverage_closed_pairs(ell: int) -> float:
     """Closed form for support size 2: ``2 + sum_{r=1..ell} C(ell,r) (-1)^(r+1) / (2^r - 1)``.
 
-    The alternating binomial sum is evaluated in exact rational arithmetic
-    because float evaluation cancels catastrophically once ell approaches 50.
-    Lengths beyond 64 are refused; use :func:`expected_coverage`, whose series
-    is numerically benign at any length.
+    The alternating binomial sum cancels catastrophically in floats once ell
+    approaches 50, so the value is the exact expansion's,
+    ``float(expected_coverage_exact(ell, 2))``: the same rational.  Lengths
+    beyond 64 are refused; use :func:`expected_coverage`, whose series is
+    numerically benign at any length.
     """
     if (ell := _integer("ell", ell, 1)) > 64:
         raise UnsupportedRangeError(
             f"closed form supported for ell <= 64 (got {ell}); use expected_coverage(ell, 2)"
         )
-    total = Fraction(2)
-    for r in range(1, ell + 1):
-        total += Fraction(comb(ell, r) * (-1) ** (r + 1), 2**r - 1)
-    return float(total)
+    return float(expected_coverage_exact(ell, 2))
 
 
 def coverage_bounds(ell: int, omega: int) -> BoundPair:

@@ -1,10 +1,12 @@
-"""Core types for the composite channel: composite symbols and observed distributions.
+"""Core types for the composite channel: composite symbols and the grids of observations.
 
 A composite symbol is a probability distribution over a base alphabet
 ``{1, ..., q}``, given by its ``q`` entries.  Reading a composite position
-many times yields an empirical distribution on a grid with denominator ``n``;
-those grids are what decoders operate on.  Coverage questions need no symbol
-objects: :mod:`cdna.coverage` takes the support size ``omega`` as an integer.
+``n`` times yields an observed distribution: a tuple of ``q`` int counts
+summing to ``n``, whose one check is ``_counts``.  The grid of all of them,
+in lexicographic order, is what decoders operate on.  Coverage questions
+need no symbol objects: :mod:`cdna.coverage` takes the support size
+``omega`` as an integer.
 Everything here is immutable and safe to share across threads.
 """
 from __future__ import annotations
@@ -129,34 +131,15 @@ class CompositeSymbol:
         return f"CompositeSymbol(({inner}))"
 
 
-@dataclass(frozen=True, order=True)
-class ObservedDistribution:
-    """Empirical distribution of n reads: per-symbol counts with denominator n.
-
-    Ordering is lexicographic on the count vector, the canonical iteration and
-    tie-break order.
-    """
-
-    counts: tuple[int, ...]
-    n: int
-
-    def __init__(self, counts: Iterable[int], n: Optional[int] = None):
-        counts = tuple(counts)
-        if not counts:
-            raise ValueError("counts must be nonempty")
-        for k in counts:
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-                raise ValueError(f"counts must be nonnegative integers, got {k!r}")
-        total = sum(counts)
-        n = _integer("n", total if n is None else n, 1)  # a numpy n would wrap n**n
-        if total != n:
-            raise ValueError(f"counts sum to {total}, expected n={n}")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n", n)
-
-    @property
-    def q(self) -> int:
-        return len(self.counts)
+def _counts(counts: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    """The one check of an observation: ``counts`` as a tuple of ints and its read count ``n``,
+    their sum, refused with ValueError unless it is a nonempty sequence of integers >= 0 (each
+    through ``_integer``) with a sum of at least 1.  Callers that expect a length or an ``n``
+    check it themselves."""
+    counts = tuple(_integer("count", k, 0) for k in counts)
+    if (n := sum(counts)) < 1:
+        raise ValueError(f"an observation needs nonempty counts with a sum of at least 1, got {counts}")
+    return counts, n
 
 
 def uniform_symbol(q: int, exact: bool = False) -> CompositeSymbol:
@@ -207,8 +190,9 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         prefix[last - 1] += 1
 
 
-def enumerate_observed(n: int, q: int, max_size: int = DEFAULT_MAX_ENUM) -> list[ObservedDistribution]:
-    """All observed distributions of n reads over q symbols, in lexicographic count order.
+def enumerate_observed(n: int, q: int, max_size: int = DEFAULT_MAX_ENUM) -> list[tuple[int, ...]]:
+    """All observed distributions of n reads over q symbols, as tuples of q int counts, in
+    lexicographic order.
 
     The result has exactly C(n+q-1, q-1) elements.  It is capped as every grid
     entry point is (``_checked_grid_size``): above ``max_size`` points or 4 counts
@@ -216,7 +200,7 @@ def enumerate_observed(n: int, q: int, max_size: int = DEFAULT_MAX_ENUM) -> list
     int >= 1 (``None`` included) is refused with ValueError.
     """
     n, _ = _checked_grid_size(n, q, max_size)
-    return [ObservedDistribution(counts, n) for counts in _compositions(n, q)]
+    return list(_compositions(n, q))
 
 
 def _checked_grid_size(n: int, q: int, max_enum: int) -> tuple[int, int]:

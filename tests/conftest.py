@@ -187,9 +187,9 @@ def reference_multinomial(counts) -> int:
     return out
 
 
-def _check_same_q(q: int, theta) -> None:
-    if theta.q != q:
-        raise ValueError(f"alphabet mismatch: q={q}, observation has q={theta.q}")
+def _check_same_q(q: int, counts) -> None:
+    if len(counts) != q:
+        raise ValueError(f"alphabet mismatch: q={q}, observation has q={len(counts)}")
 
 
 def reference_rationals(probs) -> tuple[int, list[int]]:
@@ -223,33 +223,34 @@ def reference_region_weight(scaled, points) -> int:
         k += 1
 
 
-def reference_prob_observed(symbol, theta) -> Fraction:
-    """Probability that ``theta.n`` reads of ``symbol`` show exactly ``theta``.
+def reference_prob_observed(symbol, counts) -> Fraction:
+    """Probability that ``n = sum(counts)`` reads of ``symbol`` show exactly ``counts``.
 
     Multinomial mass ``C(n; k_1..k_q) * prod_i p_i^k_i`` with the convention
     0^0 = 1, as an exact ``Fraction``: each ``p_i`` weighs as ``Fraction(p_i)``,
     so a float symbol weighs exactly the rationals its floats hold.
     """
-    _check_same_q(symbol.q, theta)
+    _check_same_q(symbol.q, counts)
     lcm, scaled = reference_rationals(symbol.probs)
-    return Fraction(reference_weight(scaled, theta.counts), lcm**theta.n)
+    return Fraction(reference_weight(scaled, counts), lcm ** sum(counts))
 
 
-def reference_mld_decode(code, theta):
-    """Maximum-likelihood decoding of one observation, symbol by symbol.
+def reference_mld_decode(code, counts):
+    """Maximum-likelihood decoding of one observation, its counts, symbol by symbol.
 
     Exact codes compare ``prod_i p_i**k_i`` as Fractions, the first strict
     maximum winning; float codes compare per-read log-likelihoods
     ``sum_i (k_i / n) log p_i`` over the letters with k_i > 0 (-inf off the
     support), the first symbol within ``TIE_TOLERANCE`` of the best winning.
     """
-    _check_same_q(code.q, theta)
+    _check_same_q(code.q, counts)
+    n = sum(counts)
     if code.is_exact:
         best = None
         best_symbol = None
         for s in code.symbols:
             p = Fraction(1)
-            for c, k in zip(s.probs, theta.counts):
+            for c, k in zip(s.probs, counts):
                 if k:
                     p *= Fraction(c) ** k
             if best is None or p > best:
@@ -259,13 +260,13 @@ def reference_mld_decode(code, theta):
     lls = []
     for s in code.symbols:
         total = 0.0
-        for c, k in zip(s.probs, theta.counts):
+        for c, k in zip(s.probs, counts):
             if k:
                 c = float(c)
                 if c == 0.0:
                     total = -math.inf
                     break
-                total += (k / theta.n) * math.log(c)
+                total += (k / n) * math.log(c)
         lls.append(total)
     best = max(lls)
     return next(s for s, ll in zip(code.symbols, lls) if ll >= best - TIE_TOLERANCE)
@@ -282,8 +283,8 @@ def reference_evaluate_code(code, n, decoder=None, max_enum=DEFAULT_MAX_ENUM):
         raise ValueError("decoder belongs to a different code or read count")
     overrides = {} if decoder is None else {k: code.symbols[i] for k, i in decoder.overrides}
     regions = {s: [] for s in code.symbols}
-    for theta in enumerate_observed(n, code.q, max_size=max_enum):
-        regions[overrides.get(theta.counts) or reference_mld_decode(code, theta)].append(theta.counts)
+    for counts in enumerate_observed(n, code.q, max_size=max_enum):
+        regions[overrides.get(counts) or reference_mld_decode(code, counts)].append(counts)
     success = {}
     for s, points in regions.items():
         lcm, scaled = reference_rationals(s.probs if code.is_exact else map(float, s.probs))

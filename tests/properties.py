@@ -13,7 +13,6 @@ import numpy as np
 from cdna import (
     CompositeCode,
     CompositeSymbol,
-    ObservedDistribution,
     base_symbol,
     custom_decoder_from_table,
     decoding_region,
@@ -56,10 +55,10 @@ def check_n_independence(code: CompositeCode, n1: int, n2: int) -> None:
     assert n2 % n1 == 0
     scale = n2 // n1
     for theta in enumerate_observed(n1, code.q):
-        scaled = ObservedDistribution(tuple(k * scale for k in theta.counts), n2)
+        scaled = tuple(k * scale for k in theta)
         a = mld_decode(code, theta)
         b = mld_decode(code, scaled)
-        assert a == b, f"decode differs between n={n1} and n={n2} at {theta.counts}"
+        assert a == b, f"decode differs between n={n1} and n={n2} at {theta}"
 
 
 def check_self_decoding(code: CompositeCode, n: int) -> None:
@@ -75,8 +74,7 @@ def check_self_decoding(code: CompositeCode, n: int) -> None:
             counts.append(int(scaled))
         if not on_grid:
             continue
-        theta = ObservedDistribution(tuple(counts), n)
-        assert mld_decode(code, theta) == symbol
+        assert mld_decode(code, counts) == symbol
 
 
 def check_favg_dominance(rng: np.random.Generator, n_codes: int, n_decoders: int) -> None:
@@ -89,9 +87,7 @@ def check_favg_dominance(rng: np.random.Generator, n_codes: int, n_decoders: int
         grid = enumerate_observed(n, q)
         mld_avg = evaluate_code(code, n).f_avg
         for _ in range(n_decoders):
-            table = {
-                theta.counts: int(rng.integers(0, m)) for theta in grid
-            }
+            table = {theta: int(rng.integers(0, m)) for theta in grid}
             decoder = custom_decoder_from_table(code, n, table)
             assert evaluate_code(code, n, decoder=decoder).f_avg <= mld_avg
 
@@ -116,7 +112,7 @@ def check_base_substitution(rng: np.random.Generator, trials: int) -> None:
         m = int(rng.integers(2, 6))
         code = random_exact_code(rng, m, 2)
         e = base_symbol(2, 1)
-        owner = mld_decode(code, ObservedDistribution((n, 0), n))
+        owner = mld_decode(code, (n, 0))
         replaced = CompositeCode((set(code.symbols) - {owner}) | {e})
         before = evaluate_code(code, n)
         after = evaluate_code(replaced, n)
@@ -132,7 +128,7 @@ def check_neighbor_regions(rng: np.random.Generator, trials: int) -> None:
         code = random_exact_code(rng, m, 2, denom=40)
         values = [Fraction(s.probs[0]) for s in code.symbols]
         for theta in enumerate_observed(n, 2):
-            t = Fraction(theta.counts[0], n)
+            t = Fraction(theta[0], n)
             decoded = Fraction(mld_decode(code, theta).probs[0])
             if t <= values[0]:
                 assert decoded == values[0]
@@ -141,10 +137,6 @@ def check_neighbor_regions(rng: np.random.Generator, trials: int) -> None:
             else:
                 hi = next(i for i, v in enumerate(values) if v >= t)
                 assert decoded in (values[hi - 1], values[hi]) or t in values
-
-
-def _reflect_counts(theta: ObservedDistribution) -> ObservedDistribution:
-    return ObservedDistribution(tuple(reversed(theta.counts)), theta.n)
 
 
 def check_reflection_equivariance(rng: np.random.Generator, trials: int, n_max: int = 12) -> None:
@@ -164,7 +156,7 @@ def check_reflection_equivariance(rng: np.random.Generator, trials: int, n_max: 
             region = decoding_region(code, symbol, n)
             reflected_symbol = CompositeSymbol(tuple(reversed(symbol.probs)))
             mirrored_region = decoding_region(mirrored, reflected_symbol, n)
-            assert set(map(_reflect_counts, region)) == set(mirrored_region)
+            assert {theta[::-1] for theta in region} == set(mirrored_region)
 
 
 def check_symmetric_pairing(rng: np.random.Generator, trials: int) -> None:
@@ -228,7 +220,7 @@ def check_oversize_degenerate(rng: np.random.Generator, trials: int) -> None:
         n = int(rng.integers(1, 4))
         size = observed_grid_size(n, q)
         extra = int(rng.integers(1, 3))
-        symbols = {CompositeSymbol(Fraction(k, n) for k in theta.counts) for theta in enumerate_observed(n, q)}
+        symbols = {CompositeSymbol(Fraction(k, n) for k in theta) for theta in enumerate_observed(n, q)}
         while len(symbols) < size + extra:
             symbols.add(random_exact_code(rng, 1, q, denom=24).symbols[0])
         code = CompositeCode(symbols)
@@ -246,7 +238,7 @@ def check_balanced_minimum() -> None:
         for n in ns:
             r = n // q
             grid = enumerate_observed(n, q)
-            betas = {theta.counts: self_decoding_probability(theta) for theta in grid}
+            betas = {theta: self_decoding_probability(theta) for theta in grid}
             balanced = (r,) * q
             expected = Fraction(multinomial_coefficient(balanced), q**n)
             assert betas[balanced] == expected

@@ -7,7 +7,6 @@ import pytest
 
 from cdna import (
     CompositeCode,
-    ObservedDistribution,
     binary4_alpha,
     binary4_beta,
     binary_threshold,
@@ -43,7 +42,7 @@ class TestBinaryThreshold:
             sy = CompositeSymbol((y, 1 - y))
             for n in (1, 7, 30):
                 for i in range(n + 1):
-                    theta = ObservedDistribution((i, n - i), n)
+                    theta = (i, n - i)
                     diff = reference_prob_observed(sx, theta) - reference_prob_observed(sy, theta)
                     if i / n < t_star:
                         assert diff > 0
@@ -192,7 +191,7 @@ class TestBinary4Grid:
             eps = Fraction(float_path_bound(code, n)) / 8
             for j, s in enumerate(code.symbols):
                 lcm, scaled = reference_rationals(s.probs)
-                hit = reference_region_weight(scaled, [theta.counts for theta in decoding_region(code, s, n)])
+                hit = reference_region_weight(scaled, decoding_region(code, s, n))
                 exact_hit, exact_miss = Fraction(hit, lcm**n), Fraction(sum(scaled) ** n - hit, lcm**n)
                 if miss[g, j] <= 0.5:
                     assert abs(Fraction(miss[g, j]) - exact_miss) <= eps * exact_miss, (n, x, j)

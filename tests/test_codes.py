@@ -10,7 +10,6 @@ from cdna import (
     CompositeCode,
     CompositeSymbol,
     Decoder,
-    ObservedDistribution,
     UnsupportedRangeError,
     base_symbol,
     binary4_alpha,
@@ -72,30 +71,30 @@ class TestProbObserved:
     """The multinomial mass of the tests' reference against closed forms and scipy."""
 
     def test_fair_coin_half_half(self):
-        theta = ObservedDistribution((5, 5), 10)
+        theta = (5, 5)
         assert reference_prob_observed(CompositeSymbol((0.5, 0.5)), theta) == pytest.approx(
             math.comb(10, 5) / 2**10, abs=1e-15
         )
 
     def test_fair_coin_exact(self):
-        theta = ObservedDistribution((5, 5), 10)
+        theta = (5, 5)
         sym = CompositeSymbol((Fraction(1, 2), Fraction(1, 2)))
         assert reference_prob_observed(sym, theta) == Fraction(63, 256)
 
     def test_deterministic_symbol(self):
-        theta = ObservedDistribution((4, 0, 0), 4)
+        theta = (4, 0, 0)
         assert reference_prob_observed(base_symbol(3, 1), theta) == 1
 
     def test_all_first_symbol(self):
-        theta = ObservedDistribution((10, 0), 10)
+        theta = (10, 0)
         assert reference_prob_observed(CompositeSymbol((0.4, 0.6)), theta) == pytest.approx(0.4**10, rel=1e-12)
 
     def test_zero_prob_letter_with_zero_count(self):
-        theta = ObservedDistribution((3, 0), 3)
+        theta = (3, 0)
         assert reference_prob_observed(CompositeSymbol((1.0, 0.0)), theta) == 1.0
 
     def test_outside_support_is_zero(self):
-        theta = ObservedDistribution((2, 1), 3)
+        theta = (2, 1)
         assert reference_prob_observed(base_symbol(2, 1), theta) == 0
 
     def test_matches_scipy(self, rng):
@@ -105,7 +104,7 @@ class TestProbObserved:
             probs = rng.dirichlet(np.ones(q))
             counts = rng.multinomial(n, probs)
             sym = CompositeSymbol(probs / probs.sum())
-            theta = ObservedDistribution(tuple(int(c) for c in counts), n)
+            theta = tuple(int(c) for c in counts)
             expected = stats.multinomial(n, [float(p) for p in sym.probs]).pmf(counts)
             assert reference_prob_observed(sym, theta) == pytest.approx(float(expected), rel=1e-9)
 
@@ -114,19 +113,19 @@ class TestMldDecode:
     def test_self_decoding_on_grid(self):
         code = construct_grid_code(3, 2)
         for theta in enumerate_observed(3, 2):
-            assert mld_decode(code, theta) == CompositeSymbol(Fraction(k, 3) for k in theta.counts)
+            assert mld_decode(code, theta) == CompositeSymbol(Fraction(k, 3) for k in theta)
 
     def test_counterexample_boundary(self):
         # likelihood threshold between 0.4 and 0.5 sits at 0.4497
         for i in range(0, 5):
-            assert mld_decode(COUNTEREXAMPLE, ObservedDistribution((i, 10 - i), 10)).probs[0] == 0.4
-        assert mld_decode(COUNTEREXAMPLE, ObservedDistribution((5, 5), 10)).probs[0] == 0.5
+            assert mld_decode(COUNTEREXAMPLE, (i, 10 - i)).probs[0] == 0.4
+        assert mld_decode(COUNTEREXAMPLE, (5, 5)).probs[0] == 0.5
         for i in range(6, 11):
-            assert mld_decode(COUNTEREXAMPLE, ObservedDistribution((i, 10 - i), 10)).probs[0] == 0.6
+            assert mld_decode(COUNTEREXAMPLE, (i, 10 - i)).probs[0] == 0.6
 
     def test_tie_breaks_lexicographically(self):
         code = CompositeCode.binary([Fraction(1, 4), Fraction(3, 4)])
-        theta = ObservedDistribution((1, 1), 2)  # exactly between the pair
+        theta = (1, 1)  # exactly between the pair
         assert mld_decode(code, theta).probs[0] == Fraction(1, 4)
 
     def test_exact_and_float_agree(self, rng):
@@ -140,12 +139,12 @@ class TestMldDecode:
 
 class TestDecodingRegion:
     def test_distinct_support_contains_compatible(self):
-        code = construct_distinct_support(4, 2, [(1, 2), (3, 4)])
+        code = construct_distinct_support(4, [(1, 2), (3, 4)])
         first = code.symbols[0]
         region = decoding_region(code, first, 3)
         support = {i for i, p in enumerate(first.probs) if p > 0}
         for theta in enumerate_observed(3, 4):
-            if {i for i, k in enumerate(theta.counts) if k > 0} <= support:
+            if {i for i, k in enumerate(theta) if k > 0} <= support:
                 assert theta in region
 
     def test_grid_code_regions_are_singletons(self):
@@ -153,11 +152,11 @@ class TestDecodingRegion:
         for symbol in code.symbols:
             region = decoding_region(code, symbol, 2)
             assert len(region) == 1
-            assert CompositeSymbol(Fraction(k, 2) for k in region[0].counts) == symbol
+            assert CompositeSymbol(Fraction(k, 2) for k in region[0]) == symbol
 
     def test_counterexample_region(self):
         region = decoding_region(COUNTEREXAMPLE, CompositeSymbol((0.4, 0.6)), 10)
-        assert sorted(t.counts for t in region) == [(i, 10 - i) for i in range(5)]
+        assert sorted(region) == [(i, 10 - i) for i in range(5)]
 
     def test_non_codeword_rejected(self):
         with pytest.raises(ValueError):
@@ -202,10 +201,10 @@ def assert_regions_are_the_reference(code, n, decoder=None):
     overrides = {k: code.symbols[i] for k, i in decoder.overrides} if decoder else {}
     want = {s: [] for s in code.symbols}
     for theta in enumerate_observed(n, code.q):
-        want[overrides.get(theta.counts) or reference_mld_decode(code, theta)].append(theta)
+        want[overrides.get(theta) or reference_mld_decode(code, theta)].append(theta)
     for s in code.symbols:
         assert decoding_region(code, s, n, decoder) == tuple(want[s]), (code, n, s)
-        assert all(mld_decode(code, theta) == s for theta in want[s] if theta.counts not in overrides)
+        assert all(mld_decode(code, theta) == s for theta in want[s] if theta not in overrides)
 
 
 class TestOnePointDecoding:
@@ -213,8 +212,8 @@ class TestOnePointDecoding:
     observation of another alphabet, as decoding_region refuses a symbol of another alphabet."""
 
     MISMATCH = {
-        "mld_decode, float code": lambda: mld_decode(COUNTEREXAMPLE, ObservedDistribution((1, 1, 1))),
-        "mld_decode, exact code": lambda: mld_decode(construct_base_plus_uniform(2), ObservedDistribution((1, 2, 0))),
+        "mld_decode, float code": lambda: mld_decode(COUNTEREXAMPLE, (1, 1, 1)),
+        "mld_decode, exact code": lambda: mld_decode(construct_base_plus_uniform(2), (1, 2, 0)),
         "decoding_region, float code": lambda: decoding_region(COUNTEREXAMPLE, (0.2, 0.3, 0.5), 3),
         "decoding_region, exact code": lambda: decoding_region(construct_base_plus_uniform(2), base_symbol(3, 1), 3),
     }
@@ -227,9 +226,9 @@ class TestOnePointDecoding:
 
     def test_reads_cap(self):
         code = CompositeCode.binary([0.25, 0.75])
-        inside = (ObservedDistribution((2**53 - 1, 0)), ObservedDistribution((2**52, 2**52 - 1)))
+        inside = ((2**53 - 1, 0), (2**52, 2**52 - 1))
         assert [mld_decode(code, theta) for theta in inside] == [reference_mld_decode(code, theta) for theta in inside]
-        for theta in (ObservedDistribution((2**53, 0)), ObservedDistribution((10**30, 1))):
+        for theta in ((2**53, 0), (10**30, 1)):
             with pytest.raises(UnsupportedRangeError, match="2\\*\\*53"):
                 mld_decode(code, theta)
 
@@ -240,14 +239,14 @@ class TestOnePointDecoding:
         # D = 3: two bits per read
         thirds = CompositeCode.binary([Fraction(1, 3), Fraction(2, 3)])
         for code, n in ((base, cap), (thirds, cap // 2)):
-            assert mld_decode(code, ObservedDistribution((n, 0))) == code.symbols[-1]
+            assert mld_decode(code, (n, 0)) == code.symbols[-1]
             for counts in ((n + 1, 0), (n // 2 + 1, n // 2 + 1)):
                 with pytest.raises(UnsupportedRangeError, match="bits, beyond the cap"):
-                    mld_decode(code, ObservedDistribution(counts))
+                    mld_decode(code, counts)
             with pytest.raises(UnsupportedRangeError):
-                mld_decode(code, ObservedDistribution((10**30, 0)))
+                mld_decode(code, (10**30, 0))
         # a float code decodes those observations
-        assert mld_decode(thirds.as_float(), ObservedDistribution((cap, 0))) == thirds.as_float().symbols[-1]
+        assert mld_decode(thirds.as_float(), (cap, 0)) == thirds.as_float().symbols[-1]
 
 
 class TestEvaluateCode:
@@ -271,10 +270,7 @@ class TestEvaluateCode:
         # independent check: simulate reads of the middle symbol and decode
         trials = 20000
         counts = rng.multinomial(10, [0.5, 0.5], size=trials)
-        hits = sum(
-            mld_decode(COUNTEREXAMPLE, ObservedDistribution((int(a), int(b)), 10)).probs[0] == 0.5
-            for a, b in counts
-        )
+        hits = sum(mld_decode(COUNTEREXAMPLE, point).probs[0] == 0.5 for point in counts)
         rate = hits / trials
         se = math.sqrt(rate * (1 - rate) / trials)
         assert abs(rate - 0.24609375) <= 4 * se
@@ -292,7 +288,7 @@ class TestEvaluateCode:
         assert result.f_avg == pytest.approx(11 / 12, abs=1e-12)
 
     def test_distinct_support_is_perfect(self):
-        code = construct_distinct_support(4, 2, [(1, 2), (3, 4)])
+        code = construct_distinct_support(4, [(1, 2), (3, 4)])
         for n in (1, 2, 5):
             result = evaluate_code(code, n)
             assert result.f_min == 1 and result.f_avg == 1
@@ -340,7 +336,7 @@ def assert_same_evaluation(code, n, decoder=None):
 def random_table_decoder(rng, code, n, overrides):
     grid = enumerate_observed(n, code.q)
     rows = rng.choice(len(grid), size=min(overrides, len(grid)), replace=False)
-    return custom_decoder_from_table(code, n, {grid[r].counts: int(rng.integers(code.m)) for r in rows})
+    return custom_decoder_from_table(code, n, {grid[r]: int(rng.integers(code.m)) for r in rows})
 
 
 class TestArrayEvaluator:
@@ -423,7 +419,7 @@ class TestArrayEvaluator:
         assert (x + 1) * (y - 1) > x * y
         assert 0.5 * math.log(x) + 0.5 * math.log(y) > 0.5 * math.log(x + 1) + 0.5 * math.log(y - 1)
         code = CompositeCode([a, b])
-        assert mld_decode(code, ObservedDistribution((1, 1, 0))) == b
+        assert mld_decode(code, (1, 1, 0)) == b
         assert_same_evaluation(code, 2)
 
     def test_table_decoders(self, rng):
@@ -548,7 +544,7 @@ class TestArrayEvaluator:
     def test_grid_rank(self):
         for n, q in ((1, 1), (9, 1), (4, 2), (30, 2), (5, 3), (12, 3), (3, 4), (8, 4), (6, 5)):
             for index, theta in enumerate(enumerate_observed(n, q)):
-                assert codes._grid_rank(theta.counts, n) == index
+                assert codes._grid_rank(theta, n) == index
         # the last point of a grid no enumeration reaches, in closed form
         assert codes._grid_rank((10**12, 0, 0), 10**12) == math.comb(10**12 + 2, 2) - 1
 
@@ -587,7 +583,7 @@ class TestFloatBound:
             result = evaluate_code(code, n)
             for s, value in result.per_symbol_success.items():
                 lcm, scaled = reference_rationals(s.probs)
-                exact = Fraction(reference_region_weight(scaled, [t.counts for t in decoding_region(code, s, n)]), lcm**n)
+                exact = Fraction(reference_region_weight(scaled, decoding_region(code, s, n)), lcm**n)
                 error, bound = float_success_error(code, n, s, value, exact)
                 assert value <= 1.0 and error <= bound, (code, n, s, value, float(error), float(bound))
 
@@ -615,8 +611,8 @@ class TestExactDecisions:
         for s in thirds.symbols:
             decoding_region(thirds, s, 2)
         assert points == [[1, 1]] * 4
-        assert mld_decode(thirds, ObservedDistribution((1, 1))) == thirds.symbols[0]
-        assert mld_decode(thirds, ObservedDistribution((2, 0))) == thirds.symbols[1]
+        assert mld_decode(thirds, (1, 1)) == thirds.symbols[0]
+        assert mld_decode(thirds, (2, 0)) == thirds.symbols[1]
         assert points == [[1, 1]] * 6
 
     def test_overrides_on_ties_impossible_rows_and_later_chunks(self, monkeypatch):
@@ -664,7 +660,7 @@ class TestGridArrays:
         assert [len(k) for k in chunks] == [min(rows, size - start) for start in range(0, size, rows)]
         assert all(k.dtype == np.int64 and k.shape[1] == q for k in chunks)
         points = [tuple(point) for k in chunks for point in k.tolist()]
-        assert points == [theta.counts for theta in enumerate_observed(n, q)]
+        assert points == enumerate_observed(n, q)
 
     @pytest.mark.parametrize("n, q", GRIDS)
     def test_weights_are_the_per_point_formulas(self, n, q):
@@ -683,7 +679,7 @@ class TestGridArrays:
             code = CompositeCode(order)
             for j, s in enumerate(order):
                 lcm, scaled = reference_rationals(s.probs)
-                hit = reference_region_weight(scaled, [t.counts for r, t in enumerate(points) if r % m == j])
+                hit = reference_region_weight(scaled, points[j::m])
                 exact_hit, exact_miss = Fraction(hit, lcm**n), Fraction(sum(scaled) ** n - hit, lcm**n)
                 error, bound = float_success_error(code, n, s, success[g, j], exact_hit)
                 assert success[g, j] <= 1.0 and error <= bound, (n, q, g, j)
@@ -739,15 +735,12 @@ class TestIntegerArguments:
         "construct_base_plus_uniform(2.0)": lambda: construct_base_plus_uniform(2.0),
         "custom_decoder_from_table(code, 2.0, {})": lambda: custom_decoder_from_table(COUNTEREXAMPLE, 2.0, {}),
         "custom_decoder_from_table(code, True, {})": lambda: custom_decoder_from_table(COUNTEREXAMPLE, True, {}),
-        "construct_distinct_support(True, 1, [(1,)])": lambda: construct_distinct_support(True, 1, [(1,)]),
-        "construct_distinct_support(4.0, 2, parts)": lambda: construct_distinct_support(4.0, 2, [(1, 2), (3, 4)]),
-        "construct_distinct_support(4, 2.0, parts)": lambda: construct_distinct_support(4, 2.0, [(1, 2), (3, 4)]),
-        "construct_distinct_support(4, 2, [(1.0, 2), (3, 4)])": lambda: construct_distinct_support(
-            4, 2, [(1.0, 2), (3, 4)]
-        ),
-        "construct_distinct_support(4, 2, [(True, 2), (3, 4)])": lambda: construct_distinct_support(
-            4, 2, [(True, 2), (3, 4)]
-        ),
+        "construct_distinct_support(True, [(1,)])": lambda: construct_distinct_support(True, [(1,)]),
+        "construct_distinct_support(4.0, parts)": lambda: construct_distinct_support(4.0, [(1, 2), (3, 4)]),
+        "construct_distinct_support(4, [(1.0, 2), (3, 4)])": lambda: construct_distinct_support(4, [(1.0, 2), (3, 4)]),
+        "construct_distinct_support(4, [(True, 2), (3, 4)])": lambda: construct_distinct_support(4, [(True, 2), (3, 4)]),
+        "self_decoding_probability((True, 9))": lambda: self_decoding_probability((True, 9)),
+        "mld_decode(code, (9, 1.0))": lambda: mld_decode(COUNTEREXAMPLE, (9, 1.0)),
         "base_symbol(3, True)": lambda: base_symbol(3, True),
         "base_symbol(3, 1.0)": lambda: base_symbol(3, 1.0),
         "_base_plus_uniform_success(True, 3)": lambda: codes._base_plus_uniform_success(True, 3),
@@ -761,7 +754,6 @@ class TestIntegerArguments:
 
     #: Other scalars a bool or a string passed for: each was accepted or raised TypeError.
     OTHER_CALLS = {
-        "ObservedDistribution((True, 9))": (lambda: ObservedDistribution((True, 9)), "nonnegative integers"),
         "CompositeCode.binary([True, 0.5])": (lambda: CompositeCode.binary([True, 0.5]), "must be numbers"),
         "optimize_binary4_grid(3, '1e-4')": (lambda: optimize_binary4_grid(3, "1e-4"), "grid_step"),
         "optimize_binary4_grid(3, None)": (lambda: optimize_binary4_grid(3, None), "grid_step"),
@@ -794,12 +786,13 @@ class TestIntegerArguments:
         assert observed_grid_size(np.int64(5), np.int32(3)) == observed_grid_size(5, 3)
         # an int64 n once wrapped n**n in the grid code's figures: f_avg read about 2.7e26
         assert codes._grid_code_success(np.int64(30), 2) == codes._grid_code_success(30, 2)
-        # an int64 n once wrapped n**n in one point's figure: it read about 1.16e25
-        theta = ObservedDistribution((15, 15), np.int64(30))
-        assert type(theta.n) is int
-        assert self_decoding_probability(theta) == Fraction(9694845, 67108864)
-        # and a one-letter grid of a numpy n held a numpy count, which the constructor refused
-        assert enumerate_observed(np.int64(3), 1) == [ObservedDistribution((3,))]
+        # an int64 n once wrapped n**n in one point's figure (it read about 1.16e25); numpy
+        # counts, once refused, are taken as ints
+        assert self_decoding_probability(np.array([15, 15])) == Fraction(9694845, 67108864)
+        assert mld_decode(COUNTEREXAMPLE, (np.int64(5), np.int32(5))) == COUNTEREXAMPLE.symbols[1]
+        # and a one-letter grid of a numpy n holds an int count
+        [[count]] = enumerate_observed(np.int64(3), 1)
+        assert type(count) is int and count == 3
         assert uniform_symbol(np.int64(3)) == uniform_symbol(3)
 
 
@@ -820,7 +813,7 @@ class TestCustomDecoder:
 
     def test_constant_decoder(self):
         target = COUNTEREXAMPLE.symbols[1]
-        table = {theta.counts: 1 for theta in enumerate_observed(10, 2)}
+        table = {theta: 1 for theta in enumerate_observed(10, 2)}
         decoder = custom_decoder_from_table(COUNTEREXAMPLE, 10, table)
         result = evaluate_code(COUNTEREXAMPLE, 10, decoder=decoder)
         assert result.per_symbol_success[target] == 1.0
@@ -849,7 +842,7 @@ class TestCustomDecoder:
         "all-zero key": ((0, 0), 1),
         "key of another n": ((0, 12), 1),
         "key of three letters": ((0, 5, 5), 1),
-        "observation key": (ObservedDistribution((0, 10)), 1),
+        "observation key": (((0, 10), 10), 1),  # an observation in the old form (counts, n)
         "target True": ((0, 10), True),
         "target 1.0": ((0, 10), 1.0),
         "target 'x'": ((0, 10), "x"),
@@ -895,7 +888,7 @@ class TestCustomDecoder:
         assert result.f_min == result.per_symbol_success[COUNTEREXAMPLE.symbols[1]] and error <= bound
         regions = [decoding_region(COUNTEREXAMPLE, s, 10, direct) for s in COUNTEREXAMPLE.symbols]
         assert sorted(theta for region in regions for theta in region) == enumerate_observed(10, 2)
-        assert ObservedDistribution((0, 10)) in regions[1]
+        assert (0, 10) in regions[1]
         # every form of the same override is stored as the same pair, and the last of equal keys wins
         for pairs in ((([0, 10], 1),), (((np.int64(0), np.int64(10)), np.int64(1)),), (((0, 10), 2), ([0, 10], 1))):
             assert Decoder(COUNTEREXAMPLE, np.int64(10), pairs) == direct
@@ -918,26 +911,26 @@ class TestCustomDecoder:
 
 class TestConstructions:
     def test_distinct_support_pairs(self):
-        code = construct_distinct_support(4, 2, [(1, 2), (3, 4)])
+        code = construct_distinct_support(4, [(1, 2), (3, 4)])
         assert code.symbols[0].probs == (0, 0, Fraction(1, 2), Fraction(1, 2))
         assert code.symbols[1].probs == (Fraction(1, 2), Fraction(1, 2), 0, 0)
 
     def test_distinct_support_singletons_is_base_alphabet(self):
-        code = construct_distinct_support(3, 3, [(1,), (2,), (3,)])
+        code = construct_distinct_support(3, [(1,), (2,), (3,)])
         assert code.symbols == tuple(sorted(base_symbol(3, i) for i in (1, 2, 3)))
 
     def test_distinct_support_single_part(self):
-        code = construct_distinct_support(3, 1, [(1, 2, 3)])
+        code = construct_distinct_support(3, [(1, 2, 3)])
         assert code.symbols[0] == uniform_symbol(3, exact=True)
         assert evaluate_code(code, 2).f_min == 1
 
     def test_distinct_support_validation(self):
         with pytest.raises(ValueError):
-            construct_distinct_support(4, 2, [(1, 2), (2, 3)])
+            construct_distinct_support(4, [(1, 2), (2, 3)])
         with pytest.raises(ValueError):
-            construct_distinct_support(4, 2, [(1, 2), ()])
+            construct_distinct_support(4, [(1, 2), ()])
         with pytest.raises(ValueError):
-            construct_distinct_support(2, 3, [(1,), (2,), (3,)])
+            construct_distinct_support(2, [(1,), (2,), (3,)])
 
     def test_base_plus_uniform_closed_forms(self):
         for q in (2, 3):
@@ -994,17 +987,31 @@ class TestConstructions:
 
 class TestSelfDecodingProbability:
     def test_balanced_two_reads(self):
-        assert self_decoding_probability(ObservedDistribution((1, 1), 2)) == Fraction(1, 2)
+        assert self_decoding_probability((1, 1)) == Fraction(1, 2)
 
     def test_deterministic(self):
-        assert self_decoding_probability(ObservedDistribution((4, 0), 4)) == 1
+        assert self_decoding_probability((4, 0)) == 1
 
     def test_minimum_on_small_grid(self):
-        betas = {t.counts: self_decoding_probability(t) for t in enumerate_observed(2, 2)}
+        betas = {t: self_decoding_probability(t) for t in enumerate_observed(2, 2)}
         assert min(betas.values()) == betas[(1, 1)]
 
     def test_balanced_minimum_theorem(self):
         properties.check_balanced_minimum()
+
+    def test_cap(self, monkeypatch):
+        # the cap on the bits of n**n, n * n.bit_length(), admits every n < 2**16 and no larger n
+        assert (2**16 - 1) * 16 <= codes._MAX_SELF_BITS < 2**16 * 17
+        assert self_decoding_probability((2**16 - 1, 0)) == 1
+
+        def refused(scaled, point):
+            raise AssertionError("no mass is formed past the cap")
+
+        # past it the refusal comes at once, before any big integer
+        monkeypatch.setattr(codes, "_integer_mass", refused)
+        for counts in ((2**16, 0), (2**15, 2**15), (500_000, 500_000), (10**30, 1)):
+            with pytest.raises(UnsupportedRangeError, match="beyond the cap"):
+                self_decoding_probability(counts)
 
 
 class TestDecoderProperties:

@@ -4,13 +4,18 @@ from fractions import Fraction
 import pytest
 
 from cdna import (
+    CompositeCode,
     CompositeSymbol,
-    ObservedDistribution,
     base_symbol,
+    construct_grid_code,
+    custom_decoder_from_table,
     enumerate_observed,
+    mld_decode,
     observed_grid_size,
+    self_decoding_probability,
     uniform_symbol,
 )
+from cdna import model
 
 
 class TestUniformSymbol:
@@ -80,36 +85,60 @@ class TestCompositeSymbol:
 
 
 class TestObservedDistribution:
+    """An observed distribution is a tuple of int counts, its n their sum and its q their
+    number; the functions that take one check it the same way, with ``model._counts``."""
+
+    #: counts refused with that check's ValueError
+    HOSTILE = {
+        "empty": (),
+        "negative": (-1, 2),
+        "bool": (True, 9),
+        "float": (1.0, 2),
+        "string": ("1", 2),
+        "None": (None, 2),
+        "all zero": (0, 0),
+    }
+
     def test_counts_and_n(self):
-        theta = ObservedDistribution((3, 2), 5)
-        assert (theta.counts, theta.n, theta.q) == ((3, 2), 5, 2)
+        # five reads of (3/5, 2/5) show (3, 2) with probability C(5, 3) 3**3 2**2 / 5**5
+        assert self_decoding_probability((3, 2)) == Fraction(10 * 3**3 * 2**2, 5**5)
 
     def test_n_inferred(self):
-        assert ObservedDistribution((1, 2)).n == 3
+        assert mld_decode(construct_grid_code(3, 2), (1, 2)) == CompositeSymbol((Fraction(1, 3), Fraction(2, 3)))
 
     def test_mismatched_n_rejected(self):
-        with pytest.raises(ValueError):
-            ObservedDistribution((1, 2), 4)
+        with pytest.raises(ValueError, match="summing to n=4"):
+            custom_decoder_from_table(construct_grid_code(3, 2), 4, {(1, 2): 0})
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            ObservedDistribution((-1, 2), 1)
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            self_decoding_probability((-1, 2))
 
     def test_lexicographic_order(self):
-        assert ObservedDistribution((0, 2)) < ObservedDistribution((1, 1))
+        assert (0, 2) < (1, 1)
+        assert enumerate_observed(2, 3) == sorted(enumerate_observed(2, 3))
+
+    @pytest.mark.parametrize("counts", HOSTILE.values(), ids=HOSTILE.keys())
+    def test_hostile_counts_refused(self, counts):
+        with pytest.raises(ValueError) as want:
+            model._counts(counts)
+        for call in (self_decoding_probability, lambda k: mld_decode(CompositeCode.binary([0.4, 0.6]), k)):
+            with pytest.raises(ValueError) as got:
+                call(counts)
+            assert type(got.value) is ValueError and str(got.value) == str(want.value)
 
 
 class TestEnumerateObserved:
     def test_two_two(self):
         grid = enumerate_observed(2, 2)
-        assert [t.counts for t in grid] == [(0, 2), (1, 1), (2, 0)]
+        assert grid == [(0, 2), (1, 1), (2, 0)]
 
     def test_single_read(self):
         # 1,500 letters: the grid's generator once recursed once per letter
         for q in (*range(1, 5), 1500):
             grid = enumerate_observed(1, q)
             assert len(grid) == q
-            assert all(sum(t.counts) == 1 for t in grid)
+            assert all(sum(t) == 1 for t in grid)
             assert grid == sorted(grid)
 
     def test_three_three(self):

@@ -135,7 +135,6 @@ CONFTEST_IMPORTS = {
     "CompositeCode",
     "CompositeSymbol",
     "DEFAULT_MAX_ENUM",
-    "ObservedDistribution",
     "TIE_TOLERANCE",
     "construct_base_plus_uniform",
     "construct_distinct_support",
