@@ -234,8 +234,7 @@ def decoding_region(
     decoder: Optional[Decoder] = None,
     max_enum: int = DEFAULT_MAX_ENUM,
 ) -> tuple[tuple[int, ...], ...]:
-    """All observed distributions of ``n`` reads that decode to ``symbol``, as tuples of
-    ``code.q`` int counts in grid order.
+    """All observed distributions of ``n`` reads that decode to ``symbol``: count tuples in grid order.
 
     Regions over all codewords partition the full grid.  The grid is decoded
     chunk by chunk as :func:`evaluate_code` decodes it, and refused as that
@@ -590,8 +589,7 @@ def _exact_success(
 
 
 def construct_distinct_support(q: int, partition: Sequence[Iterable[int]]) -> CompositeCode:
-    """Code of uniform symbols on the ``m = len(partition)`` pairwise disjoint nonempty subsets
-    of 1..q that ``partition`` lists.
+    """Code of uniform symbols on the ``m = len(partition)`` disjoint nonempty subsets of 1..q it lists.
 
     Distinct supports make every observation attributable to exactly one
     codeword, so the code decodes perfectly at every read count.  ``q`` and

@@ -132,10 +132,12 @@ class CompositeSymbol:
 
 
 def _counts(counts: Iterable[int]) -> tuple[tuple[int, ...], int]:
-    """The one check of an observation: ``counts`` as a tuple of ints and its read count ``n``,
-    their sum, refused with ValueError unless it is a nonempty sequence of integers >= 0 (each
+    """The one check of an observation: ``counts`` as a tuple of ints, and ``n``, their sum.
+
+    Refused with ValueError unless ``counts`` is a nonempty sequence of integers >= 0 (each
     through ``_integer``) with a sum of at least 1.  Callers that expect a length or an ``n``
-    check it themselves."""
+    check it themselves.
+    """
     counts = tuple(_integer("count", k, 0) for k in counts)
     if (n := sum(counts)) < 1:
         raise ValueError(f"an observation needs nonempty counts with a sum of at least 1, got {counts}")
@@ -191,8 +193,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_observed(n: int, q: int, max_size: int = DEFAULT_MAX_ENUM) -> list[tuple[int, ...]]:
-    """All observed distributions of n reads over q symbols, as tuples of q int counts, in
-    lexicographic order.
+    """All observed distributions of n reads over q symbols: tuples of q int counts, in lexicographic order.
 
     The result has exactly C(n+q-1, q-1) elements.  It is capped as every grid
     entry point is (``_checked_grid_size``): above ``max_size`` points or 4 counts

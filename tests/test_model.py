@@ -115,7 +115,6 @@ class TestObservedDistribution:
             self_decoding_probability((-1, 2))
 
     def test_lexicographic_order(self):
-        assert (0, 2) < (1, 1)
         assert enumerate_observed(2, 3) == sorted(enumerate_observed(2, 3))
 
     @pytest.mark.parametrize("counts", HOSTILE.values(), ids=HOSTILE.keys())
