@@ -21,7 +21,6 @@ from .binary import (
     optimize_binary4_grid,
 )
 from .codes import (
-    DEFAULT_MAX_ENUM,
     TIE_TOLERANCE,
     CodeEvaluation,
     CompositeCode,
@@ -46,6 +45,7 @@ from .coverage import (
     random_access_expectation,
 )
 from .model import (
+    DEFAULT_MAX_ENUM,
     CompositeSymbol,
     UnsupportedRangeError,
     base_symbol,

@@ -13,10 +13,14 @@ from math import comb
 from numbers import Real
 from typing import Union
 
-from .codes import DEFAULT_MAX_ENUM, CompositeCode, _codes_per_group, _float_success
-from .model import UnsupportedRangeError, _checked_grid_size, _integer
+from .codes import CompositeCode, _codes_per_group, _float_success
+from .model import DEFAULT_MAX_ENUM, UnsupportedRangeError, _checked_grid_size, _integer
 
 Number = Union[int, float, Fraction]
+
+#: ``binary4_beta`` refuses a larger n before forming its binomial of about n bits, whose exact root
+#: takes time quadratic in n: 1.2-1.4 s at n = 300,000, 1.7-2.0 s at 400,000 (2 CPUs, Python 3.11.7).
+_MAX_BINARY4_N = 300_000
 
 
 def binary_threshold(x: Number, y: Number) -> float:
@@ -61,7 +65,8 @@ def binary4_beta(n: int) -> float:
 
     n = 2 is refused: a 4-symbol binary code sees only 3 observed distributions
     there, so every choice of x has minimum success probability 0 and no
-    optimal inner value exists.
+    optimal inner value exists.  n above ``_MAX_BINARY4_N`` is refused with
+    ``UnsupportedRangeError`` before any binomial is formed.
 
     beta -> 4 as n grows, so the optimal code converges to {0, 1/5, 4/5, 1}.
     """
@@ -71,6 +76,8 @@ def binary4_beta(n: int) -> float:
             "n=2 is degenerate: only 3 observed distributions exist, so every "
             "4-symbol binary code has minimum success probability 0"
         )
+    if n > _MAX_BINARY4_N:
+        raise UnsupportedRangeError(f"n={n} exceeds the cap {_MAX_BINARY4_N} of the exact binary4 root")
     if n % 2:
         m = (n - 1) // 2
         return _int_root(Fraction(m + 1, 2 * m + 1) * comb(2 * m + 1, m), m)
@@ -89,11 +96,7 @@ def construct_binary4(n: int) -> CompositeCode:
     return CompositeCode.binary([0.0, alpha, 1.0 - alpha, 1.0])
 
 
-def optimize_binary4_grid(
-    n: int,
-    grid_step: float,
-    max_enum: int = DEFAULT_MAX_ENUM,
-) -> tuple[float, float]:
+def optimize_binary4_grid(n: int, grid_step: float) -> tuple[float, float]:
     """Grid-search oracle for the size-4 optimum: exhaustive argmin of the worst miss.
 
     Evaluates {0, x, 1-x, 1} under maximum-likelihood decoding for every grid
@@ -116,9 +119,9 @@ def optimize_binary4_grid(
     accuracy where f_min rounds to 1.0 (at step 1e-3 from n = 159 on), so
     the ranking does not saturate there.
 
-    Refuses with ``UnsupportedRangeError``, before any work, a grid of ``n``
-    reads above ``max_enum`` points, and a search whose candidates times grid
-    points, ``ceil(0.5 / grid_step) * (n + 1)``, exceed ``max_enum``.  It
+    Refuses with ``UnsupportedRangeError``, before any work, a grid that
+    ``model._checked_grid_size`` refuses, and a search whose candidates times
+    grid points, ``ceil(0.5 / grid_step) * (n + 1)``, exceed ``DEFAULT_MAX_ENUM``.  It
     also refuses, after the search, where the best worst miss is below
     ``sys.float_info.min`` (at step 1e-3 from n = 3,175 on): a miss that
     small is subnormal or zero, and the candidates tie in its rounding.
@@ -130,12 +133,12 @@ def optimize_binary4_grid(
     if not 0.0 < step <= 1e-3:
         as_float = "" if type(grid_step) is float or math.isnan(step) else f", {step!r} as a float"
         raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step!r}{as_float}")
-    n, size = _checked_grid_size(n, 2, max_enum)
-    # ceil(c) * size > max_enum exactly when c > max_enum // size; c may be inf
-    if 0.5 / step > max_enum // size:
+    n, size = _checked_grid_size(n, 2)
+    # ceil(c) * size > cap exactly when c > cap // size; c may be inf
+    if 0.5 / step > DEFAULT_MAX_ENUM // size:
         raise UnsupportedRangeError(
             f"grid search at step {grid_step} evaluates about {0.5 / step:.3g} codes of "
-            f"{size} points each, beyond the enumeration cap {max_enum}"
+            f"{size} points each, beyond the enumeration cap {DEFAULT_MAX_ENUM}"
         )
     # the candidates are i * step for i in 1..stop-1, stop the first i with
     # i * step >= 0.5 (i * step grows with i)

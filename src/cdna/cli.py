@@ -21,7 +21,6 @@ import click
 
 from .binary import construct_binary4, optimize_binary4_grid
 from .codes import (
-    DEFAULT_MAX_ENUM,
     CompositeCode,
     _base_plus_uniform_success,
     _grid_code_success,
@@ -44,19 +43,6 @@ from .simulate import DEFAULT_MAX_TRANSMISSIONS, MODES, SimConfig, run_simulatio
 
 EXIT_UNSUPPORTED_RANGE = 3
 EXIT_STRICT_TRUNCATION = 4
-
-
-def _max_enum() -> int:
-    raw = os.environ.get("CDNA_MAX_ENUM")
-    if raw is None:
-        return DEFAULT_MAX_ENUM
-    try:
-        value = int(raw)
-    except ValueError:
-        raise click.UsageError(f"CDNA_MAX_ENUM must be an integer, got {raw!r}")
-    if value < 1:
-        raise click.UsageError(f"CDNA_MAX_ENUM must be >= 1, got {value}")
-    return value
 
 
 def _fmt_value(value) -> str:
@@ -178,7 +164,7 @@ def _parse_parts(raw: str) -> list[tuple[int, ...]]:
 _FAMILIES = {
     "distinct": (construct_distinct_support, ("q", "parts")),
     "qplus1": (construct_base_plus_uniform, ("q",)),
-    "omega": (lambda n, q: construct_grid_code(n, q, max_enum=_max_enum()), ("n", "q")),
+    "omega": (construct_grid_code, ("n", "q")),
     "binary4": (construct_binary4, ("n",)),
 }
 
@@ -197,8 +183,8 @@ def parse_code_spec(spec: str) -> CompositeCode:
       * families: ``qplus1:q=2``, ``omega:n=2,q=2``, ``binary4:n=3``,
         ``distinct:q=4,parts=1+2|3+4``.
 
-    A malformed spec raises ``click.UsageError``; a family beyond the
-    enumeration cap raises ``UnsupportedRangeError``.
+    A malformed spec raises ``click.UsageError``; a family beyond a
+    feasibility cap (the grid cap, the binary4 cap) raises ``UnsupportedRangeError``.
     """
     s = spec.strip()
     if not s:
@@ -443,7 +429,6 @@ def code_eval(code_spec, n, decoder_spec, fmt) -> None:
     families "qplus1:q=2", "omega:n=2,q=2", "binary4:n=3", "distinct:q=4,parts=1+2|3+4".
     The spec may also be the path of a file holding one of those forms.
     """
-    max_enum = _max_enum()
     if os.path.isfile(code_spec):
         with open(code_spec, "r", encoding="utf-8") as fh:
             code_spec = fh.read().strip()
@@ -454,7 +439,7 @@ def code_eval(code_spec, n, decoder_spec, fmt) -> None:
         decoder = _load_table_decoder(code, n, decoder_spec[len("table:"):])
     else:
         raise click.UsageError(f"unknown decoder {decoder_spec!r}; use mld or table:<file>")
-    result = evaluate_code(code, n, decoder=decoder, max_enum=max_enum)
+    result = evaluate_code(code, n, decoder=decoder)
     base = {
         "kind": "symbol",
         "provenance": "formula",
@@ -485,7 +470,6 @@ def code_eval(code_spec, n, decoder_spec, fmt) -> None:
 @_exit_codes()
 def design(family, q, n, parts, verify_grid, fmt) -> None:
     """Construct an optimal code family and report its figures of merit."""
-    max_enum = _max_enum()
     if verify_grid is not None and family != "binary4":
         raise click.UsageError("--verify-grid applies to --family binary4 only")
     options = {"q": q, "n": n, "parts": parts}
@@ -498,7 +482,7 @@ def design(family, q, n, parts, verify_grid, fmt) -> None:
     if family == "omega":
         # no code is built: its symbols are the grid points, and grid order is the code's sorted
         # order; k / n of two ints rounds correctly, as the code's float(Fraction(k, n)) does
-        f_min, f_avg = _grid_code_success(n, q, max_enum)
+        f_min, f_avg = _grid_code_success(n, q)
         symbols = ([k / n for k in counts] for counts in _compositions(n, q))
     else:
         code = build(*arguments)
@@ -509,7 +493,7 @@ def design(family, q, n, parts, verify_grid, fmt) -> None:
             f_min = f_avg = 1
         else:
             alpha = code.values[1]
-            result = evaluate_code(code, n, max_enum=max_enum)
+            result = evaluate_code(code, n)
             f_min, f_avg = result.f_min, result.f_avg
     base = {
         "kind": "design",
@@ -528,7 +512,7 @@ def design(family, q, n, parts, verify_grid, fmt) -> None:
     }
     rows = [base]
     if verify_grid is not None:
-        x_star, f_star = optimize_binary4_grid(n, verify_grid, max_enum=max_enum)
+        x_star, f_star = optimize_binary4_grid(n, verify_grid)
         rows.append(
             dict(
                 base,

@@ -50,7 +50,6 @@ from numbers import Integral
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
-    DEFAULT_MAX_ENUM,
     CompositeSymbol,
     UnsupportedRangeError,
     _checked_grid_size,
@@ -228,11 +227,7 @@ def custom_decoder_from_table(code: CompositeCode, n: int, overrides: Mapping) -
 
 
 def decoding_region(
-    code: CompositeCode,
-    symbol: SymbolLike,
-    n: int,
-    decoder: Optional[Decoder] = None,
-    max_enum: int = DEFAULT_MAX_ENUM,
+    code: CompositeCode, symbol: SymbolLike, n: int, decoder: Optional[Decoder] = None
 ) -> tuple[tuple[int, ...], ...]:
     """All observed distributions of ``n`` reads that decode to ``symbol``: count tuples in grid order.
 
@@ -245,19 +240,19 @@ def decoding_region(
     symbol = _as_symbol(symbol)
     if symbol not in code:
         raise ValueError(f"{symbol} is not a codeword")
-    n, size, overrides = _grid_request(code, n, decoder, max_enum)
+    n, size, overrides = _grid_request(code, n, decoder)
     target, region = bisect_left(code.symbols, symbol), []
     for k, decoded in _decisions(np, _decider(np, code, n)[1], n, code.m, code.q, size, overrides):
         region += map(tuple, k[decoded == target].tolist())
     return tuple(region)
 
 
-def _grid_request(code: CompositeCode, n: int, decoder: Optional[Decoder], max_enum: int) -> tuple[int, int, dict]:
+def _grid_request(code: CompositeCode, n: int, decoder: Optional[Decoder]) -> tuple[int, int, dict]:
     """The refusals of a grid evaluation, ahead of any other work, then ``n`` as an int, the
     grid's size and the decoder's overrides as grid index -> codeword index."""
     if decoder is not None and (decoder.code != code or decoder.n != n):
         raise ValueError(f"decoder belongs to another code or read count (its n={decoder.n}, evaluated at n={n})")
-    n, size = _checked_grid_size(n, code.q, max_enum)
+    n, size = _checked_grid_size(n, code.q)
     return n, size, {} if decoder is None else {_grid_rank(k, n): index for k, index in decoder.overrides}
 
 
@@ -290,12 +285,7 @@ class CodeEvaluation:
     n: int
 
 
-def evaluate_code(
-    code: CompositeCode,
-    n: int,
-    decoder: Optional[Decoder] = None,
-    max_enum: int = DEFAULT_MAX_ENUM,
-) -> CodeEvaluation:
+def evaluate_code(code: CompositeCode, n: int, decoder: Optional[Decoder] = None) -> CodeEvaluation:
     """Per-symbol decoding success probabilities, their minimum, and their mean.
 
     Decodes every observed distribution of ``n`` reads once, in grid order,
@@ -344,7 +334,7 @@ def evaluate_code(
     ch. 3-4).  The ``|s_j**n - 1|`` term is the mass that floats not summing
     to exactly 1 leave out of ``1 - m_j``; it is 0 where they do.
     """
-    n, size, overrides = _grid_request(code, n, decoder, max_enum)
+    n, size, overrides = _grid_request(code, n, decoder)
     if code.is_exact:
         values = _exact_success(code.symbols, n, size, overrides)
     else:
@@ -655,13 +645,13 @@ def _base_plus_uniform_success(q: int, n: int) -> tuple[Fraction, Fraction]:
     return 1 - miss, 1 - miss / (q + 1)
 
 
-def construct_grid_code(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> CompositeCode:
+def construct_grid_code(n: int, q: int) -> CompositeCode:
     """The code whose symbols are all empirical distributions of n reads.
 
     Every observation decodes to itself, so the per-symbol success probability
     equals that grid point's self-decoding probability.
     """
-    n, _ = _checked_grid_size(n, q, max_enum)
+    n, _ = _checked_grid_size(n, q)
     return CompositeCode(CompositeSymbol(Fraction(k, n) for k in counts) for counts in _compositions(n, q))
 
 
@@ -681,14 +671,14 @@ def self_decoding_probability(counts: Sequence[int]) -> Fraction:
     return Fraction(_integer_mass(counts, counts), n**n)
 
 
-def _grid_code_success(n: int, q: int, max_enum: int = DEFAULT_MAX_ENUM) -> tuple[Fraction, Fraction]:
-    """Exact ``(f_min, f_avg)`` of ``construct_grid_code(n, q, max_enum)`` at ``n`` reads.
+def _grid_code_success(n: int, q: int) -> tuple[Fraction, Fraction]:
+    """Exact ``(f_min, f_avg)`` of ``construct_grid_code(n, q)`` at ``n`` reads.
 
     Every grid point decodes to itself, so these are the minimum and the mean of the
     points' :func:`self_decoding_probability`, kept in integer masses and divided once.
-    Grids above ``max_enum`` points are refused as :func:`construct_grid_code` refuses them.
+    Grids are refused as :func:`construct_grid_code` refuses them.
     """
-    n, size = _checked_grid_size(n, q, max_enum)
+    n, size = _checked_grid_size(n, q)
     if q == 1:  # the one point (n,) decodes to itself with probability 1
         return Fraction(1), Fraction(1)
     whole = n**n  # no mass exceeds it: each is a probability times n**n

@@ -4,7 +4,8 @@ A composite symbol is a probability distribution over a base alphabet
 ``{1, ..., q}``, given by its ``q`` entries.  Reading a composite position
 ``n`` times yields an observed distribution: a tuple of ``q`` int counts
 summing to ``n``, whose one check is ``_counts``.  The grid of all of them,
-in lexicographic order, is what decoders operate on.  Coverage questions
+in lexicographic order, is what decoders operate on, within fixed caps that no
+caller moves (``_checked_grid_size``).  Coverage questions
 need no symbol objects: :mod:`cdna.coverage` takes the support size
 ``omega`` as an integer.
 Everything here is immutable and safe to share across threads.
@@ -25,16 +26,15 @@ Prob = Union[int, float, Fraction]
 SUM_TOLERANCE = 1e-12
 
 
-#: Every grid entry point, enumerate_observed included, refuses larger grids by default.
+#: Every grid entry point, enumerate_observed included, refuses a grid of more points.
 DEFAULT_MAX_ENUM = 2_000_000
 
 #: A grid of ``size`` points over ``q`` letters holds ``size * q`` counts, 8
 #: bytes each in the evaluators' int64 arrays and in the slots of count tuples.
-#: A grid request is also refused above this many counts per point of its cap
-#: (``DEFAULT_MAX_ENUM`` when none is given): 8M counts, 64 MB, at the default.
-#: Every grid of q <= 4 under the point cap passes; (n, q) = (2, 1500), 1.1M
-#: points under the 2M cap but 1.7G counts (13.6 GB), does not.
-_COUNTS_PER_CAPPED_POINT = 4
+#: A grid is also refused above this many counts, 64 MB: every grid of q <= 4
+#: under the point cap passes; (n, q) = (2, 1500), 1.1M points but 1.7G
+#: counts (13.6 GB), does not.
+_MAX_GRID_COUNTS = 4 * DEFAULT_MAX_ENUM
 
 
 class UnsupportedRangeError(ValueError):
@@ -192,37 +192,31 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         prefix[last - 1] += 1
 
 
-def enumerate_observed(n: int, q: int, max_size: int = DEFAULT_MAX_ENUM) -> list[tuple[int, ...]]:
+def enumerate_observed(n: int, q: int) -> list[tuple[int, ...]]:
     """All observed distributions of n reads over q symbols: tuples of q int counts, in lexicographic order.
 
     The result has exactly C(n+q-1, q-1) elements.  It is capped as every grid
-    entry point is (``_checked_grid_size``): above ``max_size`` points or 4 counts
-    per point of it, with UnsupportedRangeError; a ``max_size`` that is not an
-    int >= 1 (``None`` included) is refused with ValueError.
+    entry point is (``_checked_grid_size``): above ``DEFAULT_MAX_ENUM`` points or
+    ``4 * DEFAULT_MAX_ENUM`` counts, with UnsupportedRangeError.
     """
-    n, _ = _checked_grid_size(n, q, max_size)
+    n, _ = _checked_grid_size(n, q)
     return list(_compositions(n, q))
 
 
-def _checked_grid_size(n: int, q: int, max_enum: int) -> tuple[int, int]:
+def _checked_grid_size(n: int, q: int) -> tuple[int, int]:
     """The one check of a grid request: ``n`` as an int and ``observed_grid_size(n, q)``, refused
-    with UnsupportedRangeError above ``max_enum`` points or ``_COUNTS_PER_CAPPED_POINT`` counts per
-    point of that cap.  Every grid entry point calls this first and runs on the ``n`` it returns.
-
-    A ``max_enum`` that is not an int >= 1 is refused with ValueError, before any grid work: NaN
-    or an infinity would lift both caps, ``None`` the point cap, and a bool or a float would pass
-    for a number it only resembles.
+    with UnsupportedRangeError above ``DEFAULT_MAX_ENUM`` points or ``_MAX_GRID_COUNTS`` counts.
+    Every grid entry point calls this first and runs on the ``n`` it returns; no caller moves
+    the caps, so every grid answer is stated over one fixed domain.
     """
-    max_enum = _integer("max_enum", max_enum, 1)
     n, q = _integer("n", n, 1), _integer("q", q, 1)
     size = observed_grid_size(n, q)
-    if size > max_enum:
-        raise UnsupportedRangeError(f"|grid(n={n}, q={q})| = {size} exceeds the cap {max_enum}; lower n or q")
-    max_counts = _COUNTS_PER_CAPPED_POINT * max_enum
-    if size * q > max_counts:
+    if size > DEFAULT_MAX_ENUM:
+        raise UnsupportedRangeError(f"|grid(n={n}, q={q})| = {size} exceeds the cap {DEFAULT_MAX_ENUM}; lower n or q")
+    if size * q > _MAX_GRID_COUNTS:
         raise UnsupportedRangeError(
             f"grid(n={n}, q={q}) holds {size * q} counts ({size} points of {q}), beyond the "
-            f"cap of {max_counts} counts; lower n or q"
+            f"cap of {_MAX_GRID_COUNTS} counts; lower n or q"
         )
     if n >= 2**63:  # the evaluators hold counts in int64 arrays
         raise UnsupportedRangeError(f"n={n} exceeds the largest count of the grid, 2**63 - 1")

@@ -32,7 +32,7 @@ from cdna import (
     enumerate_observed,
     expected_coverage_exact,
 )
-from cdna.codes import DEFAULT_MAX_ENUM, CodeEvaluation
+from cdna.codes import CodeEvaluation
 from cdna.simulate import _FIRST_BLOCK, _MAX_BLOCK
 
 
@@ -272,7 +272,7 @@ def reference_mld_decode(code, counts):
     return next(s for s, ll in zip(code.symbols, lls) if ll >= best - TIE_TOLERANCE)
 
 
-def reference_evaluate_code(code, n, decoder=None, max_enum=DEFAULT_MAX_ENUM):
+def reference_evaluate_code(code, n, decoder=None):
     """evaluate_code as a loop over observations: decode each one (the decoder's
     overrides as a plain dict from counts to codewords, maximum likelihood elsewhere),
     and sum each symbol's exact masses over the points decoded to it.  Every success is
@@ -283,7 +283,7 @@ def reference_evaluate_code(code, n, decoder=None, max_enum=DEFAULT_MAX_ENUM):
         raise ValueError("decoder belongs to a different code or read count")
     overrides = {} if decoder is None else {k: code.symbols[i] for k, i in decoder.overrides}
     regions = {s: [] for s in code.symbols}
-    for counts in enumerate_observed(n, code.q, max_size=max_enum):
+    for counts in enumerate_observed(n, code.q):
         regions[overrides.get(counts) or reference_mld_decode(code, counts)].append(counts)
     success = {}
     for s, points in regions.items():

@@ -90,6 +90,19 @@ class TestBinary4ClosedForm:
         with pytest.raises(ValueError):
             binary4_beta(1)
 
+    def test_cap(self, monkeypatch):
+        # the last n answers (in about 1.3 s); past it no binomial is formed
+        assert 3.99 < binary4_beta(binary._MAX_BINARY4_N) < 4
+
+        def no_comb(*args):
+            raise AssertionError("binomial formed before the cap was checked")
+
+        monkeypatch.setattr(binary, "comb", no_comb)
+        for call in (binary4_beta, binary4_alpha, construct_binary4):
+            for n in (binary._MAX_BINARY4_N + 1, binary._MAX_BINARY4_N + 2, 10**30):
+                with pytest.raises(UnsupportedRangeError, match=f"n={n} exceeds the cap 300000"):
+                    call(n)
+
 
 class TestBinary4Grid:
     def test_matches_closed_form_small(self):
@@ -209,11 +222,6 @@ class TestBinary4Grid:
         for step in (1e-300, 5e-324, 1e-7):
             with pytest.raises(UnsupportedRangeError, match="enumeration cap"):
                 optimize_binary4_grid(3, step)
-        step = 1e-4
-        work = math.ceil(0.5 / step) * 4
-        assert optimize_binary4_grid(3, step, max_enum=work) == optimize_binary4_grid(3, step)
-        with pytest.raises(UnsupportedRangeError, match="enumeration cap"):
-            optimize_binary4_grid(3, step, max_enum=work - 1)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_libm_calls_only_where_python_makes_them(self, monkeypatch, n):

@@ -306,18 +306,16 @@ class TestCodeEvalCommand:
         assert "position" in result.output
 
     def test_unsupported_range_exit_code(self):
-        result = run_cli(
-            "code-eval", "--code", "0.4,0.6", "--n", "100",
-            env={"CDNA_MAX_ENUM": "10"},
-        )
+        result = run_cli("code-eval", "--code", "0.4,0.6", "--n", "2000000")
         assert result.exit_code == 3
+        assert result.stderr == "error: |grid(n=2000000, q=2)| = 2000001 exceeds the cap 2000000; lower n or q\n"
 
     def test_family_spec_over_the_cap_exits_as_design_does(self):
-        env = {"CDNA_MAX_ENUM": "10"}
-        spec = run_cli("code-eval", "--code", "omega:n=20,q=3", "--n", "2", env=env)
-        design = run_cli("design", "--family", "omega", "--n", "20", "--q", "3", env=env)
+        spec = run_cli("code-eval", "--code", "omega:n=227,q=4", "--n", "227")
+        design = run_cli("design", "--family", "omega", "--n", "227", "--q", "4")
         assert spec.exit_code == design.exit_code == 3
-        assert spec.stderr == design.stderr == "error: |grid(n=20, q=3)| = 231 exceeds the cap 10; lower n or q\n"
+        want = "error: |grid(n=227, q=4)| = 2001460 exceeds the cap 2000000; lower n or q\n"
+        assert spec.stderr == design.stderr == want
 
 
 class TestDesignCommand:
@@ -419,6 +417,16 @@ class TestDesignCommand:
                 codes._base_plus_uniform_success(q, n + 1)
         assert codes._base_plus_uniform_success(1, 10**20) == (1, 1)
 
+    def test_binary4_past_its_cap_exits_3(self):
+        # the exact root once took time quadratic in n without bound
+        for argv in (
+            ["design", "--family", "binary4", "--n", "300001"],
+            ["code-eval", "--code", "binary4:n=10000000", "--n", "3"],
+        ):
+            result = run_cli(*argv)
+            assert result.exit_code == 3 and result.stdout == ""
+            assert "exceeds the cap 300000 of the exact binary4 root" in result.stderr
+
     def test_qplus1_without_reads_is_usage_error(self):
         for n in ("0", "-1"):
             result = run_cli("design", "--family", "qplus1", "--q", "2", "--n", n)
@@ -432,11 +440,9 @@ class TestDesignCommand:
         assert "Error: grid_step must lie in (0, 1e-3], got 0.01" in result.stderr
 
     def test_verify_grid_beyond_the_enumeration_cap_exits_3(self):
-        # 500 candidates of 4 points each against a cap of 1999, then about
-        # 5e299 candidates against the default cap: refused before any work
-        capped = run_cli(
-            "design", "--family", "binary4", "--n", "3", "--verify-grid", "1e-3", env={"CDNA_MAX_ENUM": "1999"}
-        )
+        # about 500,501 candidates of 4 points each, just past the cap of
+        # 2,000,000, then about 5e299: refused before any work
+        capped = run_cli("design", "--family", "binary4", "--n", "3", "--verify-grid", "9.99e-7")
         assert capped.exit_code == 3 and capped.stdout == ""
         result = run_cli("design", "--family", "binary4", "--n", "3", "--verify-grid", "1e-300")
         assert result.exit_code == 3

@@ -164,7 +164,7 @@ class TestDecodingRegion:
 
     def test_cap(self):
         with pytest.raises(UnsupportedRangeError):
-            decoding_region(COUNTEREXAMPLE, CompositeSymbol((0.4, 0.6)), 10, max_enum=5)
+            decoding_region(COUNTEREXAMPLE, CompositeSymbol((0.4, 0.6)), 2_000_000)
 
     def test_regions_are_the_reference_partition(self, rng):
         mixed = CompositeCode(
@@ -295,7 +295,7 @@ class TestEvaluateCode:
 
     def test_cap(self):
         with pytest.raises(UnsupportedRangeError):
-            evaluate_code(COUNTEREXAMPLE, 10, max_enum=5)
+            evaluate_code(COUNTEREXAMPLE, 2_000_000)
 
     def test_wide_grid_refused_by_its_counts(self):
         # (n, q) = (2, 1500): 1.1M points under the 2M point cap, 1.7G counts
@@ -526,10 +526,10 @@ class TestArrayEvaluator:
     def test_cap_message(self):
         code = construct_base_plus_uniform(4)
         with pytest.raises(UnsupportedRangeError) as want:
-            enumerate_observed(30, 4, max_size=100)
+            enumerate_observed(227, 4)
         for c in (code, code.as_float()):
             with pytest.raises(UnsupportedRangeError) as got:
-                evaluate_code(c, 30, max_enum=100)
+                evaluate_code(c, 227)
             assert str(got.value) == str(want.value)
 
     def test_no_reads_refused_first(self):

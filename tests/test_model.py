@@ -154,82 +154,115 @@ class TestEnumerateObserved:
     def test_cap(self):
         from cdna import UnsupportedRangeError
 
-        with pytest.raises(UnsupportedRangeError):
-            enumerate_observed(100, 4, max_size=1000)
+        with pytest.raises(UnsupportedRangeError, match="exceeds the cap 2000000"):
+            enumerate_observed(4_000_000, 2)
 
     def test_counts_are_capped_too(self):
-        from cdna import DEFAULT_MAX_ENUM, UnsupportedRangeError
-        from cdna.model import _checked_grid_size
+        from cdna import UnsupportedRangeError
 
         # 1.1M points pass the point cap but hold 1.7G counts; refused before any is made
         with pytest.raises(UnsupportedRangeError, match="1688625000 counts"):
             enumerate_observed(2, 1500)
-        # four counts per point of the cap: every grid of q <= 4 under the point cap passes
-        for q, n in ((2, DEFAULT_MAX_ENUM - 1), (3, 1998), (4, 226)):
-            assert _checked_grid_size(n, q, DEFAULT_MAX_ENUM)[1] <= DEFAULT_MAX_ENUM
-            assert observed_grid_size(n + 1, q) > DEFAULT_MAX_ENUM
-        assert _checked_grid_size(1, 20, 100) == (1, 20)  # 400 counts, at the cap of 4 * 100
-        with pytest.raises(UnsupportedRangeError, match="441 counts"):
-            _checked_grid_size(1, 21, 100)
-
 
 
 class TestEnumerationCap:
-    """An enumeration cap must be an int >= 1: every grid entry point refuses anything else
-    with ValueError before any grid work (NaN and the infinities once lifted both caps,
-    ``None`` the point cap, ``True`` passed for 1 and ``2.5`` for a float cap)."""
+    """Every grid entry point refuses the same grids, above ``DEFAULT_MAX_ENUM`` points or
+    ``4 * DEFAULT_MAX_ENUM`` counts, before any grid work; no argument moves those caps."""
 
     @staticmethod
-    def entry_points():
-        from cdna import (
-            CompositeCode,
-            construct_grid_code,
-            decoding_region,
-            evaluate_code,
-            optimize_binary4_grid,
-        )
+    def entry_points(n, q):
+        """Each grid entry point, called on the grid of ``n`` reads over ``q`` letters."""
+        from cdna import construct_grid_code, decoding_region, evaluate_code, optimize_binary4_grid
         from cdna.codes import _grid_code_success
         from cdna.model import _checked_grid_size
 
-        float_code = CompositeCode.binary([0.1, 0.5, 0.9])
-        exact_code = CompositeCode.binary([Fraction(1, 5), Fraction(4, 5)])
-        return {
-            "_checked_grid_size": lambda cap: _checked_grid_size(300, 4, cap),
-            "evaluate_code float": lambda cap: evaluate_code(float_code, 5, max_enum=cap),
-            "evaluate_code exact": lambda cap: evaluate_code(exact_code, 5, max_enum=cap),
-            "decoding_region": lambda cap: decoding_region(float_code, float_code.symbols[0], 5, max_enum=cap),
-            "construct_grid_code": lambda cap: construct_grid_code(3, 2, max_enum=cap),
-            "_grid_code_success": lambda cap: _grid_code_success(3, 2, cap),
-            "optimize_binary4_grid": lambda cap: optimize_binary4_grid(3, 1e-3, max_enum=cap),
-            "enumerate_observed": lambda cap: enumerate_observed(3, 2, max_size=cap),
+        float_code = CompositeCode([uniform_symbol(q), base_symbol(q, 1).as_float()])
+        exact_code = CompositeCode([uniform_symbol(q, exact=True), base_symbol(q, 1)])
+        calls = {
+            "_checked_grid_size": lambda: _checked_grid_size(n, q),
+            "enumerate_observed": lambda: enumerate_observed(n, q),
+            "evaluate_code float": lambda: evaluate_code(float_code, n),
+            "evaluate_code exact": lambda: evaluate_code(exact_code, n),
+            "decoding_region": lambda: decoding_region(float_code, float_code.symbols[0], n),
+            "construct_grid_code": lambda: construct_grid_code(n, q),
+            "_grid_code_success": lambda: _grid_code_success(n, q),
         }
+        if q == 2:
+            calls["optimize_binary4_grid"] = lambda: optimize_binary4_grid(n, 1e-3)
+        return calls
 
     @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, None, "5", True, False, 2.5, 1e6, 0, -3])
-    def test_refused_everywhere(self, monkeypatch, cap):
-        from cdna import model
+    def test_refused_everywhere(self, cap):
+        # no entry point takes a cap, whatever its value (NaN, the infinities and None once lifted both)
+        from cdna import decoding_region, evaluate_code, optimize_binary4_grid
+        from cdna.codes import _grid_code_success
+        from cdna.model import _checked_grid_size
+
+        code = CompositeCode.binary([0.1, 0.5, 0.9])
+        calls = {
+            "_checked_grid_size": lambda: _checked_grid_size(3, 2, cap),
+            "evaluate_code": lambda: evaluate_code(code, 3, max_enum=cap),
+            "decoding_region": lambda: decoding_region(code, code.symbols[0], 3, max_enum=cap),
+            "construct_grid_code": lambda: construct_grid_code(3, 2, max_enum=cap),
+            "_grid_code_success": lambda: _grid_code_success(3, 2, cap),
+            "optimize_binary4_grid": lambda: optimize_binary4_grid(3, 1e-3, max_enum=cap),
+            "enumerate_observed": lambda: enumerate_observed(3, 2, max_size=cap),
+        }
+        for call in calls.values():
+            with pytest.raises(TypeError):
+                call()
+
+    @pytest.mark.parametrize(
+        "n,q,message",
+        [
+            (2_000_000, 2, "|grid(n=2000000, q=2)| = 2000001 exceeds the cap 2000000; lower n or q"),
+            (1_999, 3, "|grid(n=1999, q=3)| = 2001000 exceeds the cap 2000000; lower n or q"),
+            (227, 4, "|grid(n=227, q=4)| = 2001460 exceeds the cap 2000000; lower n or q"),
+            (
+                1,
+                2829,
+                "grid(n=1, q=2829) holds 8003241 counts (2829 points of 2829), "
+                "beyond the cap of 8000000 counts; lower n or q",
+            ),
+        ],
+    )
+    def test_first_grid_over_a_cap_refused(self, monkeypatch, n, q, message):
+        from cdna import UnsupportedRangeError, binary, codes
 
         def no_grid(*args):
             raise AssertionError("grid work before the cap was checked")
 
-        monkeypatch.setattr(model, "observed_grid_size", no_grid)
-        for name, call in self.entry_points().items():
-            with pytest.raises(ValueError, match="max_enum") as refused:
-                call(cap)
-            assert type(refused.value) is ValueError, name
+        for module, name in ((model, "_compositions"), (codes, "_compositions"), (binary, "_float_success")):
+            monkeypatch.setattr(module, name, no_grid)
+        for name, call in self.entry_points(n, q).items():
+            with pytest.raises(UnsupportedRangeError) as refused:
+                call()
+            assert str(refused.value) == message, name
 
-    def test_int_caps_keep_their_meaning(self):
-        import numpy as np
+    def test_binary4_work_cap(self, monkeypatch):
+        # ceil(0.5 / step) candidates of n + 1 points each: 500,000 codes of 4 points fill the
+        # cap at step 1e-6, and 500,501 pass it at 9.99e-7, refused before any work
+        from cdna import UnsupportedRangeError, binary, optimize_binary4_grid
 
-        from cdna import UnsupportedRangeError
+        class Searched(Exception):
+            pass
+
+        def searched(*args):
+            raise Searched
+
+        monkeypatch.setattr(binary, "_float_success", searched)
+        with pytest.raises(Searched):
+            optimize_binary4_grid(3, 1e-6)
+        with pytest.raises(UnsupportedRangeError, match="codes of 4 points each, beyond the enumeration cap 2000000"):
+            optimize_binary4_grid(3, 9.99e-7)
+
+    def test_last_grids_under_the_caps_pass(self):
+        from cdna import DEFAULT_MAX_ENUM
         from cdna.model import _checked_grid_size
 
-        for cap in (1001, np.int64(1001), 10**400):
-            assert _checked_grid_size(1000, 2, cap) == (1000, 1001)
-            assert type(_checked_grid_size(np.int64(1000), np.int32(2), cap)[0]) is int
-            assert len(enumerate_observed(1000, 2, max_size=cap)) == 1001
-        for cap in (1000, np.int64(1000), np.uint8(3)):
-            with pytest.raises(UnsupportedRangeError, match="exceeds the cap"):
-                _checked_grid_size(1000, 2, cap)
-        # enumerate_observed has the point cap of every grid entry point
-        with pytest.raises(UnsupportedRangeError, match="exceeds the cap 2000000"):
-            enumerate_observed(4_000_000, 2)
+        # four counts per point of the point cap: every grid of q <= 4 under it passes
+        for n, q in ((1_999_999, 2), (1_998, 3), (226, 4), (1, 2828)):
+            assert _checked_grid_size(n, q) == (n, observed_grid_size(n, q))
+            assert observed_grid_size(n, q) <= DEFAULT_MAX_ENUM
+            assert observed_grid_size(n, q) * q <= 4 * DEFAULT_MAX_ENUM
+        assert _checked_grid_size(1_999_999, 2)[1] == DEFAULT_MAX_ENUM

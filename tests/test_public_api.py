@@ -7,9 +7,12 @@ deleted or renamed export, or one that only its own tests use, fails here in
 milliseconds.
 """
 import ast
+import importlib
+import inspect
 import re
 import types
 from pathlib import Path
+from typing import Optional
 
 import cdna
 
@@ -134,7 +137,6 @@ CONFTEST_IMPORTS = {
     "CodeEvaluation",
     "CompositeCode",
     "CompositeSymbol",
-    "DEFAULT_MAX_ENUM",
     "TIE_TOLERANCE",
     "construct_base_plus_uniform",
     "construct_distinct_support",
@@ -157,3 +159,89 @@ def test_conftest_imports_only_the_allowlist():
             imported.update(alias.name for alias in node.names)
     assert "enumerate_observed" in imported
     assert sorted(imported - CONFTEST_IMPORTS) == []
+
+
+def _library_reads(function: ast.AST) -> list[tuple[str, ...]]:
+    """The attribute chains that ``function`` reads off the library: rooted in ``self.lib`` or
+    ``cdna``, or in a local name bound to such a chain (``codes = self.lib.codes``, ``sim, cov =
+    self.lib.simulate, self.lib.coverage``), each as the attribute names after the package."""
+
+    def chain(node) -> Optional[tuple[str, ...]]:
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id, () if node.id == "cdna" else None)
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id == "self" and node.attr == "lib":
+                return ()
+            head = chain(node.value)
+            return None if head is None else head + (node.attr,)
+        return None
+
+    aliases: dict[str, tuple[str, ...]] = {}
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            else:
+                pairs = [(target, value)]
+            for name, bound in pairs:
+                if isinstance(name, ast.Name) and (path := chain(bound)) is not None:
+                    aliases[name.id] = path
+    reads = (chain(node) for node in ast.walk(function) if isinstance(node, ast.Attribute))
+    return [path for path in reads if path]
+
+
+def _hook_reads(tree: ast.Module) -> dict[str, set[str]]:
+    """``workloads.hooks``: the traced name each tag is for, and the arguments it reads by name."""
+    hooks = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "hooks")
+    local = {node.name: node for node in hooks.body if isinstance(node, ast.FunctionDef)}
+    table = next(node.value for node in hooks.body if isinstance(node, ast.Return))
+    reads = {}
+    for key, value in zip(table.keys, table.values):
+        tag = local[value.id] if isinstance(value, ast.Name) else value
+        bound = tag.args.args[0].arg
+        reads[key.value] = {
+            node.slice.value
+            for node in ast.walk(tag)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == bound
+        }
+    return reads
+
+
+def test_benchmark_binds_to_the_library():
+    # No test or CI step runs every benchmark file, so a name the benchmark reads, or an
+    # argument its tracer binds by name, would otherwise vanish from the library unnoticed.
+    paths = sorted((ROOT / "benchmark").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    imported, read = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cdna":
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names if alias.name.split(".")[0] == "cdna")
+            elif isinstance(node, ast.FunctionDef):
+                read.update(".".join(path) for path in _library_reads(node))
+    assert "cdna.coverage.MAX_EXACT_TERMS" in imported and "codes.evaluate_code" in read
+    missing = []
+    for name in sorted(imported):
+        module, _, attr = name.rpartition(".")
+        try:
+            importlib.import_module(name)
+        except ImportError:
+            if not hasattr(importlib.import_module(module), attr):
+                missing.append(name)
+    absent = object()
+    for name in sorted(read):
+        value = cdna
+        for attr in name.split("."):
+            value = getattr(value, attr, absent)
+        if value is absent:
+            missing.append(name)
+    assert missing == []
+    hook_reads = _hook_reads(trees["workloads.py"])
+    assert set().union(*hook_reads.values()) == {"code", "n", "ell", "omega", "config"}
+    for traced, arguments in hook_reads.items():
+        module, function = traced.split(".")
+        parameters = inspect.signature(getattr(importlib.import_module(f"cdna.{module}"), function)).parameters
+        assert sorted(arguments - set(parameters)) == [], traced
