@@ -13,19 +13,21 @@ runs all of them.  At every ``k`` the driver first draws the first block of
 many trials with the loop's own calls and settles them at once
 (:func:`_settle_first_block`), since on short sequences one trial costs far
 more in numpy calls than in draws; the trials that block leaves undecided run
-the loop.
+the loop.  Trials too wide for that block run the loop on one thread per usable
+CPU, as numpy draws with the GIL released.
 
 Memory per trial is O(max(``_CHUNK_DRAWS``, ``ell``)) elements whatever the
 block sizes: symbols are drawn at most ``_CHUNK_DRAWS`` at a time (one read
 of ``ell`` symbols when that is more, and such one-read chunks skip the
 running OR down the reads), and the loop keeps observed sets only for indices
-not yet fully covered.  :class:`SimConfig` refuses ``ell`` and ``trials``
-whose arrays would not fit in memory.
+not yet fully covered.  A run holds one trial per thread at once, so its
+memory is the thread count times one trial's.  :class:`SimConfig` refuses
+``ell`` and ``trials`` whose arrays would not fit in memory.
 
 Determinism contract: trial ``t`` of a run with master seed ``s`` consumes a
-private stream from a counter-based generator (Philox) keyed by ``(s, t)``.
-Results therefore do not depend on execution order, and a parallel driver that
-writes each trial's count into slot ``t`` reproduces the serial run bit for bit.
+private stream from a counter-based generator (Philox) keyed by ``(s, t)``, and
+its count goes to slot ``t``.  Reports therefore do not depend on which thread
+ran a trial or when: they are bit-identical whatever the thread count.
 
 numpy is imported at first use, inside the functions that draw, so importing
 this module (and with it ``cdna``) leaves numpy unloaded.
@@ -33,6 +35,8 @@ this module (and with it ``cdna``) leaves numpy unloaded.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -53,12 +57,12 @@ _MAX_BLOCK = 8192
 #: draw array holds at most this many, or one read of ``ell`` when that is more.
 _CHUNK_DRAWS = 1 << 14
 #: The largest sequence and trial count a simulation accepts, so that no
-#: request asks for arrays it cannot hold.  A trial peaks at about 42 bytes
-#: per index (a read's 8-byte draws, the open indices' masks and columns, and
-#: their comparisons): 42 MB at ``ell = 10**6``.
+#: request asks for arrays it cannot hold.  A trial peaks at about 26 bytes
+#: per index, 38 at ``omega > 32`` (a read's 4-byte draws, the open indices'
+#: masks and columns, and their comparisons): 26 MB at ``ell = 10**6``, per thread.
 _MAX_ELL = 10**6
-#: Counts take 8 bytes per trial, and the list of trials left to the loop
-#: after the batched first block at most about 48 more: 0.56 GB at ``10**7``.
+#: Counts take 8 bytes per trial, and the list of trials left to the loop, which
+#: the threads share, at most about 48 more: 0.56 GB at ``10**7``.
 _MAX_TRIALS = 10**7
 #: normal 97.5% quantile, for two-sided 95% confidence intervals
 _Z95 = 1.959963984540054
@@ -66,6 +70,11 @@ _Z95 = 1.959963984540054
 #: simulations below this many trials report no confidence interval; the
 #: normal approximation is not trustworthy there.
 MIN_TRIALS_FOR_CI = 30
+
+
+def _workers() -> int:
+    """Threads for the trials that skip the batched first block: one per usable CPU."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _word(name: str, value) -> int:
@@ -130,19 +139,20 @@ def _reads_until(
     at ``k > 1``.  A block's symbols are one sequential stream, drawn at most
     ``_CHUNK_DRAWS`` at a time (one read when ``ell`` is larger), so the count
     does not depend on the chunking and memory stays O(max(``_CHUNK_DRAWS``,
-    ``ell``)).  Each chunk is one flat int64 ``integers`` call viewed as
-    uint64: for ``omega <= 2**32`` numpy fills both dtypes with the same
-    bounded draws, so values and stream match ``dtype=np.uint64``, without
-    the cost of a shape tuple.  After each chunk, the fully covered indices
+    ``ell``)).  Each chunk is one flat uint32 ``integers`` call: for
+    ``omega <= 2**32`` numpy fills it with the same bounded draws as int64,
+    so values and stream match, in half the bytes.  Masks are uint32 where
+    ``omega <= 32``.  After each chunk, the fully covered indices
     drop out: the loop keeps observed-set bitmasks for the open indices only
     and lowers ``r`` by the number just finished.  Returns ``None`` when
     ``cap`` reads pass without stopping.
     """
     import numpy as np
 
-    full = np.uint64((1 << omega) - 1)
-    one = np.uint64(1)
-    masks = np.zeros(ell, dtype=np.uint64)
+    word = np.uint32 if omega <= 32 else np.uint64
+    full = word((1 << omega) - 1)
+    one = word(1)
+    masks = np.zeros(ell, dtype=word)
     cols = np.arange(ell)
     step = max(1, _CHUNK_DRAWS // ell)
     taken = 0
@@ -157,10 +167,11 @@ def _reads_until(
             hits = np.flatnonzero(rng.integers(0, k, size=rows) == 0)
         for lo in range(0, hits.size, step):
             n = min(step, hits.size - lo)
-            symbols = rng.integers(0, omega, size=n * ell).view(np.uint64).reshape(n, ell)
+            symbols = rng.integers(0, omega, size=n * ell, dtype=np.uint32).reshape(n, ell)
             if cols.size < ell:
                 symbols = symbols.take(cols, axis=1)
-            acc = np.left_shift(one, symbols, out=symbols)
+            acc = symbols.astype(word, copy=False)
+            np.left_shift(one, acc, out=acc)
             if n > 1:
                 acc = np.bitwise_or.accumulate(acc, axis=0)
             np.bitwise_or(acc, masks, out=acc)
@@ -297,7 +308,8 @@ def run_simulation(config: SimConfig) -> SimReport:
       target with probability ``1/params.k`` and only target reads advance it.
 
     A trial that reaches ``max_transmissions`` counts as that cap and as
-    truncated.
+    truncated.  An exception in any thread stops the others at their next
+    trial; the first reaches the caller once every thread has ended.
     """
     import numpy as np
 
@@ -323,11 +335,39 @@ def run_simulation(config: SimConfig) -> SimReport:
             counts[start : trials.stop] = settled
             if 2 * np.count_nonzero(settled) < len(trials):
                 break
-    truncated = 0
-    for t in np.flatnonzero(counts == 0).tolist():
-        count = _reads_until(streams.trial(t), params.ell, params.omega, r, k, cap)
-        counts[t] = cap if count is None else count
-        truncated += count is None
+    left = np.flatnonzero(counts == 0).tolist()
+    workers = min(_workers(), len(left)) if rows * params.ell > _CHUNK_DRAWS else 1
+    todo = iter(left)
+    stop = threading.Event()
+    failed = []
+    cuts = []
+
+    def work(streams: _TrialStreams) -> None:
+        cut = 0
+        try:
+            for t in todo:
+                if stop.is_set():
+                    break
+                count = _reads_until(streams.trial(t), params.ell, params.omega, r, k, cap)
+                counts[t] = cap if count is None else count
+                cut += count is None
+        except BaseException as exc:  # raised again in the caller once every worker has stopped
+            failed.append(exc)
+            stop.set()
+        cuts.append(cut)
+
+    threads = [threading.Thread(target=work, args=(_TrialStreams(config.seed),)) for _ in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        work(streams)
+    finally:
+        stop.set()
+        for thread in filter(threading.Thread.is_alive, threads):  # one that failed to start never ran
+            thread.join()
+    if failed:
+        raise failed[0]
+    truncated = sum(cuts)
     mean = float(counts.mean())
     std_error = None
     ci95 = None

@@ -1,5 +1,8 @@
 import hashlib
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -220,16 +223,23 @@ class TestChunkedLoop:
         assert run_simulation(config) == _scalar_report(config, reference_reads_until)
 
     @pytest.mark.parametrize(
-        "params, mode",
+        "params, mode, workers",
         [
-            (CoverageParams(20000, 16), "recovery"),
-            (CoverageParams(20000, 16, k=3), "ra"),
-            (CoverageParams(10**5, 1), "recovery"),
+            pytest.param(CoverageParams(20000, 16), "recovery", 1, id="params0-recovery"),
+            pytest.param(CoverageParams(20000, 16, k=3), "ra", 1, id="params1-ra"),
+            pytest.param(CoverageParams(10**5, 1), "recovery", 1, id="params2-recovery"),
+            pytest.param(CoverageParams(20000, 16), "recovery", 2, id="params0-recovery-two-workers"),
+            pytest.param(CoverageParams(20000, 16, k=3), "ra", 2, id="params1-ra-two-workers"),
+            pytest.param(CoverageParams(10**5, 1), "recovery", 2, id="params2-recovery-two-workers"),
         ],
     )
-    def test_trial_memory_is_bounded_by_the_chunk(self, params, mode):
-        # eight uint64 arrays of one chunk; whole blocks traced 52.5, 71.2 and 76.8 MB
+    def test_trial_memory_is_bounded_by_the_chunk(self, monkeypatch, params, mode, workers):
+        # eight uint64 arrays of one chunk; whole blocks traced 52.5, 71.2 and 76.8 MB.
+        # uint32 draws and masks trace 26.3 B per index for one trial at omega = 16
+        # and 48.5-52.6 for two at once; at omega = 64 (8-byte masks), not checked
+        # here, one trial traced 38.3 and two 72.6.
         bound = 8 * 8 * max(_CHUNK_DRAWS, params.ell)
+        monkeypatch.setattr(simulate, "_workers", lambda: workers)
         # the first calls allocate numpy's one-time state; keep it out of the peak
         run_simulation(SimConfig(CoverageParams(3, 2, k=2), trials=2, seed=0, mode="ra"))
         tracemalloc.start()
@@ -239,6 +249,107 @@ class TestChunkedLoop:
         finally:
             tracemalloc.stop()
         assert peak < bound, (peak, bound)
+
+
+@pytest.mark.parametrize("omega", [1, 2, 3, 16, 32, 33, 64])
+@pytest.mark.parametrize("size", [1, 7, 1000, _CHUNK_DRAWS + 1])
+def test_uint32_draws_equal_int64_draws(omega, size):
+    # _reads_until draws uint32 symbols; the reference loop and the batched
+    # first block draw 64-bit ones.  Both must read the same words.
+    wide, narrow = trial_rng(omega, size), trial_rng(omega, size)
+    drawn = narrow.integers(0, omega, size=size, dtype=np.uint32)
+    assert drawn.dtype == np.uint32
+    assert drawn.tolist() == wide.integers(0, omega, size=size).tolist()
+    assert repr(narrow.bit_generator.state) == repr(wide.bit_generator.state)
+    follow = [(rng.integers(0, 5, size=3).tolist(), int(rng.integers(0, 2**40)), rng.random()) for rng in (wide, narrow)]
+    assert follow[0] == follow[1]
+
+
+#: Configurations whose trials skip the batched first block (rows * ell >
+#: _CHUNK_DRAWS), so they run on the threads: all three modes, k > 1, and caps
+#: that truncate some trials.
+WIDE_CONFIGS = [
+    (CoverageParams(600, 3), "recovery", CAP),
+    (CoverageParams(1400, 2), "recovery", 12),
+    (CoverageParams(1000, 4, r=900), "partial", CAP),
+    (CoverageParams(2000, 2, r=1990), "partial", 9),
+    (CoverageParams(600, 2, k=3), "ra", CAP),
+    (CoverageParams(1500, 2, k=2), "ra", 20),
+]
+
+
+class TestThreads:
+    """Trials too wide for the batched first block run on several threads."""
+
+    @pytest.mark.parametrize("params, mode, cap", WIDE_CONFIGS)
+    def test_reports_do_not_depend_on_the_thread_count(self, monkeypatch, params, mode, cap):
+        config = SimConfig(params, trials=30, seed=params.ell + cap, max_transmissions=cap, mode=mode)
+        expected = _scalar_report(config, reference_reads_until)
+        for workers in (1, 2, 3, 7):
+            monkeypatch.setattr(simulate, "_workers", lambda: workers)
+            assert run_simulation(config) == expected, workers
+        if cap < CAP:
+            assert 0 < expected.truncated_trials < config.trials
+
+    def test_every_trial_runs_once_under_contention(self, monkeypatch):
+        # more threads than CPUs and a short switch interval: a trial taken
+        # twice or lost would show in the calls and in the report
+        config = SimConfig(CoverageParams(600, 2, k=3), trials=40, seed=5, mode="ra")
+        expected = _scalar_report(config)
+        ran = []
+
+        def recorded(rng, *args):
+            ran.append(int(rng.bit_generator.state["state"]["key"][1]))
+            return _reads_until(rng, *args)
+
+        monkeypatch.setattr(simulate, "_workers", lambda: 7)
+        monkeypatch.setattr(simulate, "_reads_until", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_simulation(config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(config.trials))
+        assert report == expected
+
+    def test_narrow_trials_stay_on_the_calling_thread(self, monkeypatch):
+        # rows * ell fits a chunk, so the trials the first block leaves run serially
+        threads = set()
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return _reads_until(*args)
+
+        monkeypatch.setattr(simulate, "_workers", lambda: 7)
+        monkeypatch.setattr(simulate, "_reads_until", recorded)
+        run_simulation(SimConfig(CoverageParams(3, 3, k=5), trials=200, seed=3, mode="ra"))
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_an_exception_stops_every_thread(self, monkeypatch, where, workers):
+        class Boom(Exception):
+            pass
+
+        calls = itertools.count()
+        caller = threading.get_ident()
+
+        def failing(*args):
+            on_caller = threading.get_ident() == caller
+            if next(calls) >= 2 and (on_caller if where == "caller" or workers == 1 else not on_caller):
+                raise KeyboardInterrupt if where == "caller" else Boom
+            return _reads_until(*args)
+
+        monkeypatch.setattr(simulate, "_workers", lambda: workers)
+        monkeypatch.setattr(simulate, "_reads_until", failing)
+        before = threading.active_count()
+        config = SimConfig(CoverageParams(600, 3), trials=60, seed=2)
+        with pytest.raises(KeyboardInterrupt if where == "caller" else Boom):
+            run_simulation(config)
+        assert threading.active_count() == before
+        # the others stop at their next trial instead of running out the list
+        assert next(calls) < config.trials
 
 
 #: run_simulation reports pinned per seed, as the separate recovery, partial
